@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from pathlib import Path
@@ -23,7 +22,6 @@ from .graph import (
     ExamResultGraph,
     ParameterOutOfRangeError,
     Roster,
-    TaskAssignmentGraph,
     generate_assignment,
     is_strongly_connected,
 )
@@ -140,7 +138,6 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     def common(p, seeded=True):
         p.add_argument("--config", help="key=value config file; flags override it")
         p.add_argument("--outdir", help="output directory (default $FAIRGRADE_OUTDIR or .)")
-        p.add_argument("--threads", type=int, default=1)
         if seeded:
             p.add_argument("--seed", type=int, help="master seed (required)")
 
@@ -169,6 +166,15 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--d", type=int)
     p.add_argument("--reps", type=int, default=200)
     p.add_argument("--rules", default="ours,avg")
+
+    p = sub.add_parser("decompose", help="bias + variance = error per rule, for the given "
+                       "merits and for all-equal merits")
+    common(p)
+    _population_flags(p)
+    p.add_argument("--m", type=int)
+    p.add_argument("--d", type=int)
+    p.add_argument("--graphs", type=int, default=50)
+    p.add_argument("--reps", type=int, default=200)
 
     p = sub.add_parser("sweep-degree", help="bias vs. per-student degree constraint")
     common(p)
@@ -337,7 +343,7 @@ def cmd_simulate_bias(args, outdir: Path) -> None:
     rows, summary = [], {}
     for name, rule in _rules_from(args.rules).items():
         report = sim.estimate_ex_post_bias(
-            rule, g, u, args.reps, sim._scalar_seed(args.seed, 2), threads=args.threads
+            rule, g, u, args.reps, sim._scalar_seed(args.seed, 2)
         )
         for sid, dev, se in zip(
             roster.students, report.per_student_deviation, report.per_student_se
@@ -351,6 +357,35 @@ def cmd_simulate_bias(args, outdir: Path) -> None:
             "replications": report.replications,
             "failed_replications": report.failed_replications,
         }
+    fio.write_tidy_report(rows, outdir / "report.csv")
+    fio.write_json_summary(summary, outdir / "summary.json")
+
+
+def cmd_decompose(args, outdir: Path) -> None:
+    _require(args, "seed", "m", "d")
+    roster, u = _population(args, 0)
+    populations = {
+        "spread-merits": u,
+        "all-same-merits": MeritVector.for_roster(
+            roster, [0.0] * roster.n_students, [0.0] * roster.n_questions
+        ),
+    }
+    graphs = [
+        generate_assignment(roster, args.m, args.d, substream(args.seed, 1, k))
+        for k in range(args.graphs)
+    ]
+    rows, summary = [], {}
+    for label, merits in populations.items():
+        summary[label] = {}
+        for name, rule in sim.RULES.items():
+            dec = sim.decompose_error(
+                rule, graphs, merits, args.reps, sim._scalar_seed(args.seed, 2)
+            )
+            for stat in ("bias", "variance", "error"):
+                rows.append({"parameter": "merits", "value": label, "rule": name,
+                             "statistic": stat, "estimate": repr(getattr(dec, stat)),
+                             "se": ""})
+            summary[label][name] = dataclasses.asdict(dec)
     fio.write_tidy_report(rows, outdir / "report.csv")
     fio.write_json_summary(summary, outdir / "summary.json")
 
@@ -378,7 +413,7 @@ def cmd_sweep_degree(args, outdir: Path) -> None:
     roster, u = _population(args, 0)
     result = sim.sweep_degree(
         roster, u, args.m, parse_int_list(args.d_values), args.graphs, args.reps,
-        sim._scalar_seed(args.seed, 1), rules=_rules_from(args.rules), threads=args.threads,
+        sim._scalar_seed(args.seed, 1), rules=_rules_from(args.rules),
     )
     _sweep_to_outputs(result, outdir)
 
@@ -399,7 +434,7 @@ def cmd_sweep_bank(args, outdir: Path) -> None:
     result = sim.sweep_question_sample_size(
         student_merits, sampler, parse_int_list(args.m_values), args.d,
         args.graphs, args.reps, sim._scalar_seed(args.seed, 1),
-        rules=_rules_from(args.rules), threads=args.threads,
+        rules=_rules_from(args.rules),
     )
     _sweep_to_outputs(result, outdir)
 
@@ -426,7 +461,7 @@ def cmd_cv(args, outdir: Path) -> None:
         for d2 in d2_values:
             res = sim.cross_validate(
                 answers, d1, d2, args.reps, rules,
-                seed=sim._scalar_seed(args.seed, di, d2), threads=args.threads,
+                seed=sim._scalar_seed(args.seed, di, d2),
             )
             for name, mse in sorted(res.mse_per_rule.items()):
                 rows.append({"parameter": f"d1={d1}:d2", "value": d2, "rule": name,
@@ -436,7 +471,7 @@ def cmd_cv(args, outdir: Path) -> None:
     if args.threshold_table:
         table = sim.cv_threshold_table(
             answers, d1_values, d2_values, args.reps, rules,
-            seed=sim._scalar_seed(args.seed, 10**6), threads=args.threads,
+            seed=sim._scalar_seed(args.seed, 10**6),
         )
         out["threshold_table"] = {str(k): v for k, v in table.items()}
     fio.write_tidy_report(rows, outdir / "report.csv")
@@ -447,7 +482,7 @@ def cmd_cv_sim(args, outdir: Path) -> None:
     _require(args, "seed", "students", "d2_values")
     results = sim.simulated_cross_validate(
         _prior_from(args), args.students, parse_int_list(args.d2_values),
-        args.reps, args.seed, n_questions=args.questions, threads=args.threads,
+        args.reps, args.seed, n_questions=args.questions,
     )
     rows = [
         {"parameter": "d2", "value": res.d2, "rule": name, "statistic": "mse",
@@ -480,6 +515,7 @@ COMMANDS = {
     "grade": cmd_grade,
     "fit": cmd_fit,
     "simulate-bias": cmd_simulate_bias,
+    "decompose": cmd_decompose,
     "sweep-degree": cmd_sweep_degree,
     "sweep-bank": cmd_sweep_bank,
     "cv": cmd_cv,
@@ -503,8 +539,8 @@ def _config_defaults(args) -> dict | None:
     return defaults
 
 
-_INT_KEYS = {"seed", "threads", "m", "d", "d1", "reps", "graphs", "students",
-             "questions", "max_iter"}
+_INT_KEYS = {"seed", "m", "d", "d1", "reps", "graphs", "students", "questions",
+             "max_iter"}
 _FLOAT_KEYS = {"tol", "student_mean", "student_std", "question_mean", "question_std"}
 _BOOL_KEYS = {"threshold_table"}
 
@@ -532,8 +568,6 @@ def run(argv=None) -> int:
             args = build_parser(defaults).parse_args(argv)
         if hasattr(args, "seed") and args.seed is None:
             raise ConfigError("--seed is required (no wall-clock default)")
-        if getattr(args, "threads", 1) < 1:
-            raise ConfigError("--threads must be >= 1")
         for name in ("reps", "graphs", "max_iter"):
             if getattr(args, name, 1) is not None and getattr(args, name, 1) < 1:
                 raise ConfigError(f"--{name.replace('_', '-')} must be >= 1")

@@ -21,7 +21,6 @@ from .graph import (
     ExamResultGraph,
     PairCase,
     Roster,
-    classify_pair,
     strongly_connected_components,
 )
 from .model import (
@@ -51,8 +50,8 @@ class GradeVector:
         values = np.asarray(self.values, dtype=float)
         if values.shape != (self.roster.n_students,):
             raise ValueError("one grade per student required")
-        if np.any((values < -1e-12) | (values > 1 + 1e-12)):
-            raise ValueError("grades must lie in [0, 1]")
+        if not np.all((values >= -1e-12) & (values <= 1 + 1e-12)):
+            raise ValueError("grades must be finite and lie in [0, 1]")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 

@@ -163,11 +163,12 @@ class ExamResultGraph:
     w: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.uint8)
+        w = np.asarray(self.w)
         if w.shape != (self.assignment.n_edges,):
             raise ValueError("one outcome bit per assigned edge required")
         if w.size and not np.isin(w, (0, 1)).all():
             raise ValueError("outcomes must be 0 or 1")
+        w = w.astype(np.uint8, copy=False)
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
 

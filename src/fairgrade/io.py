@@ -9,9 +9,7 @@ never assigned.
 from __future__ import annotations
 
 import csv
-import io as _io
 import json
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -70,10 +68,12 @@ def read_edge_list(path) -> ExamResultGraph:
     rows = _read_rows(path)
     if not rows or [c.strip() for c in rows[0]] != ["student", "question", "correct"]:
         raise MalformedRowError(1, "expected header 'student,question,correct'")
-    students: list[str] = []
-    questions: list[str] = []
+    # dicts keep first-seen order, so ids are indexed in file order
+    students: dict[str, int] = {}
+    questions: dict[str, int] = {}
     seen: set[tuple[str, str]] = set()
-    triples: list[tuple[str, str, int]] = []
+    edges: list[tuple[int, int]] = []
+    bits: list[int] = []
     for line, row in enumerate(rows[1:], start=2):
         if not row:
             continue
@@ -85,25 +85,21 @@ def read_edge_list(path) -> ExamResultGraph:
         if (sid, qid) in seen:
             raise DuplicateEdgeError(line, (sid, qid))
         seen.add((sid, qid))
-        if sid not in students:
-            students.append(sid)
-        if qid not in questions:
-            questions.append(qid)
-        triples.append((sid, qid, int(tok)))
-    if not triples:
+        edges.append((students.setdefault(sid, len(students)),
+                      questions.setdefault(qid, len(questions))))
+        bits.append(int(tok))
+    if not edges:
         raise MalformedRowError(len(rows) + 1, "no data rows")
-    roster = Roster(tuple(students), tuple(questions))
-    s_of = {s: i for i, s in enumerate(students)}
-    q_of = {q: j for j, q in enumerate(questions)}
-    edges = tuple((s_of[s], q_of[q]) for s, q, _ in triples)
-    w = np.array([b for _, _, b in triples], dtype=np.uint8)
-    g = TaskAssignmentGraph(roster, edges)
-    # constructor sorts edges; realign the outcome bits
-    order = {e: k for k, e in enumerate(g.edges)}
-    aligned = np.empty_like(w)
-    for e, bit in zip(edges, w):
-        aligned[order[e]] = bit
-    return ExamResultGraph(g, aligned)
+    return _result_graph(Roster(tuple(students), tuple(questions)), edges, bits)
+
+
+def _result_graph(roster: Roster, edges: list[tuple[int, int]], bits: list[int]):
+    """Result graph from edges in file order and their outcome bits."""
+    g = TaskAssignmentGraph(roster, tuple(edges))
+    # the constructor sorts edges by (student, question); sort the bits alike
+    s_idx, q_idx = np.asarray(edges, dtype=np.intp).reshape(-1, 2).T
+    w = np.asarray(bits, dtype=np.uint8)[np.lexsort((q_idx, s_idx))]
+    return ExamResultGraph(g, w)
 
 
 def read_dense_matrix(path) -> ExamResultGraph:
@@ -134,13 +130,7 @@ def read_dense_matrix(path) -> ExamResultGraph:
                 raise MalformedRowError(line, f"cell must be 0, 1, or NA, got {cell!r}")
             edges.append((i, j))
             bits.append(int(cell))
-    roster = Roster(tuple(students), questions)
-    g = TaskAssignmentGraph(roster, tuple(edges))
-    order = {e: k for k, e in enumerate(g.edges)}
-    aligned = np.empty(len(bits), dtype=np.uint8)
-    for e, bit in zip(edges, bits):
-        aligned[order[e]] = bit
-    return ExamResultGraph(g, aligned)
+    return _result_graph(Roster(tuple(students), questions), edges, bits)
 
 
 def write_edge_list(g: ExamResultGraph, path) -> None:

@@ -239,12 +239,6 @@ def mm_step(gamma: np.ndarray, sym: np.ndarray, wins: np.ndarray) -> np.ndarray:
     return wins / denom
 
 
-def _mm_residual(gamma: np.ndarray, sym: np.ndarray, wins: np.ndarray) -> float:
-    # stationarity defect: observed wins minus expected wins at gamma
-    expected = (sym * (gamma[:, None] / np.add.outer(gamma, gamma))).sum(axis=1)
-    return float(np.abs(wins - expected).max())
-
-
 def mle_fit(
     g: ExamResultGraph,
     component: Iterable[int],
@@ -340,11 +334,6 @@ def _win_pairs(g: ExamResultGraph, vertices: list[int]):
     return rows, cols, mult
 
 
-def _as_mean_zero(vertices: list[int], gamma: np.ndarray) -> MeritVector:
-    u = np.log(gamma)
-    return MeritVector.mean_zero(dict(zip(vertices, u)))
-
-
 def likelihood_equation_residual(u: MeritVector, g: ExamResultGraph) -> float:
     """Independent recomputation of the stationarity defect for `u`'s vertices."""
     n = g.roster.n_students
@@ -412,7 +401,10 @@ def map_fit(
         step = np.linalg.solve(hess, grad)
         t, f0 = 1.0, objective(u)
         slope = float(grad @ step)
-        while objective(u + t * step) < f0 + 0.25 * t * slope and t > 1e-8:
+        # near the optimum a full step changes the objective by less than its
+        # rounding error; such a change must not refuse the step
+        slack = 1e-12 * abs(f0)
+        while objective(u + t * step) < f0 + 0.25 * t * slope - slack and t > 1e-8:
             t *= 0.5
         u = u + t * step
     p = logistic(u[:, None] - u[None, :])

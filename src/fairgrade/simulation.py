@@ -1,22 +1,22 @@
 """Experiment harness: fairness estimation, enumeration oracles, sweeps, CV.
 
-All Monte-Carlo quantities are keyed by (master seed, index path) so that
-runs are reproducible and replications can execute in any order or thread
-count without changing the result.
+All Monte-Carlo quantities are keyed by (master seed, index path): the k-th
+outcome draw on a graph comes from its own substream, so runs are
+reproducible and no draw depends on how many others ran before it.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+import math
+from dataclasses import dataclass
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .graph import ExamResultGraph, Roster, TaskAssignmentGraph, generate_assignment
 from .grading import GradeVector, grade, simple_average
-from .model import MeritVector, benchmark, edge_probabilities, logistic
+from .model import MeritVector, NonConvergenceError, benchmark, edge_probabilities
 from .rng import substream
 
 GradingRule = Callable[[ExamResultGraph], GradeVector]
@@ -58,6 +58,7 @@ class ErrorDecomposition:
     variance: float
     error: float
     estimator: str
+    failed_replications: int
 
 
 @dataclass(frozen=True)
@@ -97,12 +98,27 @@ class CvResult:
     threshold_table: dict[int, int | None] | None = None
 
 
-def _map_indexed(fn, count: int, threads: int):
-    """Run fn(0..count-1), preserving index order regardless of threads."""
-    if threads <= 1:
-        return [fn(k) for k in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
+def _replicate(
+    rule: GradingRule, g: TaskAssignmentGraph, u: MeritVector, replications: int, *key: int
+) -> tuple[np.ndarray, int]:
+    """Grade `replications` outcome draws on `g`; draw k comes from
+    substream(*key, k).
+
+    Returns the grades of the draws that succeeded, one row each, and the
+    number that failed numerically. Any other exception from the rule is a
+    programming error and propagates. Raises if every draw failed.
+    """
+    probs = edge_probabilities(g, u)
+    rows, failed = [], 0
+    for k in range(replications):
+        w = (substream(*key, k).random(g.n_edges) < probs).astype(np.uint8)
+        try:
+            rows.append(rule(ExamResultGraph(g, w)).values)
+        except (NonConvergenceError, np.linalg.LinAlgError):
+            failed += 1
+    if not rows:
+        raise RuntimeError("every replication failed; nothing to aggregate")
+    return np.stack(rows), failed
 
 
 def estimate_ex_post_bias(
@@ -111,32 +127,17 @@ def estimate_ex_post_bias(
     u: MeritVector,
     replications: int,
     seed: int,
-    threads: int = 1,
     benchmark_grades: np.ndarray | None = None,
 ) -> BiasReport:
     """Monte-Carlo estimate of each student's expected-grade deviation."""
     if replications < 1:
         raise ValueError("replications must be >= 1")
     opt = benchmark(u, g.roster).values if benchmark_grades is None else benchmark_grades
-    probs = edge_probabilities(g, u)
-
-    def one(k: int):
-        rng = substream(seed, k)
-        w = (rng.random(g.n_edges) < probs).astype(np.uint8)
-        try:
-            return rule(ExamResultGraph(g, w)).values
-        except Exception:
-            return None
-
-    samples = _map_indexed(one, replications, threads)
-    ok = [s for s in samples if s is not None]
-    failed = replications - len(ok)
-    if not ok:
-        raise RuntimeError("every replication failed; nothing to aggregate")
-    mat = np.stack(ok)
+    mat, failed = _replicate(rule, g, u, replications, seed)
+    ok = len(mat)
     mean = mat.mean(axis=0)
     deviation = mean - opt
-    se = mat.std(axis=0, ddof=1) / np.sqrt(len(ok)) if len(ok) > 1 else np.zeros_like(mean)
+    se = mat.std(axis=0, ddof=1) / np.sqrt(ok) if ok > 1 else np.zeros_like(mean)
     bias = deviation**2
     return BiasReport(
         per_student_deviation=deviation,
@@ -144,7 +145,7 @@ def estimate_ex_post_bias(
         per_student_se=se,
         max_bias=float(bias.max()),
         avg_bias=float(bias.mean()),
-        replications=len(ok),
+        replications=ok,
         failed_replications=failed,
         estimator=MONTE_CARLO,
         rule_name=_rule_name(rule),
@@ -177,10 +178,8 @@ def exact_expected_grade(
     rule: GradingRule, g: TaskAssignmentGraph, u: MeritVector
 ) -> dict[str, float]:
     """E_w[grade_i], exactly, by enumerating every outcome vector."""
-    total = np.zeros(g.roster.n_students)
-    for p, result in enumerate_outcomes(g, u):
-        total += p * rule(result).values
-    return {sid: float(v) for sid, v in zip(g.roster.students, total)}
+    m1, _, _ = _exact_moments(rule, g, u)
+    return {sid: float(v) for sid, v in zip(g.roster.students, m1)}
 
 
 def _exact_moments(rule: GradingRule, g: TaskAssignmentGraph, u: MeritVector):
@@ -206,7 +205,7 @@ def verify_ex_ante_fairness(
     """Exact check that averaging's expected grade over the random-assignment
     family equals the benchmark for every student."""
     n, q = roster.n_students, roster.n_questions
-    n_graphs = _ncr(q, m) * _ncr(m, d) ** n
+    n_graphs = math.comb(q, m) * math.comb(m, d) ** n
     if n_graphs * (1 << (n * d)) > MAX_FAIRNESS_OUTCOMES:
         raise InstanceTooLargeError(
             f"{n_graphs} graphs x 2^{n * d} outcomes exceeds the enumeration cap"
@@ -223,12 +222,6 @@ def verify_ex_ante_fairness(
     return bool(np.abs(total - opt).max() <= tol)
 
 
-def _ncr(a: int, b: int) -> int:
-    import math
-
-    return math.comb(a, b)
-
-
 def decompose_error(
     rule: GradingRule,
     graphs: Sequence[TaskAssignmentGraph],
@@ -236,19 +229,20 @@ def decompose_error(
     replications: int,
     seed: int,
     estimator: str = MONTE_CARLO,
-    threads: int = 1,
 ) -> ErrorDecomposition:
     """Average squared error against the benchmark, split into the squared
     expected deviation and the answer-noise variance.
 
     Plug-in estimates are used, so bias + variance == error holds exactly for
-    both estimators.
+    both estimators. Monte-Carlo draws on graph k come from substream
+    (seed, k, ...); failed draws are left out of that graph's moments and
+    counted, and a graph whose draws all fail raises.
     """
     if estimator not in (MONTE_CARLO, EXACT_ENUMERATION):
         raise ValueError(f"unknown estimator {estimator!r}")
     if estimator == MONTE_CARLO and replications < 2:
         raise ValueError("need at least 2 replications")
-    biases, variances, errors = [], [], []
+    biases, variances, errors, failed = [], [], [], 0
     for gi, g in enumerate(graphs):
         opt = benchmark(u, g.roster).values
         if estimator == EXACT_ENUMERATION:
@@ -256,20 +250,8 @@ def decompose_error(
             bias = (m1 - opt) ** 2
             var = m2 - m1**2
         else:
-            probs = edge_probabilities(g, u)
-
-            def one(k: int, g=g, probs=probs):
-                rng = substream(seed, gi, k)
-                w = (rng.random(g.n_edges) < probs).astype(np.uint8)
-                try:
-                    return rule(ExamResultGraph(g, w)).values
-                except Exception:
-                    return None
-
-            samples = [s for s in _map_indexed(one, replications, threads) if s is not None]
-            if not samples:
-                continue
-            mat = np.stack(samples)
+            mat, graph_failed = _replicate(rule, g, u, replications, seed, gi)
+            failed += graph_failed
             mean = mat.mean(axis=0)
             bias = (mean - opt) ** 2
             var = ((mat - mean) ** 2).mean(axis=0)
@@ -282,6 +264,7 @@ def decompose_error(
         variance=float(np.mean(variances)),
         error=float(np.mean(errors)),
         estimator=estimator,
+        failed_replications=failed,
     )
 
 
@@ -294,38 +277,41 @@ def sweep_degree(
     replications: int,
     seed: int,
     rules: Mapping[str, GradingRule] | None = None,
-    threads: int = 1,
 ) -> SweepResult:
     """Expected max/avg squared deviation per rule, across degree constraints."""
     rules = dict(RULES) if rules is None else dict(rules)
     opt = benchmark(u, roster).values
     points = []
     for di, d in enumerate(d_values):
-        per_rule_max = {name: [] for name in rules}
-        per_rule_avg = {name: [] for name in rules}
-        failures = {name: 0 for name in rules}
-        for gi in range(graphs_per_d):
-            g = generate_assignment(roster, m, d, substream(seed, di, gi, 0))
-            for name, rule in rules.items():
-                report = estimate_ex_post_bias(
-                    rule, g, u, replications, _scalar_seed(seed, di, gi, 1),
-                    threads=threads, benchmark_grades=opt,
-                )
-                per_rule_max[name].append(report.max_bias)
-                per_rule_avg[name].append(report.avg_bias)
-                failures[name] += report.failed_replications
-        stats = {
-            name: RulePointStats(
-                max_bias=float(np.mean(per_rule_max[name])),
-                max_bias_se=_se(per_rule_max[name]),
-                avg_bias=float(np.mean(per_rule_avg[name])),
-                avg_bias_se=_se(per_rule_avg[name]),
-                failed_replications=failures[name],
-            )
-            for name in rules
-        }
-        points.append(SweepPoint(int(d), stats, graphs_per_d, replications))
+        instances = [
+            (generate_assignment(roster, m, d, substream(seed, di, gi, 0)), u, opt)
+            for gi in range(graphs_per_d)
+        ]
+        points.append(_sweep_point(d, instances, rules, replications, seed, di))
     return SweepResult("d", tuple(points))
+
+
+def _sweep_point(value, instances, rules, replications, seed, vi) -> SweepPoint:
+    """Mean and standard error over graphs of each rule's max/avg bias, for
+    the `vi`-th sweep value; `instances` lists (graph, merits, benchmark)."""
+    reports = {name: [] for name in rules}
+    for gi, (g, u, opt) in enumerate(instances):
+        for name, rule in rules.items():
+            reports[name].append(estimate_ex_post_bias(
+                rule, g, u, replications, _scalar_seed(seed, vi, gi, 1), benchmark_grades=opt,
+            ))
+    stats = {}
+    for name, rule_reports in reports.items():
+        max_bias = [r.max_bias for r in rule_reports]
+        avg_bias = [r.avg_bias for r in rule_reports]
+        stats[name] = RulePointStats(
+            max_bias=float(np.mean(max_bias)),
+            max_bias_se=_se(max_bias),
+            avg_bias=float(np.mean(avg_bias)),
+            avg_bias_se=_se(avg_bias),
+            failed_replications=sum(r.failed_replications for r in rule_reports),
+        )
+    return SweepPoint(int(value), stats, len(instances), replications)
 
 
 def _se(xs) -> float:
@@ -372,7 +358,6 @@ def sweep_question_sample_size(
     replications: int,
     seed: int,
     rules: Mapping[str, GradingRule] | None = None,
-    threads: int = 1,
 ) -> SweepResult:
     """Infinite-bank exam design sweep: for each active-question count m,
     draw fresh difficulties per graph and measure both rules' deviation from
@@ -381,37 +366,18 @@ def sweep_question_sample_size(
     if d > min(m_values):
         raise ValueError("degree constraint exceeds smallest question sample size")
     n = len(student_merits)
-    points = []
-    for mi, m in enumerate(m_values):
-        per_rule_max = {name: [] for name in rules}
-        per_rule_avg = {name: [] for name in rules}
-        failures = {name: 0 for name in rules}
+
+    def instances(mi: int, m: int):
+        roster = Roster.index_based(n, m)
         for gi in range(graphs_per_m):
             rng = substream(seed, mi, gi, 0)
-            difficulties = difficulty_sampler(rng, m)
-            roster = Roster.index_based(n, m)
-            u = MeritVector.for_roster(roster, student_merits, difficulties)
-            g = generate_assignment(roster, m, d, rng)
-            opt = benchmark(u, roster).values
-            for name, rule in rules.items():
-                report = estimate_ex_post_bias(
-                    rule, g, u, replications, _scalar_seed(seed, mi, gi, 1),
-                    threads=threads, benchmark_grades=opt,
-                )
-                per_rule_max[name].append(report.max_bias)
-                per_rule_avg[name].append(report.avg_bias)
-                failures[name] += report.failed_replications
-        stats = {
-            name: RulePointStats(
-                max_bias=float(np.mean(per_rule_max[name])),
-                max_bias_se=_se(per_rule_max[name]),
-                avg_bias=float(np.mean(per_rule_avg[name])),
-                avg_bias_se=_se(per_rule_avg[name]),
-                failed_replications=failures[name],
-            )
-            for name in rules
-        }
-        points.append(SweepPoint(int(m), stats, graphs_per_m, replications))
+            u = MeritVector.for_roster(roster, student_merits, difficulty_sampler(rng, m))
+            yield generate_assignment(roster, m, d, rng), u, benchmark(u, roster).values
+
+    points = [
+        _sweep_point(m, list(instances(mi, m)), rules, replications, seed, mi)
+        for mi, m in enumerate(m_values)
+    ]
     return SweepResult("m", tuple(points))
 
 
@@ -422,7 +388,6 @@ def cross_validate(
     repetitions: int,
     rules: Mapping[str, GradingRule] | None = None,
     seed: int = 0,
-    threads: int = 1,
 ) -> CvResult:
     """Hold-out evaluation on a complete answer matrix.
 
@@ -459,7 +424,7 @@ def cross_validate(
             for name, rule in rules.items()
         }
 
-    reps = _map_indexed(one, repetitions, threads)
+    reps = [one(r) for r in range(repetitions)]
     mse = {name: float(np.mean([r[name] for r in reps])) for name in rules}
     return CvResult(d1=d1, d2=d2, mse_per_rule=mse, repetitions=repetitions)
 
@@ -473,7 +438,6 @@ def cv_threshold_table(
     seed: int = 0,
     baseline: str = "avg",
     candidate: str = "ours",
-    threads: int = 1,
 ) -> dict[int, int | None]:
     """Smallest d2 at which the candidate rule's MSE beats the baseline's,
     per student sample size; None when it never does."""
@@ -483,7 +447,7 @@ def cv_threshold_table(
         for d2 in sorted(d2_values):
             res = cross_validate(
                 answers, d1, d2, repetitions, rules,
-                seed=_scalar_seed(seed, di, d2), threads=threads,
+                seed=_scalar_seed(seed, di, d2),
             )
             if res.mse_per_rule[candidate] < res.mse_per_rule[baseline]:
                 table[d1] = d2
@@ -499,7 +463,6 @@ def simulated_cross_validate(
     seed: int,
     n_questions: int = 22,
     rules: Mapping[str, GradingRule] | None = None,
-    threads: int = 1,
 ) -> list[CvResult]:
     """Synthetic counterpart of `cross_validate`: merits are drawn from the
     priors, a complete exam is generated, and rules are scored against the
@@ -536,7 +499,7 @@ def simulated_cross_validate(
             }
         return out
 
-    reps = _map_indexed(one, repetitions, threads)
+    reps = [one(r) for r in range(repetitions)]
     results = []
     for d2 in d2_values:
         mse = {

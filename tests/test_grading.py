@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from fairgrade import (
     ExamResultGraph,
+    GradeVector,
     MeritVector,
     PairCase,
     PriorSpec,
@@ -40,6 +41,14 @@ class TestSimpleAverage:
             simple_average(res)
         with pytest.raises(ZeroDegreeStudentError):
             grade(res)
+
+
+class TestGradeVector:
+    def test_rejects_out_of_range_and_nan(self):
+        r = Roster.index_based(2, 1)
+        for values in ([1.5, 0.5], [np.nan, 0.5]):
+            with pytest.raises(ValueError):
+                GradeVector(r, values, "avg")
 
 
 class TestPredictMatrix:

@@ -125,6 +125,8 @@ class TestExamResultGraph:
             ExamResultGraph.from_outcomes(g, {(0, 1): 1})
         with pytest.raises(ValueError):
             ExamResultGraph(g, np.array([2]))
+        with pytest.raises(ValueError):
+            ExamResultGraph(g, [0.7])
 
     def test_adjacency_orientation(self):
         r = Roster.index_based(1, 2)

@@ -239,17 +239,30 @@ class TestCli:
         assert run_cli("grade", "--input", exam_file, "--rule", "avg") == 0
         assert (target / "grades.csv").exists()
 
-    def test_sweep_determinism_across_threads(self, tmp_path):
+    def test_sweep_determinism(self, tmp_path):
         outs = []
-        for k, threads in enumerate(("1", "3")):
+        for k in range(2):
             out = tmp_path / f"out{k}"
             assert run_cli("sweep-degree", "--students", "3", "--questions", "4",
                            "--m", "4", "--d", "1..3", "--graphs", "2",
-                           "--reps", "10", "--seed", "7", "--threads", threads,
+                           "--reps", "10", "--seed", "7",
                            "--outdir", str(out)) == 0
             outs.append(out)
         for name in ("report.csv", "summary.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_decompose_subcommand(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("decompose", "--students", "4", "--questions", "5", "--m", "5",
+                       "--d", "2", "--graphs", "2", "--reps", "10", "--seed", "5",
+                       "--outdir", str(out)) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert sorted(summary) == ["all-same-merits", "spread-merits"]
+        for table in summary.values():
+            assert sorted(table) == ["avg", "ours"]
+            for dec in table.values():
+                assert abs(dec["bias"] + dec["variance"] - dec["error"]) <= 1e-12
+        assert len((out / "report.csv").read_text().splitlines()) == 1 + 2 * 2 * 3
 
     def test_cv_subcommand(self, tmp_path):
         rng = np.random.default_rng(8)

@@ -16,6 +16,7 @@ from fairgrade import (
     Roster,
     TaskAssignmentGraph,
     answer_probability,
+    generate_assignment,
     benchmark,
     edge_probabilities,
     is_strongly_connected,
@@ -28,6 +29,7 @@ from fairgrade import (
     sample_exam_result,
 )
 from fairgrade.model import mm_step
+from fairgrade.rng import substream
 
 from conftest import random_result_graph
 
@@ -251,6 +253,15 @@ class TestMapFit:
         g = random_result_graph(rng, 5, 4)
         fit = map_fit(g, PriorSpec(0.0, 0.8, 0.1, 1.2), tol=1e-9)
         assert fit.converged and fit.residual <= 1e-9
+        # near this exam's optimum a Newton step changes the objective by
+        # less than its rounding error; the line search must still take it
+        roster = Roster.index_based(35, 22)
+        rng = substream(15, 7)
+        u = MeritVector.for_roster(roster, rng.uniform(-1.486, 1.149, 35),
+                                   rng.uniform(-3.090, 2.099, 22))
+        res = sample_exam_result(generate_assignment(roster, 22, 3, rng), u, rng)
+        fit = map_fit(res, PriorSpec(), tol=1e-12)
+        assert fit.converged and fit.residual <= 1e-12
 
     def test_handles_disconnected_graphs(self):
         r = Roster.index_based(2, 2)

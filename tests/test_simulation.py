@@ -120,10 +120,10 @@ class TestEstimateExPostBias:
         assert report.avg_bias == pytest.approx(report.per_student_bias.mean())
         assert np.all(report.per_student_bias >= 0)
 
-    def test_deterministic_and_thread_invariant(self, tiny_instance):
+    def test_deterministic(self, tiny_instance):
         g, u = tiny_instance
         a = estimate_ex_post_bias(grade, g, u, 40, 6)
-        b = estimate_ex_post_bias(grade, g, u, 40, 6, threads=4)
+        b = estimate_ex_post_bias(grade, g, u, 40, 6)
         assert np.array_equal(a.per_student_deviation, b.per_student_deviation)
 
     def test_failed_replications_counted(self, tiny_instance):
@@ -133,12 +133,31 @@ class TestEstimateExPostBias:
         def flaky(res):
             calls["k"] += 1
             if calls["k"] % 3 == 0:
-                raise RuntimeError("boom")
+                raise np.linalg.LinAlgError("singular")
             return simple_average(res)
 
         report = estimate_ex_post_bias(flaky, g, u, 30, 7)
         assert report.failed_replications == 10
         assert report.replications == 20
+        dec = decompose_error(flaky, [g, g], u, 30, 7)
+        assert dec.failed_replications == 20
+
+        def singular(res):
+            raise np.linalg.LinAlgError("singular")
+
+        with pytest.raises(RuntimeError, match="every replication failed"):
+            decompose_error(singular, [g], u, 5, 7)
+
+    def test_programming_errors_propagate(self, tiny_instance):
+        g, u = tiny_instance
+
+        def broken(res):
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="boom"):
+            estimate_ex_post_bias(broken, g, u, 5, 7)
+        with pytest.raises(RuntimeError, match="boom"):
+            decompose_error(broken, [g], u, 5, 7)
 
 
 class TestExAnteFairness:
@@ -248,7 +267,7 @@ class TestCrossValidation:
         rng = np.random.default_rng(3)
         answers = rng.integers(0, 2, (8, 6))
         a = cross_validate(answers, 5, 3, 15, seed=14)
-        b = cross_validate(answers, 5, 3, 15, seed=14, threads=3)
+        b = cross_validate(answers, 5, 3, 15, seed=14)
         assert a.mse_per_rule == b.mse_per_rule
 
     def test_threshold_table_shape(self):
