@@ -17,10 +17,10 @@ from functools import cached_property
 import numpy as np
 
 from .graph import (
-    ComponentStructure,
     ExamResultGraph,
     PairCase,
     Roster,
+    _pair_cases,
     strongly_connected_components,
 )
 from .model import (
@@ -95,73 +95,38 @@ def predict_matrix(
     g: ExamResultGraph,
     tol: float = 1e-8,
     max_iter: int = 10000,
-    components: ComponentStructure | None = None,
 ) -> PredictionMatrix:
     """Fill the full students x bank prediction matrix, case by case."""
     roster = g.roster
     _require_positive_degrees(roster, g.assignment.student_degrees)
-    if components is None:
-        components = strongly_connected_components(g)
-    n, q = roster.n_students, roster.n_questions
-    h = np.full((n, q), np.nan)
-    tags = np.empty((n, q), dtype=object)
+    components = strongly_connected_components(g)
+    n = roster.n_students
+    s_idx, q_idx = g.assignment.edge_arrays
+    edge = np.zeros((n, roster.n_questions), dtype=bool)
+    edge[s_idx, q_idx] = True
+    comp = components.component_of
+    codes = _pair_cases(components, edge, comp[:n, None], comp[None, n:])
 
-    for (i, j), bit in zip(g.assignment.edges, g.w):
-        h[i, j] = bit
-        tags[i, j] = PairCase.EXISTING_EDGE
-
-    same_component: dict[int, list[tuple[int, int]]] = {}
-    later: list[tuple[int, int, PairCase]] = []
-    for i in range(n):
-        ci = components.component_of[roster.student_vertex(i)]
-        for j in range(q):
-            if tags[i, j] is PairCase.EXISTING_EDGE:
-                continue
-            cj = components.component_of[roster.question_vertex(j)]
-            if ci == cj:
-                same_component.setdefault(ci, []).append((i, j))
-            else:
-                forward = components.reaches(ci, cj)
-                backward = components.reaches(cj, ci)
-                if forward and not backward:
-                    later.append((i, j, PairCase.STUDENT_ABOVE))
-                elif backward and not forward:
-                    later.append((i, j, PairCase.QUESTION_ABOVE))
-                else:
-                    later.append((i, j, PairCase.INCOMPARABLE))
-
-    for cid, cells in same_component.items():
-        try:
-            fit = mle_fit(g, components.components[cid], tol=tol, max_iter=max_iter)
-        except NonConvergenceError as exc:
-            raise NonConvergenceError(
-                f"merit fit for component {cid} failed: {exc}", exc.report
-            ) from exc
-        u = fit.merits
-        for i, j in cells:
-            h[i, j] = logistic(u[roster.student_vertex(i)] - u[roster.question_vertex(j)])
-            tags[i, j] = PairCase.SAME_COMPONENT
-
-    incomparable: list[tuple[int, int]] = []
-    for i, j, case in later:
-        if case is PairCase.STUDENT_ABOVE:
-            h[i, j] = 1.0
-        elif case is PairCase.QUESTION_ABOVE:
-            h[i, j] = 0.0
-        else:
-            incomparable.append((i, j))
-            tags[i, j] = PairCase.INCOMPARABLE
-            continue
-        tags[i, j] = case
-
-    if incomparable:
-        # row means are frozen over the cells filled by the earlier cases
-        with np.errstate(invalid="ignore"):
-            row_means = np.nanmean(h, axis=1)
-        for i, j in incomparable:
-            h[i, j] = row_means[i]
-
-    return PredictionMatrix(roster, h, tags)
+    h = np.zeros(edge.shape)
+    h[s_idx, q_idx] = g.w
+    h[codes == PairCase.STUDENT_ABOVE.value] = 1.0
+    same = codes == PairCase.SAME_COMPONENT.value
+    if same.any():
+        u = np.zeros(roster.n_vertices)
+        for cid in np.unique(comp[np.nonzero(same)[0]]):
+            try:
+                fit = mle_fit(g, components.components[cid], tol=tol, max_iter=max_iter)
+            except NonConvergenceError as exc:
+                raise NonConvergenceError(
+                    f"merit fit for component {cid} failed: {exc}", exc.report
+                ) from exc
+            u[list(fit.merits.values)] = list(fit.merits.values.values())
+        h[same] = logistic(u[:n, None] - u[None, n:])[same]
+    # incomparable cells take the row mean over the cells the other cases filled
+    incomparable = codes == PairCase.INCOMPARABLE.value
+    row_means = h.sum(axis=1) / (~incomparable).sum(axis=1)
+    h = np.where(incomparable, row_means[:, None], h)
+    return PredictionMatrix(roster, h, np.array([None, *PairCase], dtype=object)[codes])
 
 
 def grade(
@@ -186,8 +151,7 @@ def make_map_rule(prior: PriorSpec, tol: float = 1e-8, max_iter: int = 100):
         fit = map_fit(g, prior, tol=tol, max_iter=max_iter)
         u = fit.merits.array_for(roster)
         h = logistic(u[: roster.n_students, None] - u[None, roster.n_students :])
-        for (i, j), bit in zip(g.assignment.edges, g.w):
-            h[i, j] = bit
+        h[g.assignment.edge_arrays] = g.w
         return GradeVector(roster, h.mean(axis=1), "map")
 
     return rule

@@ -168,7 +168,7 @@ class ExamResultGraph:
             raise ValueError("one outcome bit per assigned edge required")
         if w.size and not np.isin(w, (0, 1)).all():
             raise ValueError("outcomes must be 0 or 1")
-        w = w.astype(np.uint8, copy=False)
+        w = w.astype(np.uint8)  # a private copy: the caller's array stays writable
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
 
@@ -196,18 +196,17 @@ class ExamResultGraph:
         s_idx, _ = self.assignment.edge_arrays
         return np.bincount(s_idx, weights=self.w, minlength=self.roster.n_students).astype(np.intp)
 
+    @cached_property
+    def directed_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """(tail, head) vertex arrays in edge order: each comparison's winner and loser."""
+        s_idx, q_idx = self.assignment.edge_arrays
+        q_vertex = q_idx + self.roster.n_students
+        correct = self.w == 1
+        return np.where(correct, s_idx, q_vertex), np.where(correct, q_vertex, s_idx)
+
     def directed_adjacency(self) -> list[list[int]]:
         """Successor lists over all roster vertices, isolated ones included."""
-        roster = self.roster
-        adj: list[list[int]] = [[] for _ in range(roster.n_vertices)]
-        s_idx, q_idx = self.assignment.edge_arrays
-        for i, j, bit in zip(s_idx, q_idx, self.w):
-            u, v = int(i), roster.question_vertex(int(j))
-            if bit:
-                adj[u].append(v)
-            else:
-                adj[v].append(u)
-        return adj
+        return _successor_lists(self.roster.n_vertices, *self.directed_edges)
 
     def __eq__(self, other) -> bool:
         return (
@@ -215,6 +214,13 @@ class ExamResultGraph:
             and self.assignment == other.assignment
             and np.array_equal(self.w, other.w)
         )
+
+
+def _successor_lists(k: int, tail: np.ndarray, head: np.ndarray) -> list[list[int]]:
+    """Successors of each of k vertices under the edges tail -> head, in edge order."""
+    order = np.argsort(tail, kind="stable")
+    bounds = np.cumsum(np.bincount(tail, minlength=k))[:-1]
+    return [succ.tolist() for succ in np.split(head[order], bounds)]
 
 
 class PairCase(Enum):
@@ -227,17 +233,17 @@ class PairCase(Enum):
     INCOMPARABLE = 5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComponentStructure:
     """SCC partition plus materialized condensation reachability.
 
-    `reach` stores, per SCC id, a bitset (python int) of every SCC id it can
-    reach, itself included; queries are O(1).
+    `component_of` maps each roster vertex to its SCC id. `reach[a, b]` says
+    whether SCC `a` reaches SCC `b` (itself included), so queries are O(1).
     """
 
-    component_of: tuple[int, ...]
+    component_of: np.ndarray
     components: tuple[frozenset[int], ...]
-    reach: tuple[int, ...] = field(repr=False)
+    reach: np.ndarray = field(repr=False)
 
     @property
     def n_components(self) -> int:
@@ -245,35 +251,24 @@ class ComponentStructure:
 
     def reaches(self, a: int, b: int) -> bool:
         """Whether SCC `a` reaches SCC `b` in the condensation DAG."""
-        return bool((self.reach[a] >> b) & 1)
+        return bool(self.reach[a, b])
 
 
 def strongly_connected_components(g: ExamResultGraph) -> ComponentStructure:
     """Tarjan SCCs of the result digraph plus condensation reachability."""
-    adj = g.directed_adjacency()
-    comp_of, comps = _tarjan(adj)
+    comp_of, comps = _tarjan(g.directed_adjacency())
+    component_of = np.asarray(comp_of, dtype=np.intp)
+    tail, head = g.directed_edges
+    reach = np.eye(len(comps), dtype=bool)
+    reach[component_of[tail], component_of[head]] = True
     # Tarjan finishes SCCs in reverse topological order: every successor SCC
-    # of c already has a smaller id, so one ascending pass closes reachability.
-    n_comp = len(comps)
-    reach = [1 << c for c in range(n_comp)]
-    for u in range(len(adj)):
-        cu = comp_of[u]
-        for v in adj[u]:
-            cv = comp_of[v]
-            if cv != cu:
-                reach[cu] |= 1 << cv
-    # ascending id order visits successors first, so one pass closes the sets
-    for c in range(n_comp):
-        bits = reach[c] & ~(1 << c)
-        while bits:
-            low = bits & -bits
-            reach[c] |= reach[low.bit_length() - 1]
-            bits ^= low
-    return ComponentStructure(
-        tuple(comp_of),
-        tuple(frozenset(c) for c in comps),
-        tuple(reach),
-    )
+    # of c has a smaller id and is already closed when c's turn comes, so one
+    # ascending pass closes reachability.
+    for c in range(len(comps)):
+        reach[c] = reach[reach[c]].any(axis=0)
+    component_of.setflags(write=False)
+    reach.setflags(write=False)
+    return ComponentStructure(component_of, tuple(frozenset(c) for c in comps), reach)
 
 
 def _tarjan(adj: list[list[int]]) -> tuple[list[int], list[list[int]]]:
@@ -340,16 +335,22 @@ def classify_pair(
     roster = g.roster
     if not (0 <= i < roster.n_students and 0 <= j < roster.n_questions):
         raise IndexError(f"pair ({i}, {j}) outside roster index range")
-    if (i, j) in g.assignment.edge_set:
-        return PairCase.EXISTING_EDGE
+    edge = (i, j) in g.assignment.edge_set
     ci = c.component_of[roster.student_vertex(i)]
     cj = c.component_of[roster.question_vertex(j)]
-    if ci == cj:
-        return PairCase.SAME_COMPONENT
-    forward = c.reaches(ci, cj)
-    backward = c.reaches(cj, ci)
-    if forward and not backward:
-        return PairCase.STUDENT_ABOVE
-    if backward and not forward:
-        return PairCase.QUESTION_ABOVE
-    return PairCase.INCOMPARABLE
+    return PairCase(int(_pair_cases(c, edge, ci, cj)))
+
+
+def _pair_cases(c: ComponentStructure, edge, ci, cj) -> np.ndarray:
+    """`PairCase` values (int8) of student SCCs `ci` against question SCCs `cj`.
+
+    `edge` marks the assigned pairs; the three arguments broadcast. Since the
+    condensation is acyclic, mutual reach means one shared SCC.
+    """
+    forward, backward = c.reach[ci, cj], c.reach[cj, ci]
+    return np.select(
+        [edge, forward & backward, forward, backward],
+        [PairCase.EXISTING_EDGE.value, PairCase.SAME_COMPONENT.value,
+         PairCase.STUDENT_ABOVE.value, PairCase.QUESTION_ABOVE.value],
+        PairCase.INCOMPARABLE.value,
+    ).astype(np.int8)

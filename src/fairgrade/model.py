@@ -3,9 +3,12 @@
 Merits live on one shared scale: a student's entry is an ability, a
 question's a difficulty, and the chance of a correct answer is
 logistic(ability - difficulty). Within a strongly connected piece of the
-result graph the merits are recovered by maximum likelihood via the
-minorization-maximization fixed point; a Gaussian-prior variant gives a
-penalized fit that needs no connectivity at all.
+result graph the merits are recovered by maximum likelihood; a
+Gaussian-prior variant gives a penalized fit that needs no connectivity at
+all. Both fits run one damped Newton solver over the edge arrays, which
+differ only in the quadratic penalty (a gauge pin or the prior) and in the
+step taken when backtracking fails: the maximum likelihood fit falls back
+to a minorization-maximization update.
 """
 
 from __future__ import annotations
@@ -16,7 +19,13 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .graph import ExamResultGraph, Roster, TaskAssignmentGraph, _tarjan
+from .graph import (
+    ExamResultGraph,
+    Roster,
+    TaskAssignmentGraph,
+    _successor_lists,
+    _tarjan,
+)
 from .rng import as_generator
 
 MEAN_ZERO = "mean_zero"
@@ -200,43 +209,79 @@ class PriorSpec:
             raise ValueError("prior standard deviations must be strictly positive")
 
 
-def _component_arrays(g: ExamResultGraph, vertices: list[int]):
-    """Dense symmetric comparison counts and win counts restricted to `vertices`."""
-    pos = {v: k for k, v in enumerate(vertices)}
-    k = len(vertices)
-    sym = np.zeros((k, k))
-    wins = np.zeros(k)
-    n = g.roster.n_students
-    s_idx, q_idx = g.assignment.edge_arrays
-    for i, j, bit in zip(s_idx, q_idx, g.w):
-        a = pos.get(int(i))
-        b = pos.get(int(j) + n)
-        if a is None or b is None:
-            continue
-        sym[a, b] += 1
-        sym[b, a] += 1
-        if bit:
-            wins[a] += 1
-        else:
-            wins[b] += 1
-    return sym, wins
+def _edge_ends(g: ExamResultGraph, vertices: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in `vertices` of the winner and the loser of each edge inside it."""
+    pos = np.full(g.roster.n_vertices, -1, dtype=np.intp)
+    pos[vertices] = np.arange(len(vertices))
+    winner, loser = (pos[end] for end in g.directed_edges)
+    inside = (winner >= 0) & (loser >= 0)
+    return winner[inside], loser[inside]
 
 
-def _is_internally_strongly_connected(g: ExamResultGraph, vertices: list[int]) -> bool:
-    vset = set(vertices)
-    pos = {v: k for k, v in enumerate(vertices)}
-    adj: list[list[int]] = [[] for _ in vertices]
-    full = g.directed_adjacency()
-    for v in vertices:
-        adj[pos[v]] = [pos[u] for u in full[v] if u in vset]
-    _, comps = _tarjan(adj)
-    return len(comps) == 1
-
-
-def mm_step(gamma: np.ndarray, sym: np.ndarray, wins: np.ndarray) -> np.ndarray:
+def mm_step(gamma: np.ndarray, winner: np.ndarray, loser: np.ndarray) -> np.ndarray:
     """One minorization-maximization update in the exp-merit parameterization."""
-    denom = (sym / np.add.outer(gamma, gamma)).sum(axis=1)
-    return wins / denom
+    k = len(gamma)
+    inv = 1.0 / (gamma[winner] + gamma[loser])
+    denom = np.bincount(winner, inv, k) + np.bincount(loser, inv, k)
+    return np.bincount(winner, minlength=k) / denom
+
+
+# Backtracking halves the step down to this length (the 28th trial).
+_MIN_STEP = 2.0**-27
+
+
+def _newton(winner, loser, penalty, center, fallback, tol, max_iter):
+    """Damped Newton ascent on sum(log f(u[winner] - u[loser])) - (u-c)'P(u-c)/2.
+
+    Starts from u = c. Each step is the Newton direction under a backtracking
+    line search; when no trial length passes (or the Hessian is singular,
+    `step` None) the caller's `fallback(u, step)` gives the next iterate.
+    Returns (u, steps taken, sup-norm of the gradient, converged).
+    """
+    k = len(center)
+
+    def objective(u):
+        return float(log_logistic(u[winner] - u[loser]).sum()) - 0.5 * float(
+            (u - center) @ penalty @ (u - center))
+
+    u = center.copy()
+    for it in range(max_iter + 1):
+        upset = logistic(u[loser] - u[winner])  # chance the loser would have won
+        grad = (np.bincount(winner, upset, k) - np.bincount(loser, upset, k)
+                - penalty @ (u - center))
+        residual = float(np.abs(grad).max())
+        if residual <= tol or it == max_iter:
+            return u, it, residual, residual <= tol
+        weight = upset * (1.0 - upset)
+        hess = penalty + np.diag(np.bincount(winner, weight, k) + np.bincount(loser, weight, k))
+        hess[winner, loser] -= weight  # each vertex pair shares at most one edge
+        hess[loser, winner] -= weight
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            u = fallback(u, None)
+            continue
+        f0, slope, t = objective(u), float(grad @ step), 1.0
+        # near the optimum a full step changes the objective by less than its
+        # rounding error; such a change must not refuse the step
+        slack = 1e-12 * abs(f0)
+        while objective(u + t * step) < f0 + 0.25 * t * slope - slack:
+            t *= 0.5
+            if t < _MIN_STEP:
+                break
+        u = u + t * step if t >= _MIN_STEP else fallback(u, step)
+
+
+def _report(merits: MeritVector, iterations, residual, converged, tol) -> FitReport:
+    """The fit's report, raised inside a NonConvergenceError if it did not converge."""
+    report = FitReport(merits, iterations, residual, converged)
+    if not converged:
+        raise NonConvergenceError(
+            f"fit did not reach tol={tol} in {iterations} iterations "
+            f"(gradient {residual:.3e})",
+            report,
+        )
+    return report
 
 
 def mle_fit(
@@ -248,90 +293,31 @@ def mle_fit(
     """Maximum likelihood merits on one strongly connected vertex set.
 
     The stationarity target is the likelihood equation: observed win counts
-    equal expected win counts, to within `tol` in the sup norm. Steps are
-    damped Newton (the gauge direction is pinned by a rank-one shift, which
-    leaves the mean-zero solution untouched since the gradient sums to 0);
-    any step the line search rejects falls back to one globally convergent
-    MM update. The result is reported mean-zero over the component.
+    equal expected win counts, to within `tol` in the sup norm. The gauge
+    direction is pinned by the penalty mean(u)^2 * k/2, which leaves the
+    mean-zero solution untouched since the likelihood gradient sums to 0.
+    Any step the line search rejects falls back to one globally convergent
+    MM update (Hunter 2004). The result is reported mean-zero over the
+    component.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     vertices = sorted(component)
-    if len(vertices) < 2 or not _is_internally_strongly_connected(g, vertices):
+    k = len(vertices)
+    winner, loser = _edge_ends(g, vertices)
+    if k < 2 or len(_tarjan(_successor_lists(k, winner, loser))[1]) > 1:
         raise NotStronglyConnectedError(
             f"vertex set {vertices} is not strongly connected in the result graph"
         )
-    sym, wins = _component_arrays(g, vertices)
-    k = len(vertices)
-    gauge = np.full((k, k), 1.0 / k)
 
-    def loglik(u):
-        diff = u[:, None] - u[None, :]
-        # each undirected comparison contributes log f(win direction); summing
-        # sym_ij * log f(u_i - u_j) over wins only needs the win multiplicities,
-        # which sym does not store, so evaluate via the pair list instead
-        return float((win_mult * log_logistic(diff[win_rows, win_cols])).sum())
+    def mm_update(u, step):
+        u = np.log(mm_step(np.exp(u), winner, loser))
+        return u - u.mean()
 
-    win_rows, win_cols, win_mult = _win_pairs(g, vertices)
-    u = np.zeros(k)
-    for it in range(1, max_iter + 1):
-        p = logistic(u[:, None] - u[None, :])
-        grad = wins - (sym * p).sum(axis=1)
-        residual = float(np.abs(grad).max())
-        if residual <= tol:
-            return FitReport(MeritVector.mean_zero(dict(zip(vertices, u))), it - 1,
-                             residual, True)
-        fprime = sym * p * (1.0 - p)
-        hess = -fprime + np.diag(fprime.sum(axis=1))  # negated Hessian, PSD
-        try:
-            step = np.linalg.solve(hess + gauge, grad)
-        except np.linalg.LinAlgError:
-            step = None
-        accepted = False
-        if step is not None:
-            step = step - step.mean()
-            f0 = loglik(u)
-            slope = float(grad @ step)
-            t = 1.0
-            while t > 1e-4:
-                if loglik(u + t * step) >= f0 + 0.25 * t * slope:
-                    u = u + t * step
-                    accepted = True
-                    break
-                t *= 0.5
-        if not accepted:
-            gamma = mm_step(np.exp(u), sym, wins)
-            u = np.log(gamma)
-        u = u - u.mean()
-    p = logistic(u[:, None] - u[None, :])
-    residual = float(np.abs(wins - (sym * p).sum(axis=1)).max())
-    report = FitReport(MeritVector.mean_zero(dict(zip(vertices, u))), max_iter,
-                       residual, False)
-    raise NonConvergenceError(
-        f"fit did not reach tol={tol} in {max_iter} iterations (residual {residual:.3e})",
-        report,
-    )
-
-
-def _win_pairs(g: ExamResultGraph, vertices: list[int]):
-    """Directed comparisons inside `vertices` as (winner, loser, count) arrays."""
-    pos = {v: k for k, v in enumerate(vertices)}
-    n = g.roster.n_students
-    counts: dict[tuple[int, int], int] = {}
-    s_idx, q_idx = g.assignment.edge_arrays
-    for i, j, bit in zip(s_idx, q_idx, g.w):
-        a = pos.get(int(i))
-        b = pos.get(int(j) + n)
-        if a is None or b is None:
-            continue
-        key = (a, b) if bit else (b, a)
-        counts[key] = counts.get(key, 0) + 1
-    if not counts:
-        return (np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),)
-    rows = np.array([ab[0] for ab in counts], dtype=np.intp)
-    cols = np.array([ab[1] for ab in counts], dtype=np.intp)
-    mult = np.array(list(counts.values()), dtype=float)
-    return rows, cols, mult
+    u, iterations, residual, converged = _newton(
+        winner, loser, np.full((k, k), 1.0 / k), np.zeros(k), mm_update, tol, max_iter)
+    return _report(MeritVector.mean_zero(dict(zip(vertices, u))), iterations, residual,
+                   converged, tol)
 
 
 def likelihood_equation_residual(u: MeritVector, g: ExamResultGraph) -> float:
@@ -365,53 +351,17 @@ def map_fit(
     if tol <= 0:
         raise ValueError("tol must be positive")
     roster = g.roster
-    nv = roster.n_vertices
-    n = roster.n_students
-    mean = np.concatenate(
-        [np.full(n, prior.student_mean), np.full(roster.n_questions, prior.question_mean)]
-    )
-    inv_var = np.concatenate(
-        [np.full(n, prior.student_std**-2), np.full(roster.n_questions, prior.question_std**-2)]
-    )
-    sym = np.zeros((nv, nv))
-    wins = np.zeros(nv)
-    s_idx, q_idx = g.assignment.edge_arrays
-    for i, j, bit in zip(s_idx, q_idx, g.w):
-        a, b = int(i), int(j) + n
-        sym[a, b] += 1
-        sym[b, a] += 1
-        wins[a if bit else b] += 1
+    n, q = roster.n_students, roster.n_questions
+    mean = np.repeat([prior.student_mean, prior.question_mean], [n, q])
+    inv_var = np.repeat([prior.student_std**-2, prior.question_std**-2], [n, q])
+    winner, loser = g.directed_edges
 
-    winner = np.where(g.w == 1, s_idx, q_idx + n).astype(np.intp)
-    loser = np.where(g.w == 1, q_idx + n, s_idx).astype(np.intp)
+    def smallest_step(u, step):
+        if step is None:  # a singular Hessian leaves no Newton step to shorten
+            raise np.linalg.LinAlgError("singular Hessian")
+        return u + _MIN_STEP * step
 
-    def objective(u):
-        ll = float(log_logistic(u[winner] - u[loser]).sum()) if len(winner) else 0.0
-        return ll - 0.5 * float(inv_var @ (u - mean) ** 2)
-
-    u = mean.copy()
-    for it in range(1, max_iter + 1):
-        p = logistic(u[:, None] - u[None, :])
-        grad = wins - (sym * p).sum(axis=1) - inv_var * (u - mean)
-        gnorm = float(np.abs(grad).max())
-        if gnorm <= tol:
-            return FitReport(MeritVector(dict(enumerate(u.tolist()))), it - 1, gnorm, True)
-        fprime = sym * p * (1.0 - p)
-        hess = -fprime + np.diag(fprime.sum(axis=1) + inv_var)  # negated Hessian, PD
-        step = np.linalg.solve(hess, grad)
-        t, f0 = 1.0, objective(u)
-        slope = float(grad @ step)
-        # near the optimum a full step changes the objective by less than its
-        # rounding error; such a change must not refuse the step
-        slack = 1e-12 * abs(f0)
-        while objective(u + t * step) < f0 + 0.25 * t * slope - slack and t > 1e-8:
-            t *= 0.5
-        u = u + t * step
-    p = logistic(u[:, None] - u[None, :])
-    grad = wins - (sym * p).sum(axis=1) - inv_var * (u - mean)
-    gnorm = float(np.abs(grad).max())
-    report = FitReport(MeritVector(dict(enumerate(u.tolist()))), max_iter, gnorm, False)
-    raise NonConvergenceError(
-        f"Newton did not reach tol={tol} in {max_iter} iterations (gradient {gnorm:.3e})",
-        report,
-    )
+    u, iterations, residual, converged = _newton(
+        winner, loser, np.diag(inv_var), mean, smallest_step, tol, max_iter)
+    return _report(MeritVector(dict(enumerate(u.tolist()))), iterations, residual,
+                   converged, tol)

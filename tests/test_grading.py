@@ -12,6 +12,7 @@ from fairgrade import (
     Roster,
     TaskAssignmentGraph,
     ZeroDegreeStudentError,
+    classify_pair,
     generate_assignment,
     grade,
     is_strongly_connected,
@@ -21,6 +22,7 @@ from fairgrade import (
     predict_matrix,
     sample_exam_result,
     simple_average,
+    strongly_connected_components,
 )
 
 from conftest import random_result_graph
@@ -111,6 +113,24 @@ class TestPredictMatrix:
         assert pm.case_tags[0, 1] is PairCase.INCOMPARABLE
         assert pm.entries[0, 1] == 1.0
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_each_case_fills_its_cells(self, seed):
+        rng = np.random.default_rng(seed)
+        g = random_result_graph(rng, int(rng.integers(1, 7)), int(rng.integers(1, 7)))
+        pm = predict_matrix(g)
+        h, tags = pm.entries, pm.case_tags
+        c = strongly_connected_components(g)
+        for i, j in np.ndindex(h.shape):
+            assert tags[i, j] is classify_pair(c, g, i, j)
+        for (i, j), bit in g.outcomes.items():
+            assert h[i, j] == bit
+        assert (h[tags == PairCase.STUDENT_ABOVE] == 1.0).all()
+        assert (h[tags == PairCase.QUESTION_ABOVE] == 0.0).all()
+        incomparable = tags == PairCase.INCOMPARABLE
+        for i, j in zip(*np.nonzero(incomparable)):
+            assert h[i, j] == pytest.approx(h[i, ~incomparable[i]].mean(), abs=1e-15)
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000))
     def test_entries_in_unit_interval(self, seed):
@@ -172,16 +192,20 @@ class TestGrade:
         pm = predict_matrix(running_example)
         assert grade(running_example).values == pytest.approx(pm.grades)
 
-    def test_student_permutation_equivariance(self):
-        rng = np.random.default_rng(42)
-        g = random_result_graph(rng, 4, 4)
-        base = grade(g).values
-        perm = [2, 0, 3, 1]
-        edges = tuple((perm[i], j) for i, j in g.assignment.edges)
-        permuted = TaskAssignmentGraph(g.roster, edges)
-        outcomes = {(perm[i], j): int(b) for (i, j), b in g.outcomes.items()}
-        res = ExamResultGraph.from_outcomes(permuted, outcomes)
-        assert grade(res).values[perm] == pytest.approx(base, abs=1e-9)
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_relabelling_equivariance(self, seed):
+        # renaming students and questions permutes the grades the same way
+        rng = np.random.default_rng(seed)
+        n, q = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        g = random_result_graph(rng, n, q)
+        students, questions = rng.permutation(n), rng.permutation(q)
+        outcomes = {(int(students[i]), int(questions[j])): b for (i, j), b in g.outcomes.items()}
+        res = ExamResultGraph.from_outcomes(TaskAssignmentGraph(g.roster, tuple(outcomes)),
+                                            outcomes)
+        pm, relabelled = predict_matrix(g, tol=1e-12), predict_matrix(res, tol=1e-12)
+        assert (relabelled.case_tags[np.ix_(students, questions)] == pm.case_tags).all()
+        assert relabelled.grades[students] == pytest.approx(pm.grades, abs=1e-9)
 
 
 class TestMapRule:

@@ -128,6 +128,14 @@ class TestExamResultGraph:
         with pytest.raises(ValueError):
             ExamResultGraph(g, [0.7])
 
+    def test_caller_array_stays_writable(self):
+        g = TaskAssignmentGraph(Roster.index_based(1, 1), ((0, 0),))
+        w = np.array([1], dtype=np.uint8)
+        res = ExamResultGraph(g, w)
+        w[0] = 0
+        assert res.w.tolist() == [1]
+        assert not res.w.flags.writeable
+
     def test_adjacency_orientation(self):
         r = Roster.index_based(1, 2)
         g = TaskAssignmentGraph(r, ((0, 0), (0, 1)))
