@@ -3,8 +3,13 @@
 One subcommand per experiment. Every randomized command requires an explicit
 --seed; outputs land in --outdir (or $FAIRGRADE_OUTDIR) together with a
 manifest.json echoing the full configuration, so any run can be reproduced
-bit-exactly. Exit codes: 2 configuration error, 3 data-format error,
-4 numeric failure.
+bit-exactly.
+
+A --config file holds the same options as `key=value` lines, keyed by flag
+name without the dashes; a switch is a bare key. Its lines are parsed as
+flags placed ahead of the command line, by the same parser, so they are
+checked exactly like flags and explicit flags win. Exit codes: 2
+configuration error, 3 data-format error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -48,46 +53,14 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-DATA_ERRORS = (
-    fio.MalformedRowError,
-    fio.DuplicateEdgeError,
-    fio.DimensionMismatchError,
-    ZeroDegreeStudentError,
-)
-NUMERIC_ERRORS = (
-    NonConvergenceError,
-    NotStronglyConnectedError,
-    sim.InstanceTooLargeError,
-    np.linalg.LinAlgError,
-)
+DATA_ERRORS = (fio.MalformedRowError, fio.DuplicateEdgeError, fio.DimensionMismatchError,
+               ZeroDegreeStudentError)
+NUMERIC_ERRORS = (NonConvergenceError, NotStronglyConnectedError, sim.InstanceTooLargeError,
+                  np.linalg.LinAlgError)
 
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclasses.dataclass
-class RunConfig:
-    """Validated invocation: the subcommand plus every knob it read."""
-
-    command: str
-    options: dict
-
-    def manifest(self) -> dict:
-        return {
-            "command": self.command,
-            "config": {k: _jsonable(v) for k, v in sorted(self.options.items())},
-            "seed": self.options.get("seed"),
-            "version": __version__,
-        }
-
-
-def _jsonable(v):
-    if isinstance(v, Path):
-        return str(v)
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    return v
 
 
 def parse_int_list(text: str) -> list[int]:
@@ -99,134 +72,133 @@ def parse_int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
-def load_config_file(path: str) -> dict[str, str]:
-    """key=value lines; '#' starts a comment; keys use flag names."""
-    values: dict[str, str] = {}
+def load_config_file(path: str) -> dict[str, str | None]:
+    """key=value lines, or a bare key for a switch (value None); '#' starts
+    a comment. Keys are flag names, returned with '-' as '_'."""
+    if not os.path.exists(path):
+        raise ConfigError(f"config file {path!r} does not exist")
+    values: dict[str, str | None] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
+            key, eq, value = line.partition("=")
+            key = key.strip()
+            if not key:
+                raise ConfigError(f"{path}:{lineno}: missing key in {line!r}")
+            values[key.replace("-", "_")] = value.strip() if eq else None
     return values
 
 
-def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+def _checked(cast, ok, expected: str):
+    """argparse type: `cast` the text, then reject values failing `ok`."""
+
+    def parse(text: str):
+        try:
+            if ok(value := cast(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return parse
+
+
+COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+POSITIVE = _checked(float, lambda v: v > 0, "a number > 0")
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fairgrade",
         description="Grading and experiments for randomized exams under a "
         "pairwise-comparison answer model.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    subparsers = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    created = []
-
-    class _Sub:
-        # subparsers parse into a fresh namespace, so config-file defaults
-        # must be installed on each subparser (after its flags exist)
-        def add_parser(self, *a, **kw):
-            p = subparsers.add_parser(*a, **kw)
-            created.append(p)
-            return p
-
-    sub = _Sub()
-
-    def common(p, seeded=True):
+    def add(name, summary, seeded=True):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="key=value config file; flags override it")
         p.add_argument("--outdir", help="output directory (default $FAIRGRADE_OUTDIR or .)")
         if seeded:
-            p.add_argument("--seed", type=int, help="master seed (required)")
+            p.add_argument("--seed", type=int, required=True, help="master seed")
+        return p
 
-    p = sub.add_parser("grade", help="grade one exam result file")
-    common(p, seeded=False)
-    p.add_argument("--input", help="exam result file")
-    p.add_argument("--format", choices=[fio.EDGE_LIST, fio.DENSE_CSV, "auto"], default="auto")
+    p = add("grade", "grade one exam result file", seeded=False)
     p.add_argument("--rule", choices=["ours", "avg", "map"], default="ours")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=10000)
-    _prior_flags(p)
+    _fit_flags(p)
 
-    p = sub.add_parser("fit", help="fit merits to one exam result file")
-    common(p, seeded=False)
-    p.add_argument("--input")
-    p.add_argument("--format", choices=[fio.EDGE_LIST, fio.DENSE_CSV, "auto"], default="auto")
+    p = add("fit", "fit merits to one exam result file", seeded=False)
     p.add_argument("--method", choices=["mle", "map"], default="mle")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=10000)
-    _prior_flags(p)
+    _fit_flags(p)
 
-    p = sub.add_parser("simulate-bias", help="expected-grade deviation on one random assignment")
-    common(p)
+    p = add("simulate-bias", "expected-grade deviation on one random assignment")
     _population_flags(p)
-    p.add_argument("--m", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--reps", type=int, default=200)
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--reps", type=COUNT, default=200)
     p.add_argument("--rules", default="ours,avg")
 
-    p = sub.add_parser("decompose", help="bias + variance = error per rule, for the given "
-                       "merits and for all-equal merits")
-    common(p)
+    p = add("decompose", "bias + variance = error per rule, for the given "
+            "merits and for all-equal merits")
     _population_flags(p)
-    p.add_argument("--m", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--graphs", type=int, default=50)
-    p.add_argument("--reps", type=int, default=200)
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--graphs", type=COUNT, default=50)
+    p.add_argument("--reps", type=COUNT, default=200)
 
-    p = sub.add_parser("sweep-degree", help="bias vs. per-student degree constraint")
-    common(p)
+    p = add("sweep-degree", "bias vs. per-student degree constraint")
     _population_flags(p)
-    p.add_argument("--m", type=int)
-    p.add_argument("--d", dest="d_values", help="e.g. 1..22 or 2,5,10")
-    p.add_argument("--graphs", type=int, default=20)
-    p.add_argument("--reps", type=int, default=100)
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--d", dest="d_values", required=True, help="e.g. 1..22 or 2,5,10")
+    p.add_argument("--graphs", type=COUNT, default=20)
+    p.add_argument("--reps", type=COUNT, default=100)
     p.add_argument("--rules", default="ours,avg")
 
-    p = sub.add_parser("sweep-bank", help="bias vs. question sample size, fresh difficulties")
-    common(p)
-    p.add_argument("--students", type=int)
+    p = add("sweep-bank", "bias vs. question sample size, fresh difficulties")
+    p.add_argument("--students", type=int, required=True)
     p.add_argument("--abilities", help="comma-separated student merits (optional)")
-    p.add_argument("--difficulty-range", default=None,
-                   help="low,high for the uniform difficulty sampler")
-    p.add_argument("--m", dest="m_values", help="e.g. 5..40 or 5,10,20")
-    p.add_argument("--d", type=int)
-    p.add_argument("--graphs", type=int, default=20)
-    p.add_argument("--reps", type=int, default=100)
+    p.add_argument("--difficulty-range", help="low,high for the uniform difficulty sampler")
+    p.add_argument("--m", dest="m_values", required=True, help="e.g. 5..40 or 5,10,20")
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--graphs", type=COUNT, default=20)
+    p.add_argument("--reps", type=COUNT, default=100)
     p.add_argument("--rules", default="ours,avg")
 
-    p = sub.add_parser("cv", help="hold-out evaluation on a complete answer matrix")
-    common(p)
-    p.add_argument("--input", help="dense 0/1 matrix, no NA cells")
-    p.add_argument("--d1", help="student sample size(s), e.g. 35 or 5..35")
-    p.add_argument("--d2", dest="d2_values", help="degree constraint(s), e.g. 2..22")
-    p.add_argument("--reps", type=int, default=200)
+    p = add("cv", "hold-out evaluation on a complete answer matrix")
+    p.add_argument("--input", required=True, help="dense 0/1 matrix, no NA cells")
+    p.add_argument("--d1", required=True, help="student sample size(s), e.g. 35 or 5..35")
+    p.add_argument("--d2", dest="d2_values", required=True,
+                   help="degree constraint(s), e.g. 2..22")
+    p.add_argument("--reps", type=COUNT, default=200)
     p.add_argument("--rules", default="ours,avg")
     p.add_argument("--threshold-table", action="store_true",
                    help="also report the smallest winning d2 per d1")
 
-    p = sub.add_parser("cv-sim", help="the cv protocol on synthetic prior-drawn exams")
-    common(p)
-    p.add_argument("--students", type=int)
+    p = add("cv-sim", "the cv protocol on synthetic prior-drawn exams")
+    p.add_argument("--students", type=int, required=True)
     p.add_argument("--questions", type=int, default=22)
-    p.add_argument("--d2", dest="d2_values")
-    p.add_argument("--reps", type=int, default=200)
+    p.add_argument("--d2", dest="d2_values", required=True)
+    p.add_argument("--reps", type=COUNT, default=200)
     _prior_flags(p)
 
-    p = sub.add_parser("verify", help="exact ex-ante fairness check by enumeration")
-    common(p, seeded=False)
-    p.add_argument("--students", type=int)
-    p.add_argument("--questions", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--d", type=int)
+    p = add("verify", "exact ex-ante fairness check by enumeration", seeded=False)
+    p.add_argument("--students", type=int, required=True)
+    p.add_argument("--questions", type=int, required=True)
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--d", type=int, required=True)
     p.add_argument("--merits", help="merit CSV (default: all zero)")
-
-    if defaults:
-        for p in created:
-            p.set_defaults(**defaults)
     return parser
+
+
+def _fit_flags(p):
+    p.add_argument("--input", required=True, help="exam result file")
+    p.add_argument("--format", choices=[fio.EDGE_LIST, fio.DENSE_CSV, "auto"], default="auto")
+    p.add_argument("--tol", type=POSITIVE, default=1e-8)
+    p.add_argument("--max-iter", type=COUNT, default=10000)
+    _prior_flags(p)
 
 
 def _prior_flags(p):
@@ -237,8 +209,8 @@ def _prior_flags(p):
 
 
 def _population_flags(p):
-    p.add_argument("--students", type=int)
-    p.add_argument("--questions", type=int)
+    p.add_argument("--students", type=int, required=True)
+    p.add_argument("--questions", type=int, required=True)
     p.add_argument("--merits", help="merit CSV; default draws uniformly from the "
                    "published ability/difficulty ranges")
 
@@ -247,16 +219,9 @@ ABILITY_RANGE = (-1.486, 1.149)
 
 
 def _resolve_outdir(args) -> Path:
-    outdir = args.outdir or os.environ.get("FAIRGRADE_OUTDIR") or "."
-    path = Path(outdir)
+    path = Path(args.outdir or os.environ.get("FAIRGRADE_OUTDIR") or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _require(args, *names):
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise ConfigError(f"--{name.replace('_', '-')} is required")
 
 
 def _prior_from(args) -> PriorSpec:
@@ -272,17 +237,21 @@ def _rules_from(text: str):
     return rules
 
 
+def _row(parameter, value, rule, statistic, estimate, se=None) -> dict:
+    """One report.csv row; floats are written with repr, so they round-trip."""
+    return {"parameter": parameter, "value": value, "rule": rule, "statistic": statistic,
+            "estimate": repr(float(estimate)), "se": "" if se is None else repr(float(se))}
+
+
 def _ingest(args) -> ExamResultGraph:
-    _require(args, "input")
     if not os.path.exists(args.input):
         raise ConfigError(f"input file {args.input!r} does not exist")
-    fmt = args.format if getattr(args, "format", "auto") != "auto" else fio.detect_format(args.input)
+    fmt = args.format if args.format != "auto" else fio.detect_format(args.input)
     return fio.ingest(args.input, fmt)
 
 
 def _population(args, seed_key: int):
     """Roster plus true merits for the synthetic experiments."""
-    _require(args, "students", "questions")
     roster = Roster.index_based(args.students, args.questions)
     if args.merits:
         u = fio.read_merits(args.merits, roster)
@@ -292,10 +261,6 @@ def _population(args, seed_key: int):
     abilities = rng.uniform(*ABILITY_RANGE, args.students)
     difficulties = rng.uniform(*sim.DEFAULT_DIFFICULTY_RANGE, args.questions)
     return roster, MeritVector.for_roster(roster, abilities, difficulties)
-
-
-def _write_manifest(outdir: Path, config: RunConfig) -> None:
-    fio.write_json_summary(config.manifest(), outdir / "manifest.json")
 
 
 def cmd_grade(args, outdir: Path) -> None:
@@ -325,19 +290,12 @@ def cmd_fit(args, outdir: Path) -> None:
     else:
         fit = map_fit(g, _prior_from(args), tol=args.tol, max_iter=min(args.max_iter, 200))
     fio.write_merits(fit.merits, g.roster, outdir / "merits.csv")
-    fio.write_json_summary(
-        {
-            "method": args.method,
-            "iterations": fit.iterations,
-            "residual": fit.residual,
-            "converged": fit.converged,
-        },
-        outdir / "summary.json",
-    )
+    summary = {"method": args.method, "iterations": fit.iterations,
+               "residual": fit.residual, "converged": fit.converged}
+    fio.write_json_summary(summary, outdir / "summary.json")
 
 
 def cmd_simulate_bias(args, outdir: Path) -> None:
-    _require(args, "seed", "m", "d")
     roster, u = _population(args, 0)
     g = generate_assignment(roster, args.m, args.d, substream(args.seed, 1))
     rows, summary = [], {}
@@ -348,21 +306,15 @@ def cmd_simulate_bias(args, outdir: Path) -> None:
         for sid, dev, se in zip(
             roster.students, report.per_student_deviation, report.per_student_se
         ):
-            rows.append({"parameter": "student", "value": sid, "rule": name,
-                         "statistic": "deviation", "estimate": repr(float(dev)),
-                         "se": repr(float(se))})
-        summary[name] = {
-            "max_bias": report.max_bias,
-            "avg_bias": report.avg_bias,
-            "replications": report.replications,
-            "failed_replications": report.failed_replications,
-        }
+            rows.append(_row("student", sid, name, "deviation", dev, se))
+        summary[name] = {"max_bias": report.max_bias, "avg_bias": report.avg_bias,
+                         "replications": report.replications,
+                         "failed_replications": report.failed_replications}
     fio.write_tidy_report(rows, outdir / "report.csv")
     fio.write_json_summary(summary, outdir / "summary.json")
 
 
 def cmd_decompose(args, outdir: Path) -> None:
-    _require(args, "seed", "m", "d")
     roster, u = _population(args, 0)
     populations = {
         "spread-merits": u,
@@ -382,9 +334,7 @@ def cmd_decompose(args, outdir: Path) -> None:
                 rule, graphs, merits, args.reps, sim._scalar_seed(args.seed, 2)
             )
             for stat in ("bias", "variance", "error"):
-                rows.append({"parameter": "merits", "value": label, "rule": name,
-                             "statistic": stat, "estimate": repr(getattr(dec, stat)),
-                             "se": ""})
+                rows.append(_row("merits", label, name, stat, getattr(dec, stat)))
             summary[label][name] = dataclasses.asdict(dec)
     fio.write_tidy_report(rows, outdir / "report.csv")
     fio.write_json_summary(summary, outdir / "summary.json")
@@ -396,12 +346,10 @@ def _sweep_to_outputs(result, outdir: Path) -> None:
         entry = {"value": point.value, "graphs": point.graphs,
                  "replications": point.replications, "rules": {}}
         for name, stats in sorted(point.per_rule.items()):
-            for stat, est, se in (
-                ("max_bias", stats.max_bias, stats.max_bias_se),
-                ("avg_bias", stats.avg_bias, stats.avg_bias_se),
-            ):
-                rows.append({"parameter": result.axis, "value": point.value, "rule": name,
-                             "statistic": stat, "estimate": repr(est), "se": repr(se)})
+            rows.append(_row(result.axis, point.value, name, "max_bias",
+                             stats.max_bias, stats.max_bias_se))
+            rows.append(_row(result.axis, point.value, name, "avg_bias",
+                             stats.avg_bias, stats.avg_bias_se))
             entry["rules"][name] = dataclasses.asdict(stats)
         summary.append(entry)
     fio.write_tidy_report(rows, outdir / "report.csv")
@@ -409,7 +357,6 @@ def _sweep_to_outputs(result, outdir: Path) -> None:
 
 
 def cmd_sweep_degree(args, outdir: Path) -> None:
-    _require(args, "seed", "m", "d_values")
     roster, u = _population(args, 0)
     result = sim.sweep_degree(
         roster, u, args.m, parse_int_list(args.d_values), args.graphs, args.reps,
@@ -419,20 +366,17 @@ def cmd_sweep_degree(args, outdir: Path) -> None:
 
 
 def cmd_sweep_bank(args, outdir: Path) -> None:
-    _require(args, "seed", "students", "m_values", "d")
     if args.abilities:
         student_merits = [float(tok) for tok in args.abilities.split(",")]
         if len(student_merits) != args.students:
             raise ConfigError("--abilities length must equal --students")
     else:
         student_merits = substream(args.seed, 0).uniform(*ABILITY_RANGE, args.students).tolist()
+    lo, hi = sim.DEFAULT_DIFFICULTY_RANGE
     if args.difficulty_range:
         lo, hi = (float(tok) for tok in args.difficulty_range.split(","))
-        sampler = sim.uniform_difficulty_sampler(lo, hi)
-    else:
-        sampler = sim.uniform_difficulty_sampler()
     result = sim.sweep_question_sample_size(
-        student_merits, sampler, parse_int_list(args.m_values), args.d,
+        student_merits, sim.uniform_difficulty_sampler(lo, hi), parse_int_list(args.m_values), args.d,
         args.graphs, args.reps, sim._scalar_seed(args.seed, 1),
         rules=_rules_from(args.rules),
     )
@@ -444,14 +388,10 @@ def _dense_complete_matrix(path) -> np.ndarray:
     n, q = g.roster.n_students, g.roster.n_questions
     if g.assignment.n_edges != n * q:
         raise fio.DimensionMismatchError("cross-validation needs a complete 0/1 matrix")
-    full = np.zeros((n, q), dtype=np.uint8)
-    s_idx, q_idx = g.assignment.edge_arrays
-    full[s_idx, q_idx] = g.w
-    return full
+    return g.w.reshape(n, q)  # edges are sorted, so a complete graph's bits are row-major
 
 
 def cmd_cv(args, outdir: Path) -> None:
-    _require(args, "seed", "input", "d1", "d2_values")
     answers = _dense_complete_matrix(args.input)
     rules = _rules_from(args.rules)
     d1_values = parse_int_list(args.d1)
@@ -464,8 +404,7 @@ def cmd_cv(args, outdir: Path) -> None:
                 seed=sim._scalar_seed(args.seed, di, d2),
             )
             for name, mse in sorted(res.mse_per_rule.items()):
-                rows.append({"parameter": f"d1={d1}:d2", "value": d2, "rule": name,
-                             "statistic": "mse", "estimate": repr(mse), "se": ""})
+                rows.append(_row(f"d1={d1}:d2", d2, name, "mse", mse))
             summary.append({"d1": d1, "d2": d2, "mse": res.mse_per_rule})
     out = {"points": summary}
     if args.threshold_table:
@@ -479,14 +418,12 @@ def cmd_cv(args, outdir: Path) -> None:
 
 
 def cmd_cv_sim(args, outdir: Path) -> None:
-    _require(args, "seed", "students", "d2_values")
     results = sim.simulated_cross_validate(
         _prior_from(args), args.students, parse_int_list(args.d2_values),
         args.reps, args.seed, n_questions=args.questions,
     )
     rows = [
-        {"parameter": "d2", "value": res.d2, "rule": name, "statistic": "mse",
-         "estimate": repr(mse), "se": ""}
+        _row("d2", res.d2, name, "mse", mse)
         for res in results
         for name, mse in sorted(res.mse_per_rule.items())
     ]
@@ -498,7 +435,6 @@ def cmd_cv_sim(args, outdir: Path) -> None:
 
 
 def cmd_verify(args, outdir: Path) -> None:
-    _require(args, "students", "questions", "m", "d")
     roster = Roster.index_based(args.students, args.questions)
     if args.merits:
         u = fio.read_merits(args.merits, roster)
@@ -524,62 +460,37 @@ COMMANDS = {
 }
 
 
-def _config_defaults(args) -> dict | None:
-    """Coerced config-file values, used as parser defaults on a second pass
-    so that explicit flags always win."""
-    if not getattr(args, "config", None):
-        return None
-    if not os.path.exists(args.config):
-        raise ConfigError(f"config file {args.config!r} does not exist")
-    defaults = {}
-    for key, raw in load_config_file(args.config).items():
-        if not hasattr(args, key):
-            raise ConfigError(f"unknown config key {key!r}")
-        defaults[key] = _coerce(key, raw)
-    return defaults
-
-
-_INT_KEYS = {"seed", "m", "d", "d1", "reps", "graphs", "students", "questions",
-             "max_iter"}
-_FLOAT_KEYS = {"tol", "student_mean", "student_std", "question_mean", "question_std"}
-_BOOL_KEYS = {"threshold_table"}
-
-
-def _coerce(key: str, raw: str):
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    if key in _BOOL_KEYS:
-        return raw.lower() in ("1", "true", "yes")
-    return raw
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse argv with a --config file's lines inserted as flags just after
+    the subcommand, so that flags given on the command line win."""
+    # the full parser cannot find --config first: required flags that only
+    # the file supplies would fail the parse before the file is read
+    pre = argparse.ArgumentParser(prog="fairgrade", add_help=False)
+    pre.add_argument("--config")
+    config = pre.parse_known_args(argv[1:])[0].config
+    if config:
+        flags = [f"--{key.replace('_', '-')}" + ("" if value is None else f"={value}")
+                 for key, value in load_config_file(config).items()]
+        argv = argv[:1] + flags + argv[1:]
+    return build_parser().parse_args(argv)
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_CONFIG if exc.code not in (0, None) else 0
-    try:
-        defaults = _config_defaults(args)
-        if defaults:
-            # re-parse with the file's values as defaults: flags still win
-            args = build_parser(defaults).parse_args(argv)
-        if hasattr(args, "seed") and args.seed is None:
-            raise ConfigError("--seed is required (no wall-clock default)")
-        for name in ("reps", "graphs", "max_iter"):
-            if getattr(args, name, 1) is not None and getattr(args, name, 1) < 1:
-                raise ConfigError(f"--{name.replace('_', '-')} must be >= 1")
-        if getattr(args, "tol", 1.0) <= 0:
-            raise ConfigError("--tol must be positive")
+        try:
+            args = _parse(argv)
+        except SystemExit as exc:  # argparse: --help, --version or a rejected option
+            return EXIT_CONFIG if exc.code not in (0, None) else 0
         outdir = _resolve_outdir(args)
-        config = RunConfig(
-            args.command,
-            {k: v for k, v in vars(args).items() if k not in ("command",)},
-        )
+        manifest = {
+            "command": args.command,
+            "config": {k: v for k, v in vars(args).items() if k != "command"},
+            "seed": getattr(args, "seed", None),
+            "version": __version__,
+        }
         COMMANDS[args.command](args, outdir)
-        _write_manifest(outdir, config)
+        fio.write_json_summary(manifest, outdir / "manifest.json")
         return 0
     except DATA_ERRORS as exc:
         print(f"fairgrade: data error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import ExamResultGraph, Roster, TaskAssignmentGraph
+from .graph import ExamResultGraph, PairCase, Roster, TaskAssignmentGraph
 from .grading import GradeVector, PredictionMatrix
 from .model import MeritVector
 
@@ -202,13 +202,14 @@ def write_predictions(pm: PredictionMatrix, entries_path, tags_path) -> None:
     with open(entries_path, "w", newline="") as fh:
         out = csv.writer(fh, lineterminator="\n")
         out.writerow(["student", *roster.questions])
-        for i, sid in enumerate(roster.students):
-            out.writerow([sid, *(repr(float(v)) for v in pm.entries[i])])
+        out.writerows([sid, *map(repr, row.tolist())]
+                      for sid, row in zip(roster.students, pm.entries))
+    names = {case: case.name for case in PairCase}
     with open(tags_path, "w", newline="") as fh:
         out = csv.writer(fh, lineterminator="\n")
         out.writerow(["student", *roster.questions])
-        for i, sid in enumerate(roster.students):
-            out.writerow([sid, *(tag.name for tag in pm.case_tags[i])])
+        out.writerows([sid, *map(names.__getitem__, row.tolist())]
+                      for sid, row in zip(roster.students, pm.case_tags))
 
 
 def write_tidy_report(rows: Iterable[dict], path) -> None:

@@ -29,7 +29,6 @@ from .graph import (
 from .rng import as_generator
 
 MEAN_ZERO = "mean_zero"
-ANCHORED = "anchored"
 
 
 class MissingMeritError(KeyError):
@@ -53,15 +52,14 @@ class NonConvergenceError(RuntimeError):
 class MeritVector:
     """Merit values keyed by roster vertex index.
 
-    The model is invariant to adding a constant, so a vector may carry a
-    normalization tag: mean-zero over its covered vertices, or anchored with
-    one vertex pinned to 0. Untagged vectors are allowed (penalized fits fix
-    the gauge through the prior instead).
+    The model is invariant to adding a constant, so a vector may carry the
+    normalization tag MEAN_ZERO: it sums to 0 over its covered vertices.
+    Untagged vectors are allowed (penalized fits fix the gauge through the
+    prior instead).
     """
 
     values: dict[int, float]
     normalization: str | None = None
-    anchor: int | None = None
 
     def __post_init__(self):
         if not all(math.isfinite(v) for v in self.values.values()):
@@ -69,20 +67,12 @@ class MeritVector:
         if self.normalization == MEAN_ZERO:
             if abs(sum(self.values.values())) > 1e-9:
                 raise ValueError("mean-zero vector does not sum to 0")
-        elif self.normalization == ANCHORED:
-            if self.anchor is None or self.values.get(self.anchor) != 0.0:
-                raise ValueError("anchored vector must pin its anchor vertex to 0")
         elif self.normalization is not None:
             raise ValueError(f"unknown normalization tag {self.normalization!r}")
 
     @classmethod
     def for_roster(
-        cls,
-        roster: Roster,
-        abilities: Iterable[float],
-        difficulties: Iterable[float],
-        normalization: str | None = None,
-        anchor: int | None = None,
+        cls, roster: Roster, abilities: Iterable[float], difficulties: Iterable[float]
     ) -> "MeritVector":
         values = dict(enumerate(abilities))
         if len(values) != roster.n_students:
@@ -91,7 +81,7 @@ class MeritVector:
             values[roster.question_vertex(j)] = v
         if len(values) != roster.n_vertices:
             raise ValueError("one difficulty per question required")
-        return cls({k: float(v) for k, v in values.items()}, normalization, anchor)
+        return cls({k: float(v) for k, v in values.items()})
 
     @classmethod
     def mean_zero(cls, values: Mapping[int, float]) -> "MeritVector":

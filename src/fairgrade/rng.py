@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-SeedLike = "int | np.random.SeedSequence | np.random.Generator"
-
 
 def as_generator(seed) -> np.random.Generator:
     """Coerce an int, SeedSequence, or Generator into a Generator."""

@@ -95,7 +95,6 @@ class CvResult:
     d2: int
     mse_per_rule: dict[str, float]
     repetitions: int
-    threshold_table: dict[int, int | None] | None = None
 
 
 def _replicate(
@@ -404,29 +403,34 @@ def cross_validate(
         raise ValueError(f"need 1 <= d1 <= {n} and 1 <= d2 <= {q}")
     if not np.isin(answers, (0, 1)).all():
         raise ValueError("answers must be a complete 0/1 matrix")
-    row_means = answers.mean(axis=1)
 
     def one(r: int):
         rng = substream(seed, r)
         students = np.sort(rng.permutation(n)[:d1])
-        roster = Roster.index_based(d1, q)
-        edges, outcomes = [], []
-        for local, i in enumerate(students):
-            qs = rng.permutation(q)[:d2]
-            for j in np.sort(qs):
-                edges.append((local, int(j)))
-                outcomes.append(int(answers[i, j]))
-        g = TaskAssignmentGraph(roster, tuple(edges))
-        result = ExamResultGraph(g, np.array(outcomes, dtype=np.uint8))
-        target = row_means[students]
-        return {
-            name: float(((rule(result).values - target) ** 2).mean())
-            for name, rule in rules.items()
-        }
+        return _hold_out(answers[students], d2, rng, rules)
 
     reps = [one(r) for r in range(repetitions)]
     mse = {name: float(np.mean([r[name] for r in reps])) for name in rules}
     return CvResult(d1=d1, d2=d2, mse_per_rule=mse, repetitions=repetitions)
+
+
+def _hold_out(
+    full: np.ndarray, d2: int, rng: np.random.Generator, rules: Mapping[str, GradingRule]
+) -> dict[str, float]:
+    """Keep d2 random cells of each row of the complete 0/1 matrix `full`
+    and score each rule's grades on that exam by their mean squared error
+    against the full-row accuracy."""
+    n, q = full.shape
+    cols = np.array([np.sort(rng.permutation(q)[:d2]) for _ in range(n)])
+    rows = np.repeat(np.arange(n), cols.shape[1])
+    cols = cols.ravel()
+    g = TaskAssignmentGraph(Roster.index_based(n, q), tuple(zip(rows.tolist(), cols.tolist())))
+    result = ExamResultGraph(g, full[rows, cols])
+    target = full.mean(axis=1)
+    return {
+        name: float(((rule(result).values - target) ** 2).mean())
+        for name, rule in rules.items()
+    }
 
 
 def cv_threshold_table(
@@ -436,11 +440,9 @@ def cv_threshold_table(
     repetitions: int,
     rules: Mapping[str, GradingRule] | None = None,
     seed: int = 0,
-    baseline: str = "avg",
-    candidate: str = "ours",
 ) -> dict[int, int | None]:
-    """Smallest d2 at which the candidate rule's MSE beats the baseline's,
-    per student sample size; None when it never does."""
+    """Smallest d2 at which our rule's MSE beats averaging's, per student
+    sample size; None when it never does."""
     table: dict[int, int | None] = {}
     for di, d1 in enumerate(d1_values):
         table[d1] = None
@@ -449,7 +451,7 @@ def cv_threshold_table(
                 answers, d1, d2, repetitions, rules,
                 seed=_scalar_seed(seed, di, d2),
             )
-            if res.mse_per_rule[candidate] < res.mse_per_rule[baseline]:
+            if res.mse_per_rule["ours"] < res.mse_per_rule["avg"]:
                 table[d1] = d2
                 break
     return table
@@ -480,24 +482,8 @@ def simulated_cross_validate(
         u = MeritVector.for_roster(roster, abilities, difficulties)
         probs = edge_probabilities(complete, u)
         w = (rng.random(complete.n_edges) < probs).astype(np.uint8)
-        full = np.zeros((n, n_questions), dtype=np.uint8)
-        s_idx, q_idx = complete.edge_arrays
-        full[s_idx, q_idx] = w
-        target = full.mean(axis=1)
-        out = {}
-        for d2 in d2_values:
-            edges, outcomes = [], []
-            for i in range(n):
-                qs = np.sort(rng.permutation(n_questions)[:d2])
-                edges.extend((i, int(j)) for j in qs)
-                outcomes.extend(int(full[i, j]) for j in qs)
-            g = TaskAssignmentGraph(roster, tuple(edges))
-            result = ExamResultGraph(g, np.array(outcomes, dtype=np.uint8))
-            out[d2] = {
-                name: float(((rule(result).values - target) ** 2).mean())
-                for name, rule in rules.items()
-            }
-        return out
+        full = w.reshape(n, n_questions)  # the complete graph's edges are row-major
+        return {d2: _hold_out(full, d2, rng, rules) for d2 in d2_values}
 
     reps = [one(r) for r in range(repetitions)]
     results = []

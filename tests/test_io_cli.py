@@ -154,6 +154,73 @@ def run_cli(*argv):
     return run(list(argv))
 
 
+@pytest.fixture
+def complete_file(tmp_path):
+    rng = np.random.default_rng(8)
+    body = "student," + ",".join(f"q{j}" for j in range(5)) + "\n"
+    for i in range(6):
+        body += f"s{i}," + ",".join(map(str, rng.integers(0, 2, 5))) + "\n"
+    return write(tmp_path / "full.csv", body)
+
+
+class TestConfigFile:
+    """A config file's lines are parsed as flags, by the same parser."""
+
+    @pytest.mark.parametrize("command, line", [
+        ("grade", "rule=ourz"),
+        ("fit", "method=mlee"),
+        ("grade", "tol=0"),
+        ("grade", "max-iter=0"),
+        ("simulate-bias", "reps=0"),
+        ("sweep-degree", "d_values=1..3"),  # keys are flag names, not dests
+        ("cv", "threshold_table=yes"),  # a switch is a bare key
+        ("grade", "no-such-flag=1"),
+    ])
+    def test_bad_values_exit_2(self, tmp_path, exam_file, command, line):
+        base = {
+            "grade": f"input={exam_file}\n",
+            "fit": f"input={exam_file}\n",
+            "simulate-bias": "students=3\nquestions=4\nm=4\nd=2\nseed=1\n",
+            "sweep-degree": "students=3\nquestions=4\nm=4\nd=1..2\nseed=1\n",
+            "cv": f"input={exam_file}\nd1=2\nd2=2\nseed=1\n",
+        }[command]
+        cfg = write(tmp_path / "run.cfg", base + line + "\n")
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", cfg, "--outdir", str(out)) == 2
+        assert not (out / "manifest.json").exists()
+
+    def test_config_flag_without_value_exits_2(self):
+        assert run_cli("grade", "--config") == 2
+
+    @pytest.mark.parametrize("argv, lines", [
+        (["cv", "--input", "{complete}", "--d1", "3..4", "--d2", "2,5", "--reps", "4",
+          "--seed", "3"],
+         "input={complete}\nd1=3..4\nd2=2,5\nreps=4\nseed=3\n"),
+        (["sweep-degree", "--students", "3", "--questions", "4", "--m", "4", "--d", "1..3",
+          "--graphs", "2", "--reps", "5", "--seed", "7"],
+         "students=3\nquestions=4\nm=4\nd=1..3\ngraphs=2\nreps=5\nseed=7\n"),
+    ], ids=["cv", "sweep-degree"])
+    def test_file_matches_flags(self, tmp_path, complete_file, argv, lines):
+        argv = [a.format(complete=complete_file) for a in argv]
+        cfg = write(tmp_path / "run.cfg", lines.format(complete=complete_file))
+        assert run_cli(*argv, "--outdir", str(tmp_path / "flags")) == 0
+        assert run_cli(argv[0], "--config", cfg, "--outdir", str(tmp_path / "file")) == 0
+        for name in ("report.csv", "summary.json"):
+            assert ((tmp_path / "flags" / name).read_bytes()
+                    == (tmp_path / "file" / name).read_bytes())
+
+    def test_bare_key_is_a_switch(self, tmp_path, complete_file):
+        cfg = write(tmp_path / "run.cfg", "d1=4\nd2=3,5\nreps=4\nseed=3\nthreshold-table\n")
+        out = tmp_path / "out"
+        assert run_cli("cv", "--config", cfg, "--input", complete_file,
+                       "--outdir", str(out)) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert set(summary["threshold_table"]) == {"4"}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["threshold_table"] is True
+        assert manifest["config"]["config"] == cfg
+
+
 class TestCli:
     def test_grade_ours(self, exam_file, tmp_path):
         out = tmp_path / "out"
