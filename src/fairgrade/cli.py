@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -463,6 +464,11 @@ COMMANDS = {
 def _parse(argv: list[str]) -> argparse.Namespace:
     """Parse argv with a --config file's lines inserted as flags just after
     the subcommand, so that flags given on the command line win."""
+    # argparse reads a list such as "-3.09,2.099" as a flag: join a token that
+    # starts like a negative number to the flag before it
+    for i in reversed(range(1, len(argv))):
+        if re.fullmatch(r"--\w[\w-]*", argv[i - 1]) and re.match(r"-[\d.]", argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     # the full parser cannot find --config first: required flags that only
     # the file supplies would fail the parse before the file is read
     pre = argparse.ArgumentParser(prog="fairgrade", add_help=False)

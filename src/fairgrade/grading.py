@@ -112,10 +112,17 @@ def predict_matrix(
     h[codes == PairCase.STUDENT_ABOVE.value] = 1.0
     same = codes == PairCase.SAME_COMPONENT.value
     if same.any():
+        # the edges inside each SCC, in edge order, by one stable sort on SCC id
+        tail, head = g.directed_edges
+        inner = np.where(comp[tail] == comp[head], comp[tail], -1)
+        by_comp = np.argsort(inner, kind="stable")
+        bounds = np.searchsorted(inner[by_comp], np.arange(components.n_components + 1))
         u = np.zeros(roster.n_vertices)
         for cid in np.unique(comp[np.nonzero(same)[0]]):
+            edges = by_comp[bounds[cid]:bounds[cid + 1]]
             try:
-                fit = mle_fit(g, components.components[cid], tol=tol, max_iter=max_iter)
+                fit = mle_fit(g, components.components[cid], tol=tol, max_iter=max_iter,
+                              _edges=(tail[edges], head[edges]))
             except NonConvergenceError as exc:
                 raise NonConvergenceError(
                     f"merit fit for component {cid} failed: {exc}", exc.report

@@ -45,7 +45,7 @@ NA_TOKENS = {"NA", "", "NaN", "nan"}
 
 
 def _read_rows(path) -> list[list[str]]:
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         return [row for row in csv.reader(fh)]
 
 
@@ -59,7 +59,7 @@ def ingest(path, format: str) -> ExamResultGraph:
 
 
 def detect_format(path) -> str:
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         header = fh.readline().strip()
     return EDGE_LIST if header.split(",")[:3] == ["student", "question", "correct"] else DENSE_CSV
 

@@ -8,7 +8,9 @@ Gaussian-prior variant gives a penalized fit that needs no connectivity at
 all. Both fits run one damped Newton solver over the edge arrays, which
 differ only in the quadratic penalty (a gauge pin or the prior) and in the
 step taken when backtracking fails: the maximum likelihood fit falls back
-to a minorization-maximization update.
+to a minorization-maximization update. Each Newton step eliminates one
+side of the bipartite Hessian, whose student and question blocks are both
+diagonal, and solves only the other side's Schur complement.
 """
 
 from __future__ import annotations
@@ -199,11 +201,11 @@ class PriorSpec:
             raise ValueError("prior standard deviations must be strictly positive")
 
 
-def _edge_ends(g: ExamResultGraph, vertices: list[int]) -> tuple[np.ndarray, np.ndarray]:
+def _edge_ends(g: ExamResultGraph, vertices: list[int], tail, head):
     """Positions in `vertices` of the winner and the loser of each edge inside it."""
     pos = np.full(g.roster.n_vertices, -1, dtype=np.intp)
     pos[vertices] = np.arange(len(vertices))
-    winner, loser = (pos[end] for end in g.directed_edges)
+    winner, loser = pos[tail], pos[head]
     inside = (winner >= 0) & (loser >= 0)
     return winner[inside], loser[inside]
 
@@ -220,34 +222,60 @@ def mm_step(gamma: np.ndarray, winner: np.ndarray, loser: np.ndarray) -> np.ndar
 _MIN_STEP = 2.0**-27
 
 
-def _newton(winner, loser, penalty, center, fallback, tol, max_iter):
-    """Damped Newton ascent on sum(log f(u[winner] - u[loser])) - (u-c)'P(u-c)/2.
+def _newton_step(winner, loser, n_first, weight, precision, gauge, grad):
+    """Newton step x with H x = grad; positions below `n_first` are students.
 
-    Starts from u = c. Each step is the Newton direction under a backtracking
-    line search; when no trial length passes (or the Hessian is singular,
-    `step` None) the caller's `fallback(u, step)` gives the next iterate.
-    Returns (u, steps taken, sup-norm of the gradient, converged).
+    Eliminates the larger side e (Wright & Panchapakesan 1969): solves the
+    smaller side r's Schur complement S = D_r - F' D_e^-1 F, then x_e =
+    D_e^-1 (g_e + F x_r). The gauge's J/k becomes J/|r| in S and a mean-zero
+    step: the same step when grad sums to 0, as the likelihood gradient does.
+    """
+    k = len(grad)
+    diag = np.bincount(winner, weight, k) + np.bincount(loser, weight, k) + precision
+    sides = [(slice(0, n_first), np.minimum(winner, loser)),
+             (slice(n_first, k), np.maximum(winner, loser) - n_first)]
+    (elim, e_end), (kept, r_end) = sides if n_first >= k - n_first else sides[::-1]
+    d_e, d_r = diag[elim], diag[kept]
+    if not (d_e > 0).all():
+        raise np.linalg.LinAlgError("zero or NaN pivot")
+    f = np.zeros((len(d_e), len(d_r)))
+    f[e_end, r_end] = weight  # each vertex pair shares at most one edge
+    scaled = f / d_e[:, None]
+    x_r = np.linalg.solve(np.diag(d_r) - f.T @ scaled + gauge / len(d_r),
+                          grad[kept] + scaled.T @ grad[elim])
+    step = np.empty(k)
+    step[kept] = x_r
+    step[elim] = (grad[elim] + f @ x_r) / d_e
+    return step - step.mean() if gauge else step
+
+
+def _newton(winner, loser, n_first, precision, center, gauge, fallback, tol, max_iter):
+    """Damped Newton ascent on sum(log f(u[winner] - u[loser])) minus the
+    penalty sum(precision * (u - c)^2)/2, and k * mean(u)^2/2 with the gauge.
+
+    Starts from u = c. Each `_newton_step` is taken under a backtracking line
+    search; when no trial length passes (or the Hessian is singular, `step`
+    None) the caller's `fallback(u, step)` gives the next iterate. Returns
+    (u, steps taken, sup-norm of the gradient, converged).
     """
     k = len(center)
 
     def objective(u):
-        return float(log_logistic(u[winner] - u[loser]).sum()) - 0.5 * float(
-            (u - center) @ penalty @ (u - center))
+        return float(log_logistic(u[winner] - u[loser]).sum()
+                     - 0.5 * (precision * (u - center) ** 2).sum()
+                     - 0.5 * gauge * u.sum() ** 2 / k)
 
     u = center.copy()
     for it in range(max_iter + 1):
         upset = logistic(u[loser] - u[winner])  # chance the loser would have won
         grad = (np.bincount(winner, upset, k) - np.bincount(loser, upset, k)
-                - penalty @ (u - center))
+                - precision * (u - center) - gauge * u.mean())
         residual = float(np.abs(grad).max())
         if residual <= tol or it == max_iter:
             return u, it, residual, residual <= tol
-        weight = upset * (1.0 - upset)
-        hess = penalty + np.diag(np.bincount(winner, weight, k) + np.bincount(loser, weight, k))
-        hess[winner, loser] -= weight  # each vertex pair shares at most one edge
-        hess[loser, winner] -= weight
         try:
-            step = np.linalg.solve(hess, grad)
+            step = _newton_step(winner, loser, n_first, upset * (1.0 - upset), precision,
+                                gauge, grad)
         except np.linalg.LinAlgError:
             u = fallback(u, None)
             continue
@@ -279,6 +307,8 @@ def mle_fit(
     component: Iterable[int],
     tol: float = 1e-8,
     max_iter: int = 10000,
+    *,
+    _edges: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> FitReport:
     """Maximum likelihood merits on one strongly connected vertex set.
 
@@ -289,13 +319,16 @@ def mle_fit(
     Any step the line search rejects falls back to one globally convergent
     MM update (Hunter 2004). The result is reported mean-zero over the
     component.
+
+    `_edges` is for `predict_matrix` alone: the (tail, head) vertices of
+    the edges inside an SCC it found, which skips the connectivity check.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     vertices = sorted(component)
     k = len(vertices)
-    winner, loser = _edge_ends(g, vertices)
-    if k < 2 or len(_tarjan(_successor_lists(k, winner, loser))[1]) > 1:
+    winner, loser = _edge_ends(g, vertices, *(g.directed_edges if _edges is None else _edges))
+    if _edges is None and (k < 2 or len(_tarjan(_successor_lists(k, winner, loser))[1]) > 1):
         raise NotStronglyConnectedError(
             f"vertex set {vertices} is not strongly connected in the result graph"
         )
@@ -304,8 +337,9 @@ def mle_fit(
         u = np.log(mm_step(np.exp(u), winner, loser))
         return u - u.mean()
 
+    n_first = int(np.searchsorted(vertices, g.roster.n_students))
     u, iterations, residual, converged = _newton(
-        winner, loser, np.full((k, k), 1.0 / k), np.zeros(k), mm_update, tol, max_iter)
+        winner, loser, n_first, 0.0, np.zeros(k), True, mm_update, tol, max_iter)
     return _report(MeritVector.mean_zero(dict(zip(vertices, u))), iterations, residual,
                    converged, tol)
 
@@ -352,6 +386,6 @@ def map_fit(
         return u + _MIN_STEP * step
 
     u, iterations, residual, converged = _newton(
-        winner, loser, np.diag(inv_var), mean, smallest_step, tol, max_iter)
+        winner, loser, n, inv_var, mean, False, smallest_step, tol, max_iter)
     return _report(MeritVector(dict(enumerate(u.tolist()))), iterations, residual,
                    converged, tol)

@@ -101,6 +101,17 @@ class TestDenseMatrix:
         assert g.assignment.n_edges == 12
 
 
+@pytest.mark.parametrize("writer", [fio.write_edge_list, fio.write_dense_matrix])
+def test_byte_order_mark_is_ignored(tmp_path, writer):
+    g = random_result_graph(np.random.default_rng(5), 4, 3)
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    writer(g, plain)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    fmt = fio.detect_format(plain)
+    assert fio.detect_format(marked) == fmt
+    assert fio.ingest(marked, fmt) == fio.ingest(plain, fmt) == g
+
+
 class TestMeritsAndGrades:
     def test_merit_round_trip(self, tmp_path):
         r = Roster.index_based(2, 2)
@@ -199,7 +210,13 @@ class TestConfigFile:
         (["sweep-degree", "--students", "3", "--questions", "4", "--m", "4", "--d", "1..3",
           "--graphs", "2", "--reps", "5", "--seed", "7"],
          "students=3\nquestions=4\nm=4\nd=1..3\ngraphs=2\nreps=5\nseed=7\n"),
-    ], ids=["cv", "sweep-degree"])
+        # a list value that starts with a minus sign follows its flag as is
+        (["sweep-bank", "--students", "3", "--m", "2..3", "--d", "2", "--graphs", "2",
+          "--reps", "3", "--abilities", "-0.5,0.25,-1", "--difficulty-range", "-3.09,2.099",
+          "--seed", "4"],
+         "students=3\nm=2..3\nd=2\ngraphs=2\nreps=3\nabilities=-0.5,0.25,-1\n"
+         "difficulty-range=-3.09,2.099\nseed=4\n"),
+    ], ids=["cv", "sweep-degree", "sweep-bank"])
     def test_file_matches_flags(self, tmp_path, complete_file, argv, lines):
         argv = [a.format(complete=complete_file) for a in argv]
         cfg = write(tmp_path / "run.cfg", lines.format(complete=complete_file))

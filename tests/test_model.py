@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
@@ -27,8 +27,9 @@ from fairgrade import (
     merit_span,
     mle_fit,
     sample_exam_result,
+    strongly_connected_components,
 )
-from fairgrade.model import mm_step
+from fairgrade.model import _edge_ends, _newton_step, mm_step
 from fairgrade.rng import substream
 
 from conftest import random_result_graph
@@ -200,12 +201,15 @@ class TestMleFit:
         fit = mle_fit(res, range(res.roster.n_vertices))
         assert abs(sum(fit.merits.values.values())) <= 1e-9
 
-    def test_rejects_disconnected(self):
+    def test_rejects_disconnected(self, running_example):
         r = Roster.index_based(1, 1)
         g = TaskAssignmentGraph(r, ((0, 0),))
         res = ExamResultGraph(g, np.array([1]))
         with pytest.raises(NotStronglyConnectedError):
             mle_fit(res, [0, 1])
+        # connected, but s2..s5 and q2 sit below the s0, s1, q0, q1 block
+        with pytest.raises(NotStronglyConnectedError):
+            mle_fit(running_example, range(running_example.roster.n_vertices))
 
     def test_nonconvergence_carries_best_iterate(self):
         res, _ = connected_instance(4)
@@ -281,3 +285,96 @@ class TestMapFit:
         assert abs(tight.merits[0]) < 1e-4
         loose = map_fit(res, PriorSpec(0.0, 10.0, 0.0, 10.0))
         assert loose.merits[0] - loose.merits[1] > 3.0
+
+
+def dense_hessian(k, winner, loser, weight, precision, gauge):
+    """The negated Hessian built entry by entry, the reference for the Schur step."""
+    hess = np.diag(np.zeros(k) + precision) + (gauge / k)
+    for a, b, c in zip(winner, loser, weight):
+        hess[a, a] += c
+        hess[b, b] += c
+        hess[a, b] -= c
+        hess[b, a] -= c
+    return hess
+
+
+def dense_newton(winner, loser, precision, center, gauge):
+    """Plain Newton iteration with dense solves, to the limit of rounding."""
+    k = len(center)
+    u = center.copy()
+    for _ in range(100):
+        upset = logistic(u[loser] - u[winner])
+        grad = (np.bincount(winner, upset, k) - np.bincount(loser, upset, k)
+                - precision * (u - center))
+        if np.abs(grad).max() < 1e-13:
+            return u
+        u = u + np.linalg.solve(
+            dense_hessian(k, winner, loser, upset * (1 - upset), precision, gauge), grad)
+    raise AssertionError("dense reference did not converge")
+
+
+@st.composite
+def result_graphs(draw):
+    """Random exams of 1-6 students and 1-9 questions (often more questions)."""
+    n, q = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges = [(i, int(j)) for i in range(n)
+             for j in rng.permutation(q)[:rng.integers(1, q + 1)]]
+    g = TaskAssignmentGraph(Roster.index_based(n, q), tuple(edges))
+    return ExamResultGraph(g, rng.integers(0, 2, g.n_edges)), rng
+
+
+def _relative_gap(step, reference):
+    return float(np.abs(step - reference).max() / np.abs(reference).max())
+
+
+class TestNewtonStep:
+    """The Schur-complement step equals a dense solve of the full Hessian."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(result_graphs())
+    def test_map_prior_step(self, drawn):
+        g, rng = drawn
+        n, k = g.roster.n_students, g.roster.n_vertices  # 1x1 gives 2 vertices
+        winner, loser = g.directed_edges
+        u = rng.normal(0, 1.5, k)
+        upset = logistic(u[loser] - u[winner])
+        weight = upset * (1 - upset)
+        precision = np.repeat(rng.uniform(0.1, 4.0, 2), [n, k - n])
+        grad = rng.normal(0, 1, k)
+        step = _newton_step(winner, loser, n, weight, precision, False, grad)
+        reference = np.linalg.solve(
+            dense_hessian(k, winner, loser, weight, precision, False), grad)
+        assert _relative_gap(step, reference) <= 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(result_graphs())
+    def test_mle_gauge_step(self, drawn):
+        g, rng = drawn
+        vertices = sorted(max(strongly_connected_components(g).components, key=len))
+        assume(len(vertices) >= 4)  # the smallest strongly connected piece is a 4-cycle
+        k, n_first = len(vertices), sum(v < g.roster.n_students for v in vertices)
+        winner, loser = _edge_ends(g, vertices, *g.directed_edges)
+        u = rng.normal(0, 1.5, k)
+        u -= u.mean()
+        upset = logistic(u[loser] - u[winner])
+        weight = upset * (1 - upset)
+        grad = np.bincount(winner, upset, k) - np.bincount(loser, upset, k)
+        step = _newton_step(winner, loser, n_first, weight, 0.0, True, grad)
+        reference = np.linalg.solve(dense_hessian(k, winner, loser, weight, 0.0, True), grad)
+        assert _relative_gap(step, reference) <= 1e-12
+
+    def test_fits_with_more_questions_than_students(self):
+        # the student side is the smaller one here, so the questions are eliminated
+        res, _ = connected_instance(5, n=3, q=8)
+        k = res.roster.n_vertices
+        winner, loser = res.directed_edges
+        fit = mle_fit(res, range(k), tol=1e-12)
+        reference = dense_newton(winner, loser, 0.0, np.zeros(k), True)
+        assert fit.merits.array_for(res.roster) == pytest.approx(reference, abs=1e-11)
+        prior = PriorSpec(0.2, 0.8, -0.1, 1.3)
+        fit = map_fit(res, prior, tol=1e-12)
+        mean = np.repeat([0.2, -0.1], [3, 8])
+        precision = np.repeat([0.8**-2, 1.3**-2], [3, 8])
+        reference = dense_newton(winner, loser, precision, mean, False)
+        assert fit.merits.array_for(res.roster) == pytest.approx(reference, abs=1e-11)
