@@ -29,7 +29,6 @@ from .graph import (
     ParameterOutOfRangeError,
     Roster,
     generate_assignment,
-    is_strongly_connected,
 )
 from .grading import (
     GradeVector,
@@ -283,11 +282,11 @@ def cmd_grade(args, outdir: Path) -> None:
 def cmd_fit(args, outdir: Path) -> None:
     g = _ingest(args)
     if args.method == "mle":
-        if not is_strongly_connected(g):
-            raise NotStronglyConnectedError(
-                "result graph is not strongly connected; use --method map"
-            )
-        fit = mle_fit(g, range(g.roster.n_vertices), tol=args.tol, max_iter=args.max_iter)
+        try:  # mle_fit's own check is the one Tarjan pass
+            fit = mle_fit(g, range(g.roster.n_vertices), tol=args.tol, max_iter=args.max_iter)
+        except NotStronglyConnectedError:
+            msg = "result graph is not strongly connected; use --method map"
+            raise NotStronglyConnectedError(msg) from None
     else:
         fit = map_fit(g, _prior_from(args), tol=args.tol, max_iter=min(args.max_iter, 200))
     fio.write_merits(fit.merits, g.roster, outdir / "merits.csv")

@@ -110,15 +110,18 @@ def predict_matrix(
     h = np.zeros(edge.shape)
     h[s_idx, q_idx] = g.w
     h[codes == PairCase.STUDENT_ABOVE.value] = 1.0
-    same = codes == PairCase.SAME_COMPONENT.value
-    if same.any():
-        # the edges inside each SCC, in edge order, by one stable sort on SCC id
-        tail, head = g.directed_edges
-        inner = np.where(comp[tail] == comp[head], comp[tail], -1)
-        by_comp = np.argsort(inner, kind="stable")
-        bounds = np.searchsorted(inner[by_comp], np.arange(components.n_components + 1))
+    # the edges inside each SCC, in edge order, by one stable sort on SCC id
+    tail, head = g.directed_edges
+    inner = np.where(comp[tail] == comp[head], comp[tail], -1)
+    by_comp = np.argsort(inner, kind="stable")
+    c = components.n_components
+    bounds = np.searchsorted(inner[by_comp], np.arange(c + 1))
+    # an SCC has SAME_COMPONENT cells exactly when fewer edges than students x questions join it
+    fitted = np.flatnonzero(np.diff(bounds) < np.bincount(comp[:n], minlength=c)
+                            * np.bincount(comp[n:], minlength=c))
+    if fitted.size:
         u = np.zeros(roster.n_vertices)
-        for cid in np.unique(comp[np.nonzero(same)[0]]):
+        for cid in fitted:
             edges = by_comp[bounds[cid]:bounds[cid + 1]]
             try:
                 fit = mle_fit(g, components.components[cid], tol=tol, max_iter=max_iter,
@@ -128,7 +131,8 @@ def predict_matrix(
                     f"merit fit for component {cid} failed: {exc}", exc.report
                 ) from exc
             u[list(fit.merits.values)] = list(fit.merits.values.values())
-        h[same] = logistic(u[:n, None] - u[None, n:])[same]
+        i, j = np.nonzero(codes == PairCase.SAME_COMPONENT.value)
+        h[i, j] = logistic(u[i] - u[n + j])
     # incomparable cells take the row mean over the cells the other cases filled
     incomparable = codes == PairCase.INCOMPARABLE.value
     row_means = h.sum(axis=1) / (~incomparable).sum(axis=1)

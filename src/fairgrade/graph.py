@@ -78,30 +78,28 @@ class Roster:
 class TaskAssignmentGraph:
     """Undirected bipartite graph of which questions each student was asked.
 
-    Edges are (student index, question index) pairs, deduplicated and sorted
-    so that equal graphs compare equal. Zero-degree students are representable
-    (sparse data files may contain them); graders reject them at use time.
+    Edges are (student index, question index) pairs, given as pairs or as an
+    (E, 2) array, and stored as a tuple sorted so that equal graphs compare
+    equal. Zero-degree students are representable (sparse data files may
+    contain them); graders reject them at use time.
     """
 
     roster: Roster
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        seen = set(self.edges)
-        if len(seen) != len(self.edges):
+        s_idx, q_idx = np.asarray(self.edges, dtype=np.intp).reshape(len(self.edges), 2).T
+        order = np.lexsort((q_idx, s_idx))
+        s_idx, q_idx = s_idx[order], q_idx[order]
+        if ((np.diff(s_idx) == 0) & (np.diff(q_idx) == 0)).any():
             raise ValueError("duplicate assignment edges")
-        for i, j in self.edges:
-            if not (0 <= i < self.roster.n_students and 0 <= j < self.roster.n_questions):
-                raise ValueError(f"edge ({i}, {j}) outside roster index range")
-        object.__setattr__(self, "edges", tuple(sorted(seen)))
-
-    @cached_property
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Parallel (student index, question index) arrays in edge order."""
-        if not self.edges:
-            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-        arr = np.asarray(self.edges, dtype=np.intp)
-        return arr[:, 0], arr[:, 1]
+        outside = (s_idx < 0) | (s_idx >= self.roster.n_students)
+        outside |= (q_idx < 0) | (q_idx >= self.roster.n_questions)
+        if outside.any():
+            i, j = s_idx[outside][0], q_idx[outside][0]
+            raise ValueError(f"edge ({i}, {j}) outside roster index range")
+        object.__setattr__(self, "edges", tuple(zip(s_idx.tolist(), q_idx.tolist())))
+        object.__setattr__(self, "edge_arrays", (s_idx, q_idx))  # parallel, in edge order
 
     @cached_property
     def student_degrees(self) -> np.ndarray:
@@ -133,21 +131,23 @@ def generate_assignment(roster: Roster, m: int, d: int, seed) -> TaskAssignmentG
             f"need 1 <= d <= m <= |Q|, got d={d}, m={m}, |Q|={roster.n_questions}"
         )
     rng = as_generator(seed)
-    eligible = _sample_without_replacement(rng, roster.n_questions, m)
-    edges = []
-    for i in range(roster.n_students):
-        picks = _sample_without_replacement(rng, m, d)
-        edges.extend((i, int(eligible[k])) for k in picks)
-    return TaskAssignmentGraph(roster, tuple(edges))
+    eligible = _partial_shuffles(rng, roster.n_questions, m, 1)[0]
+    picks = eligible[_partial_shuffles(rng, m, d, roster.n_students)]
+    students = np.repeat(np.arange(roster.n_students), d)
+    return TaskAssignmentGraph(roster, np.column_stack((students, picks.ravel())))
 
 
-def _sample_without_replacement(rng: np.random.Generator, pool: int, k: int) -> np.ndarray:
-    # partial Fisher-Yates: exactly uniform, k swaps
-    idx = np.arange(pool)
+def _partial_shuffles(rng: np.random.Generator, pool: int, k: int, count: int) -> np.ndarray:
+    """First k entries of `count` partial Fisher-Yates shuffles of range(pool): one
+    array-bound draw takes the stream of `count` loops of k scalar `rng.integers`
+    calls, then step t swaps in every row at once."""
+    offsets = rng.integers(np.tile(pool - np.arange(k), count)).reshape(count, k)
+    idx = np.tile(np.arange(pool), (count, 1))
+    rows = np.arange(count)
     for t in range(k):
-        r = t + int(rng.integers(pool - t))
-        idx[t], idx[r] = idx[r], idx[t]
-    return idx[:k]
+        r = t + offsets[:, t]
+        idx[rows, t], idx[rows, r] = idx[rows, r], idx[rows, t]
+    return idx[:, :k]
 
 
 @dataclass(frozen=True, eq=False)

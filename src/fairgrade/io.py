@@ -4,12 +4,17 @@ Two exam formats are supported. The edge list is one row per assigned pair
 (`student,question,correct`). The dense matrix has one row per student, one
 column per question, and cells in {0, 1, NA} where NA means the pair was
 never assigned.
+
+Output contract of the writers: floats are written as their shortest
+round-trip `repr`, ids are quoted as `csv.writer` quotes them (only when they
+hold a comma, a quote or a line break), and every line ends with `\n`.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from types import SimpleNamespace
 from typing import Iterable
 
 import numpy as np
@@ -42,6 +47,7 @@ class DimensionMismatchError(ValueError):
 EDGE_LIST = "edge-list"
 DENSE_CSV = "dense-csv"
 NA_TOKENS = {"NA", "", "NaN", "nan"}
+_CELL_CODES = {"0": 0, "1": 1, **dict.fromkeys(NA_TOKENS, 2)}  # 2: never assigned
 
 
 def _read_rows(path) -> list[list[str]]:
@@ -68,69 +74,83 @@ def read_edge_list(path) -> ExamResultGraph:
     rows = _read_rows(path)
     if not rows or [c.strip() for c in rows[0]] != ["student", "question", "correct"]:
         raise MalformedRowError(1, "expected header 'student,question,correct'")
-    # dicts keep first-seen order, so ids are indexed in file order
-    students: dict[str, int] = {}
-    questions: dict[str, int] = {}
-    seen: set[tuple[str, str]] = set()
-    edges: list[tuple[int, int]] = []
-    bits: list[int] = []
+    body = [row for row in rows[1:] if row]
+    if not body:
+        raise MalformedRowError(len(rows) + 1, "no data rows")
+    # checked column by column; a failed check rescans row by row for the first fault
+    if set(map(len, body)) == {3}:
+        sids, qids, toks = ([*map(str.strip, column)] for column in zip(*body))
+        # dicts keep first-seen order, so ids are indexed in file order
+        students, questions = (dict(zip(dict.fromkeys(ids), range(len(ids))))
+                               for ids in (sids, qids))
+        if set(toks) <= {"0", "1"} and students.keys().isdisjoint(questions):
+            s_idx = np.fromiter(map(students.__getitem__, sids), np.intp, len(sids))
+            q_idx = np.fromiter(map(questions.__getitem__, qids), np.intp, len(qids))
+            codes = s_idx * len(questions) + q_idx
+            order = np.argsort(codes, kind="stable")
+            if np.diff(codes[order]).all():  # a duplicate pair sorts next to its twin
+                bits = np.fromiter(map("1".__eq__, toks), np.uint8, len(toks))
+                return _result_graph(Roster(tuple(students), tuple(questions)),
+                                     s_idx[order], q_idx[order], bits[order])
+    raise _edge_list_fault(rows)
+
+
+def _edge_list_fault(rows: list[list[str]]) -> ValueError:
+    """The data error of an edge list's first faulty row, in file order."""
+    students, questions, seen = set(), set(), set()
     for line, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != 3:
-            raise MalformedRowError(line, f"expected 3 fields, got {len(row)}")
+            return MalformedRowError(line, f"expected 3 fields, got {len(row)}")
         sid, qid, tok = (c.strip() for c in row)
         if tok not in ("0", "1"):
-            raise MalformedRowError(line, f"correctness must be 0 or 1, got {tok!r}")
+            return MalformedRowError(line, f"correctness must be 0 or 1, got {tok!r}")
         if (sid, qid) in seen:
-            raise DuplicateEdgeError(line, (sid, qid))
+            return DuplicateEdgeError(line, (sid, qid))
         seen.add((sid, qid))
-        edges.append((students.setdefault(sid, len(students)),
-                      questions.setdefault(qid, len(questions))))
-        bits.append(int(tok))
-    if not edges:
-        raise MalformedRowError(len(rows) + 1, "no data rows")
-    return _result_graph(Roster(tuple(students), tuple(questions)), edges, bits)
+        students.add(sid)
+        questions.add(qid)
+        if sid in questions or qid in students:
+            shared = sid if sid in questions else qid
+            return MalformedRowError(line, f"id {shared!r} is both a student and a question")
+    raise AssertionError("the edge list failed a check but no row is faulty")
 
 
-def _result_graph(roster: Roster, edges: list[tuple[int, int]], bits: list[int]):
-    """Result graph from edges in file order and their outcome bits."""
-    g = TaskAssignmentGraph(roster, tuple(edges))
-    # the constructor sorts edges by (student, question); sort the bits alike
-    s_idx, q_idx = np.asarray(edges, dtype=np.intp).reshape(-1, 2).T
-    w = np.asarray(bits, dtype=np.uint8)[np.lexsort((q_idx, s_idx))]
-    return ExamResultGraph(g, w)
+def _result_graph(roster: Roster, s_idx: np.ndarray, q_idx: np.ndarray, bits: np.ndarray):
+    """Result graph from edges sorted by (student, question) and their outcome bits."""
+    return ExamResultGraph(TaskAssignmentGraph(roster, np.column_stack((s_idx, q_idx))), bits)
 
 
 def read_dense_matrix(path) -> ExamResultGraph:
     rows = _read_rows(path)
-    if len(rows) < 2:
+    body = [(line, row) for line, row in enumerate(rows[1:], start=2) if row]
+    if not body:
         raise MalformedRowError(1, "need a header row and at least one student row")
     header = [c.strip() for c in rows[0]]
     if len(header) < 2 or header[0] not in ("student", ""):
         raise MalformedRowError(1, "expected 'student' then question ids in the header")
-    questions = tuple(header[1:])
-    students: list[str] = []
-    edges: list[tuple[int, int]] = []
-    bits: list[int] = []
-    for line, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
+    questions = dict.fromkeys(header[1:])
+    if len(questions) != len(header) - 1:
+        raise MalformedRowError(1, "duplicate question id in the header")
+    students, cells = {}, []
+    for line, row in body:
         if len(row) != len(header):
-            raise DimensionMismatchError(
-                f"line {line}: expected {len(header)} fields, got {len(row)}"
-            )
+            raise DimensionMismatchError(f"line {line}: expected {len(header)} fields, "
+                                         f"got {len(row)}")
         sid = row[0].strip()
-        i = len(students)
-        students.append(sid)
-        for j, cell in enumerate(c.strip() for c in row[1:]):
-            if cell in NA_TOKENS:
-                continue
-            if cell not in ("0", "1"):
-                raise MalformedRowError(line, f"cell must be 0, 1, or NA, got {cell!r}")
-            edges.append((i, j))
-            bits.append(int(cell))
-    return _result_graph(Roster(tuple(students), questions), edges, bits)
+        if sid in students or sid in questions:
+            raise MalformedRowError(line, f"student id {sid!r} repeats a student or question id")
+        students[sid] = None
+        row_cells = [*map(str.strip, row[1:])]
+        if not set(row_cells).issubset(_CELL_CODES):
+            bad = next(c for c in row_cells if c not in _CELL_CODES)
+            raise MalformedRowError(line, f"cell must be 0, 1, or NA, got {bad!r}")
+        cells += row_cells
+    codes = np.fromiter(map(_CELL_CODES.__getitem__, cells), np.uint8).reshape(len(students), -1)
+    s_idx, q_idx = np.nonzero(codes < 2)  # row-major: sorted by (student, question)
+    return _result_graph(Roster(tuple(students), tuple(questions)),
+                         s_idx, q_idx, codes[s_idx, q_idx])
 
 
 def write_edge_list(g: ExamResultGraph, path) -> None:
@@ -197,19 +217,25 @@ def write_grades(grades: GradeVector, path) -> None:
             out.writerow([sid, repr(float(v)), grades.rule_name])
 
 
+def _csv_fields(ids) -> list[str]:
+    """Each id as `csv.writer` writes it within a row: quoted only where it must be."""
+    lines: list[str] = []
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n").writerows(
+        (field, "") for field in ids)  # not alone: a lone empty field is written as ""
+    return [line[:-2] for line in lines]
+
+
 def write_predictions(pm: PredictionMatrix, entries_path, tags_path) -> None:
-    roster = pm.roster
-    with open(entries_path, "w", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(["student", *roster.questions])
-        out.writerows([sid, *map(repr, row.tolist())]
-                      for sid, row in zip(roster.students, pm.entries))
+    header = ",".join(_csv_fields(["student", *pm.roster.questions])) + "\n"
+    students = _csv_fields(pm.roster.students)
     names = {case: case.name for case in PairCase}
-    with open(tags_path, "w", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(["student", *roster.questions])
-        out.writerows([sid, *map(names.__getitem__, row.tolist())]
-                      for sid, row in zip(roster.students, pm.case_tags))
+    for path, matrix, cell in ((entries_path, pm.entries, repr),
+                               (tags_path, pm.case_tags, names.__getitem__)):
+        with open(path, "w", newline="") as fh:
+            fh.write(header)
+            # row by row: a whole-matrix .tolist() raises peak memory
+            fh.writelines(f"{sid},{','.join(map(cell, row.tolist()))}\n"
+                          for sid, row in zip(students, matrix))
 
 
 def write_tidy_report(rows: Iterable[dict], path) -> None:

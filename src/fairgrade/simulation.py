@@ -424,7 +424,7 @@ def _hold_out(
     cols = np.array([np.sort(rng.permutation(q)[:d2]) for _ in range(n)])
     rows = np.repeat(np.arange(n), cols.shape[1])
     cols = cols.ravel()
-    g = TaskAssignmentGraph(Roster.index_based(n, q), tuple(zip(rows.tolist(), cols.tolist())))
+    g = TaskAssignmentGraph(Roster.index_based(n, q), np.column_stack((rows, cols)))
     result = ExamResultGraph(g, full[rows, cols])
     target = full.mean(axis=1)
     return {

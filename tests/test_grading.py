@@ -24,6 +24,7 @@ from fairgrade import (
     simple_average,
     strongly_connected_components,
 )
+from fairgrade import grading
 
 from conftest import random_result_graph
 
@@ -130,6 +131,24 @@ class TestPredictMatrix:
         incomparable = tags == PairCase.INCOMPARABLE
         for i, j in zip(*np.nonzero(incomparable)):
             assert h[i, j] == pytest.approx(h[i, ~incomparable[i]].mean(), abs=1e-15)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_fits_exactly_the_components_with_same_component_cells(self, seed):
+        rng = np.random.default_rng(seed)
+        g = random_result_graph(rng, int(rng.integers(1, 7)), int(rng.integers(1, 7)))
+        fitted = []
+
+        def recorded(g, component, *args, **kwargs):
+            fitted.append(frozenset(component))
+            return mle_fit(g, component, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(grading, "mle_fit", recorded)
+            pm = predict_matrix(g)
+        c = strongly_connected_components(g)
+        rows = np.nonzero(pm.case_tags == PairCase.SAME_COMPONENT)[0]
+        assert fitted == [c.components[k] for k in np.unique(c.component_of[rows])]
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000))

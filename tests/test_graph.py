@@ -75,6 +75,16 @@ class TestTaskAssignmentGraph:
         with pytest.raises(ValueError):
             TaskAssignmentGraph(r, ((0, 5),))
 
+    def test_array_edges(self):
+        r = Roster.index_based(2, 2)
+        g = TaskAssignmentGraph(r, np.array([[1, 1], [0, 0], [0, 1]]))
+        assert g == TaskAssignmentGraph(r, ((1, 1), (0, 0), (0, 1)))
+        assert all(type(i) is int and type(j) is int for i, j in g.edges)
+        assert [a.tolist() for a in g.edge_arrays] == [[0, 0, 1], [0, 1, 1]]
+        for bad in ([[0, 0], [0, 0]], [[0, 2]], [[-1, 0]], [[0, 0, 1]]):
+            with pytest.raises(ValueError):
+                TaskAssignmentGraph(r, np.array(bad))
+
     def test_degrees(self):
         r = Roster.index_based(2, 3)
         g = TaskAssignmentGraph(r, ((0, 0), (0, 1), (1, 1)))
@@ -99,6 +109,34 @@ class TestGenerateAssignment:
         r = Roster.index_based(4, 8)
         assert generate_assignment(r, 5, 3, 7) == generate_assignment(r, 5, 3, 7)
         assert generate_assignment(r, 5, 3, 7) != generate_assignment(r, 5, 3, 8)
+
+    @pytest.mark.parametrize("n, q, m, d", [
+        (1, 1, 1, 1), (3, 4, 4, 2), (10, 22, 22, 10), (7, 30, 12, 12), (50, 40, 20, 1),
+        (4, 300, 300, 150),
+    ])
+    def test_matches_scalar_fisher_yates(self, n, q, m, d):
+        """Same edges and the same generator state after the call as one
+        scalar `rng.integers` call per swap."""
+
+        def scalar_assignment(roster, rng):
+            def sample(pool, k):
+                idx = np.arange(pool)
+                for t in range(k):
+                    r = t + int(rng.integers(pool - t))
+                    idx[t], idx[r] = idx[r], idx[t]
+                return idx[:k]
+
+            eligible = sample(roster.n_questions, m)
+            edges = []
+            for i in range(roster.n_students):
+                edges.extend((i, int(eligible[k])) for k in sample(m, d))
+            return TaskAssignmentGraph(roster, tuple(edges))
+
+        r = Roster.index_based(n, q)
+        for seed in range(30):
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert generate_assignment(r, m, d, fast).edges == scalar_assignment(r, slow).edges
+            assert fast.bit_generator.state == slow.bit_generator.state
 
     def test_question_subset_uniform(self):
         # with m=1 of 3 questions, each question is picked ~1/3 of the time

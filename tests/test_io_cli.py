@@ -14,6 +14,7 @@ from fairgrade import (
     predict_matrix,
     simple_average,
 )
+from fairgrade import graph, model
 from fairgrade import io as fio
 from fairgrade.cli import parse_int_list, load_config_file, run
 
@@ -59,6 +60,12 @@ class TestEdgeList:
             fio.read_edge_list(p)
         assert exc.value.line == 3
 
+    def test_rejects_id_that_is_student_and_question(self, tmp_path):
+        p = write(tmp_path / "e.csv", "student,question,correct\na,b,1\nb,c,0\n")
+        with pytest.raises(fio.MalformedRowError) as exc:
+            fio.read_edge_list(p)
+        assert exc.value.line == 3 and "'b'" in str(exc.value)
+
     def test_single_row(self, tmp_path):
         p = write(tmp_path / "d.csv", "student,question,correct\nA,B,1\n")
         g = fio.read_edge_list(p)
@@ -86,6 +93,19 @@ class TestDenseMatrix:
         with pytest.raises(fio.MalformedRowError) as exc:
             fio.read_dense_matrix(p)
         assert exc.value.line == 3
+
+    @pytest.mark.parametrize("body, line", [
+        ("student,q1,q2\ns1,1,0\ns1,0,1\n", 3),  # a repeated student row
+        ("student,q1,q2\ns1,1,0\nq2,0,1\n", 3),  # a student id that is a question id
+        ("student,q1,q1\ns1,1,0\n", 1),  # a repeated question id
+        ("student,q1\n\n\n", 1),  # blank lines only
+    ])
+    def test_rejects_id_faults_with_line_number(self, tmp_path, body, line):
+        p = write(tmp_path / "m.csv", body)
+        with pytest.raises(fio.MalformedRowError) as exc:
+            fio.read_dense_matrix(p)
+        assert exc.value.line == line
+        assert run_cli("grade", "--input", p, "--outdir", str(tmp_path / "out")) == 3
 
     def test_rejects_ragged_rows(self, tmp_path):
         p = write(tmp_path / "m.csv", "student,q1,q2\nA,1\n")
@@ -284,6 +304,28 @@ class TestCli:
     def test_bad_data_is_data_error(self, tmp_path):
         p = write(tmp_path / "bad.csv", "student,question,correct\nS1,Q1,7\n")
         assert run_cli("grade", "--input", p, "--outdir", str(tmp_path)) == 3
+
+    def test_shared_id_in_edge_list_is_data_error(self, tmp_path):
+        p = write(tmp_path / "shared.csv", "student,question,correct\na,b,1\nb,c,0\n")
+        assert run_cli("grade", "--input", p, "--outdir", str(tmp_path)) == 3
+
+    def test_fit_mle_runs_tarjan_once(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def counted(adj, original=graph._tarjan):
+            calls.append(len(adj))
+            return original(adj)
+
+        monkeypatch.setattr(graph, "_tarjan", counted)
+        monkeypatch.setattr(model, "_tarjan", counted)
+        cycle = write(tmp_path / "cycle.csv",
+                      "student,question,correct\nA,X,1\nA,Y,0\nB,X,0\nB,Y,1\n")
+        assert run_cli("fit", "--input", cycle, "--outdir", str(tmp_path / "a")) == 0
+        assert calls == [4]
+        split = write(tmp_path / "split.csv", "student,question,correct\nA,X,1\nB,X,1\n")
+        assert run_cli("fit", "--input", split, "--outdir", str(tmp_path / "b")) == 4
+        assert "not strongly connected; use --method map" in capsys.readouterr().err
+        assert calls == [4, 3]
 
     def test_seed_required(self, tmp_path):
         assert run_cli("simulate-bias", "--students", "3", "--questions", "4",
