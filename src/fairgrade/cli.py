@@ -318,9 +318,7 @@ def cmd_decompose(args, outdir: Path) -> None:
     roster, u = _population(args, 0)
     populations = {
         "spread-merits": u,
-        "all-same-merits": MeritVector.for_roster(
-            roster, [0.0] * roster.n_students, [0.0] * roster.n_questions
-        ),
+        "all-same-merits": MeritVector(np.zeros(roster.n_vertices)),
     }
     graphs = [
         generate_assignment(roster, args.m, args.d, substream(args.seed, 1, k))
@@ -394,24 +392,21 @@ def _dense_complete_matrix(path) -> np.ndarray:
 def cmd_cv(args, outdir: Path) -> None:
     answers = _dense_complete_matrix(args.input)
     rules = _rules_from(args.rules)
-    d1_values = parse_int_list(args.d1)
-    d2_values = parse_int_list(args.d2_values)
-    rows, summary = [], []
-    for di, d1 in enumerate(d1_values):
-        for d2 in d2_values:
+    if args.threshold_table and not {"ours", "avg"} <= rules.keys():
+        raise ConfigError("--threshold-table needs --rules to include 'ours' and 'avg'")
+    rows, results = [], []
+    for di, d1 in enumerate(parse_int_list(args.d1)):
+        for d2 in parse_int_list(args.d2_values):
             res = sim.cross_validate(
                 answers, d1, d2, args.reps, rules,
                 seed=sim._scalar_seed(args.seed, di, d2),
             )
             for name, mse in sorted(res.mse_per_rule.items()):
                 rows.append(_row(f"d1={d1}:d2", d2, name, "mse", mse))
-            summary.append({"d1": d1, "d2": d2, "mse": res.mse_per_rule})
-    out = {"points": summary}
+            results.append(res)
+    out = {"points": [{"d1": r.d1, "d2": r.d2, "mse": r.mse_per_rule} for r in results]}
     if args.threshold_table:
-        table = sim.cv_threshold_table(
-            answers, d1_values, d2_values, args.reps, rules,
-            seed=sim._scalar_seed(args.seed, 10**6),
-        )
+        table = sim.cv_threshold_table(results)
         out["threshold_table"] = {str(k): v for k, v in table.items()}
     fio.write_tidy_report(rows, outdir / "report.csv")
     fio.write_json_summary(out, outdir / "summary.json")
@@ -439,7 +434,7 @@ def cmd_verify(args, outdir: Path) -> None:
     if args.merits:
         u = fio.read_merits(args.merits, roster)
     else:
-        u = MeritVector.for_roster(roster, [0.0] * args.students, [0.0] * args.questions)
+        u = MeritVector(np.zeros(roster.n_vertices))
     fair = sim.verify_ex_ante_fairness(roster, args.m, args.d, u)
     fio.write_json_summary(
         {"rule": "avg", "ex_ante_fair": fair, "m": args.m, "d": args.d},

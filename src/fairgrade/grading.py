@@ -130,7 +130,7 @@ def predict_matrix(
                 raise NonConvergenceError(
                     f"merit fit for component {cid} failed: {exc}", exc.report
                 ) from exc
-            u[list(fit.merits.values)] = list(fit.merits.values.values())
+            np.copyto(u, fit.merits.values, where=fit.merits.covered)
         i, j = np.nonzero(codes == PairCase.SAME_COMPONENT.value)
         h[i, j] = logistic(u[i] - u[n + j])
     # incomparable cells take the row mean over the cells the other cases filled
@@ -174,9 +174,8 @@ def per_student_error_bound(fit: FitReport, truth: MeritVector) -> float:
     Both vectors are recentred to mean zero over the fitted vertices before
     taking the sup-norm, since only merit differences matter.
     """
-    vertices = sorted(fit.merits.values)
-    est = np.array([fit.merits[v] for v in vertices])
-    tru = np.array([truth[v] for v in vertices])
+    est = fit.merits.values[fit.merits.covered]
+    tru = truth.at(np.flatnonzero(fit.merits.covered))
     est = est - est.mean()
     tru = tru - tru.mean()
     return 0.25 * float(np.abs(est - tru).max()) ** 2

@@ -74,23 +74,25 @@ class Roster:
         return v < self.n_students
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TaskAssignmentGraph:
     """Undirected bipartite graph of which questions each student was asked.
 
     Edges are (student index, question index) pairs, given as pairs or as an
-    (E, 2) array, and stored as a tuple sorted so that equal graphs compare
-    equal. Zero-degree students are representable (sparse data files may
-    contain them); graders reject them at use time.
+    (E, 2) array. `edges` stores them as a read-only (E, 2) intp array sorted
+    by student, then question, so equal graphs compare equal; `edge_arrays`
+    holds its two columns. Zero-degree students are representable (sparse
+    data files may contain them); graders reject them at use time.
     """
 
     roster: Roster
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
 
     def __post_init__(self):
         s_idx, q_idx = np.asarray(self.edges, dtype=np.intp).reshape(len(self.edges), 2).T
-        order = np.lexsort((q_idx, s_idx))
-        s_idx, q_idx = s_idx[order], q_idx[order]
+        # np.take keeps the (2, E) result C-ordered, so each of `edge_arrays` is contiguous
+        columns = np.take(np.stack((s_idx, q_idx)), np.lexsort((q_idx, s_idx)), axis=1)
+        s_idx, q_idx = columns
         if ((np.diff(s_idx) == 0) & (np.diff(q_idx) == 0)).any():
             raise ValueError("duplicate assignment edges")
         outside = (s_idx < 0) | (s_idx >= self.roster.n_students)
@@ -98,8 +100,16 @@ class TaskAssignmentGraph:
         if outside.any():
             i, j = s_idx[outside][0], q_idx[outside][0]
             raise ValueError(f"edge ({i}, {j}) outside roster index range")
-        object.__setattr__(self, "edges", tuple(zip(s_idx.tolist(), q_idx.tolist())))
-        object.__setattr__(self, "edge_arrays", (s_idx, q_idx))  # parallel, in edge order
+        columns.setflags(write=False)
+        object.__setattr__(self, "edges", columns.T)
+        object.__setattr__(self, "edge_arrays", tuple(columns))
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, TaskAssignmentGraph)
+            and self.roster == other.roster
+            and np.array_equal(self.edges, other.edges)
+        )
 
     @cached_property
     def student_degrees(self) -> np.ndarray:
@@ -110,10 +120,6 @@ class TaskAssignmentGraph:
     def question_degrees(self) -> np.ndarray:
         _, q_idx = self.edge_arrays
         return np.bincount(q_idx, minlength=self.roster.n_questions)
-
-    @cached_property
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
 
     @property
     def n_edges(self) -> int:
@@ -154,9 +160,10 @@ def _partial_shuffles(rng: np.random.Generator, pool: int, k: int, count: int) -
 class ExamResultGraph:
     """Directed bipartite graph of observed correctness.
 
-    `w` holds the correctness bit of each assigned pair, aligned with
-    `assignment.edges`. w=1 orients the edge student->question, w=0
-    question->student.
+    `w` is a read-only uint8 array with the correctness bit of each assigned
+    pair, aligned with the rows of `assignment.edges`. w=1 orients the edge
+    student->question, w=0 question->student; `directed_edges` holds the
+    oriented (tail, head) vertex arrays.
     """
 
     assignment: TaskAssignmentGraph
@@ -176,11 +183,12 @@ class ExamResultGraph:
     def from_outcomes(
         cls, assignment: TaskAssignmentGraph, outcomes: Mapping[tuple[int, int], int]
     ) -> "ExamResultGraph":
-        if set(outcomes) != assignment.edge_set:
+        pairs = np.array(list(outcomes)).reshape(len(outcomes), 2)  # no cast: (0.5, 1) stays wrong
+        order = np.lexsort(pairs.T[::-1])  # keys are distinct: sorted, they must be the edges
+        if not np.array_equal(pairs[order], assignment.edges):
             raise ValueError("outcome keys must equal the assignment edge set")
-        w = np.fromiter((outcomes[e] for e in assignment.edges), dtype=np.uint8,
-                        count=assignment.n_edges)
-        return cls(assignment, w)
+        w = np.fromiter(outcomes.values(), dtype=np.uint8, count=len(outcomes))
+        return cls(assignment, w[order])
 
     @property
     def roster(self) -> Roster:
@@ -188,7 +196,7 @@ class ExamResultGraph:
 
     @property
     def outcomes(self) -> dict[tuple[int, int], int]:
-        return {e: int(b) for e, b in zip(self.assignment.edges, self.w)}
+        return dict(zip(map(tuple, self.assignment.edges.tolist()), self.w.tolist()))
 
     @cached_property
     def student_out_degrees(self) -> np.ndarray:
@@ -335,7 +343,7 @@ def classify_pair(
     roster = g.roster
     if not (0 <= i < roster.n_students and 0 <= j < roster.n_questions):
         raise IndexError(f"pair ({i}, {j}) outside roster index range")
-    edge = (i, j) in g.assignment.edge_set
+    edge = (g.assignment.edges == (i, j)).all(axis=1).any()
     ci = c.component_of[roster.student_vertex(i)]
     cj = c.component_of[roster.question_vertex(j)]
     return PairCase(int(_pair_cases(c, edge, ci, cj)))

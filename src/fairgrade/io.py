@@ -158,15 +158,15 @@ def write_edge_list(g: ExamResultGraph, path) -> None:
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh, lineterminator="\n")
         out.writerow(["student", "question", "correct"])
-        for (i, j), bit in zip(g.assignment.edges, g.w):
-            out.writerow([roster.students[i], roster.questions[j], int(bit)])
+        s_idx, q_idx = g.assignment.edge_arrays
+        out.writerows(zip(map(roster.students.__getitem__, s_idx.tolist()),
+                          map(roster.questions.__getitem__, q_idx.tolist()), g.w.tolist()))
 
 
 def write_dense_matrix(g: ExamResultGraph, path) -> None:
     roster = g.roster
     cells = np.full((roster.n_students, roster.n_questions), "NA", dtype=object)
-    for (i, j), bit in zip(g.assignment.edges, g.w):
-        cells[i, j] = str(int(bit))
+    cells[g.assignment.edge_arrays] = np.array(["0", "1"], dtype=object)[g.w]
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh, lineterminator="\n")
         out.writerow(["student", *roster.questions])
@@ -178,20 +178,18 @@ def write_merits(u: MeritVector, roster: Roster, path) -> None:
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh, lineterminator="\n")
         out.writerow(["vertex", "kind", "merit"])
-        for v in sorted(u.values):
+        for v, merit in zip(np.flatnonzero(u.covered).tolist(), u.values[u.covered].tolist()):
             kind = "student" if roster.is_student_vertex(v) else "question"
-            out.writerow([roster.vertex_label(v), kind, repr(u[v])])
+            out.writerow([roster.vertex_label(v), kind, repr(merit)])
 
 
 def read_merits(path, roster: Roster) -> MeritVector:
     rows = _read_rows(path)
     if not rows or [c.strip() for c in rows[0]] != ["vertex", "kind", "merit"]:
         raise MalformedRowError(1, "expected header 'vertex,kind,merit'")
-    label_to_vertex = {
-        **{s: roster.student_vertex(i) for i, s in enumerate(roster.students)},
-        **{q: roster.question_vertex(j) for j, q in enumerate(roster.questions)},
-    }
-    values: dict[int, float] = {}
+    label_to_vertex = {label: v for v, label in enumerate(roster.students + roster.questions)}
+    values = np.zeros(roster.n_vertices)
+    covered = np.zeros(roster.n_vertices, dtype=bool)
     for line, row in enumerate(rows[1:], start=2):
         if not row:
             continue
@@ -200,13 +198,20 @@ def read_merits(path, roster: Roster) -> MeritVector:
         label, kind, tok = (c.strip() for c in row)
         if label not in label_to_vertex:
             raise MalformedRowError(line, f"unknown vertex {label!r}")
-        if kind not in ("student", "question"):
-            raise MalformedRowError(line, f"kind must be student or question, got {kind!r}")
+        v = label_to_vertex[label]
+        expected = "student" if roster.is_student_vertex(v) else "question"
+        if kind != expected:
+            raise MalformedRowError(line, f"vertex {label!r} is a {expected}, got kind {kind!r}")
+        if covered[v]:
+            raise MalformedRowError(line, f"vertex {label!r} repeats an earlier row")
         try:
-            values[label_to_vertex[label]] = float(tok)
+            values[v] = float(tok)
         except ValueError:
             raise MalformedRowError(line, f"bad merit value {tok!r}") from None
-    return MeritVector(values, normalization=None)
+        if not np.isfinite(values[v]):
+            raise MalformedRowError(line, f"merit must be finite, got {tok!r}")
+        covered[v] = True
+    return MeritVector(values, covered)
 
 
 def write_grades(grades: GradeVector, path) -> None:

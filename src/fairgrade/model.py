@@ -15,9 +15,8 @@ diagonal, and solves only the other side's Schur complement.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -50,73 +49,84 @@ class NonConvergenceError(RuntimeError):
         self.report = report
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeritVector:
-    """Merit values keyed by roster vertex index.
+    """Merit values over roster vertices.
 
-    The model is invariant to adding a constant, so a vector may carry the
-    normalization tag MEAN_ZERO: it sums to 0 over its covered vertices.
-    Untagged vectors are allowed (penalized fits fix the gauge through the
-    prior instead).
+    `values[v]` is vertex v's merit where the boolean mask `covered[v]` is
+    set (all vertices when `covered` is None); uncovered entries are ignored.
+    Both arrays are read-only copies. The model is invariant to adding a
+    constant, so a vector may carry the normalization tag MEAN_ZERO: it sums
+    to 0 over its covered vertices. Untagged vectors are allowed (penalized
+    fits fix the gauge through the prior instead).
     """
 
-    values: dict[int, float]
+    values: np.ndarray
+    covered: np.ndarray | None = None
     normalization: str | None = None
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in self.values.values()):
+        values = np.array(self.values, dtype=float)
+        covered = (np.ones(values.shape, dtype=bool) if self.covered is None
+                   else np.array(self.covered, dtype=bool))
+        if values.ndim != 1 or covered.shape != values.shape:
+            raise ValueError("merit values and coverage mask must be vectors of one length")
+        if not np.isfinite(values[covered]).all():
             raise ValueError("merit values must be finite")
         if self.normalization == MEAN_ZERO:
-            if abs(sum(self.values.values())) > 1e-9:
+            if abs(values[covered].sum()) > 1e-9:
                 raise ValueError("mean-zero vector does not sum to 0")
         elif self.normalization is not None:
             raise ValueError(f"unknown normalization tag {self.normalization!r}")
+        for name, array in (("values", values), ("covered", covered)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @classmethod
     def for_roster(
         cls, roster: Roster, abilities: Iterable[float], difficulties: Iterable[float]
     ) -> "MeritVector":
-        values = dict(enumerate(abilities))
-        if len(values) != roster.n_students:
+        abilities, difficulties = (np.array(list(x), dtype=float)
+                                   for x in (abilities, difficulties))
+        if abilities.shape != (roster.n_students,):
             raise ValueError("one ability per student required")
-        for j, v in enumerate(difficulties):
-            values[roster.question_vertex(j)] = v
-        if len(values) != roster.n_vertices:
+        if difficulties.shape != (roster.n_questions,):
             raise ValueError("one difficulty per question required")
-        return cls({k: float(v) for k, v in values.items()})
+        return cls(np.concatenate((abilities, difficulties)))
 
     @classmethod
-    def mean_zero(cls, values: Mapping[int, float]) -> "MeritVector":
-        shift = sum(values.values()) / len(values)
-        centered = {k: float(v - shift) for k, v in values.items()}
-        # kill residual roundoff so the invariant holds exactly enough
-        resid = sum(centered.values()) / len(centered)
-        if resid:
-            centered = {k: v - resid for k, v in centered.items()}
-        return cls(centered, MEAN_ZERO)
+    def mean_zero(cls, values, covered) -> "MeritVector":
+        """`values` shifted to sum to 0 over `covered`: subtract the mean, then
+        the mean of what is left, each a sequential sum in vertex order."""
+        values = np.array(values, dtype=float)
+        covered = np.asarray(covered, dtype=bool)
+        for _ in range(2):
+            values[covered] -= np.cumsum(values[covered])[-1] / covered.sum()
+        return cls(values, covered, MEAN_ZERO)
+
+    def at(self, vertices) -> np.ndarray:
+        """Values of the vertex or vertex array `vertices`, all of which must be covered."""
+        vertices = np.asarray(vertices, dtype=np.intp)
+        inside = (vertices >= 0) & (vertices < len(self.values))
+        # the padded mask's last entry stands for every vertex outside the vector
+        known = np.append(self.covered, False)[np.where(inside, vertices, -1)]
+        if not known.all():
+            raise MissingMeritError(f"no merit for vertex {vertices[~known].flat[0]}")
+        return self.values[vertices]
 
     def __getitem__(self, vertex: int) -> float:
-        try:
-            return self.values[vertex]
-        except KeyError as exc:
-            raise MissingMeritError(f"no merit for vertex {vertex}") from exc
-
-    def covers(self, vertices: Iterable[int]) -> bool:
-        return all(v in self.values for v in vertices)
+        return float(self.at(vertex))
 
     def array_for(self, roster: Roster) -> np.ndarray:
         """Values as a dense array over all roster vertices."""
-        if len(self.values) < roster.n_vertices or not self.covers(range(roster.n_vertices)):
-            raise MissingMeritError("merit vector does not cover the full roster")
-        return np.array([self.values[v] for v in range(roster.n_vertices)])
+        return self.at(np.arange(roster.n_vertices))
 
 
 def merit_span(u: MeritVector) -> float:
     """Largest pairwise merit difference; the key connectivity diagnostic."""
-    if not u.values:
+    if not u.covered.any():
         raise ValueError("empty merit vector")
-    vals = u.values.values()
-    return max(vals) - min(vals)
+    return float(np.ptp(u.values[u.covered]))
 
 
 def logistic(x):
@@ -168,13 +178,8 @@ def benchmark(u: MeritVector, roster: Roster):
 
 def log_likelihood(u: MeritVector, g: ExamResultGraph) -> float:
     """Sum of log-probabilities of the observed directed edges."""
-    s_idx, q_idx = g.assignment.edge_arrays
-    if len(s_idx) == 0:
-        return 0.0
-    n = g.roster.n_students
-    diffs = np.array([u[int(i)] - u[int(j) + n] for i, j in zip(s_idx, q_idx)])
-    signed = np.where(g.w == 1, diffs, -diffs)
-    return float(log_logistic(signed).sum())
+    tail, head = g.directed_edges
+    return float(log_logistic(u.at(tail) - u.at(head)).sum())
 
 
 @dataclass(frozen=True)
@@ -340,14 +345,17 @@ def mle_fit(
     n_first = int(np.searchsorted(vertices, g.roster.n_students))
     u, iterations, residual, converged = _newton(
         winner, loser, n_first, 0.0, np.zeros(k), True, mm_update, tol, max_iter)
-    return _report(MeritVector.mean_zero(dict(zip(vertices, u))), iterations, residual,
-                   converged, tol)
+    merits = np.zeros(g.roster.n_vertices)
+    merits[vertices] = u
+    covered = np.zeros(g.roster.n_vertices, dtype=bool)
+    covered[vertices] = True
+    return _report(MeritVector.mean_zero(merits, covered), iterations, residual, converged, tol)
 
 
 def likelihood_equation_residual(u: MeritVector, g: ExamResultGraph) -> float:
     """Independent recomputation of the stationarity defect for `u`'s vertices."""
     n = g.roster.n_students
-    covered = set(u.values)
+    covered = set(np.flatnonzero(u.covered).tolist())
     defect: dict[int, float] = {v: 0.0 for v in covered}
     s_idx, q_idx = g.assignment.edge_arrays
     for i, j, bit in zip(s_idx, q_idx, g.w):
@@ -387,5 +395,4 @@ def map_fit(
 
     u, iterations, residual, converged = _newton(
         winner, loser, n, inv_var, mean, False, smallest_step, tol, max_iter)
-    return _report(MeritVector(dict(enumerate(u.tolist()))), iterations, residual,
-                   converged, tol)
+    return _report(MeritVector(u), iterations, residual, converged, tol)

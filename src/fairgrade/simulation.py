@@ -167,8 +167,9 @@ def enumerate_outcomes(g: TaskAssignmentGraph, u: MeritVector):
     if e > MAX_ENUMERATION_EDGES:
         raise InstanceTooLargeError(f"{e} edges exceeds the 2^{MAX_ENUMERATION_EDGES} cap")
     probs = edge_probabilities(g, u)
+    bits = np.arange(e)
     for mask in range(1 << e):
-        w = np.array([(mask >> b) & 1 for b in range(e)], dtype=np.uint8)
+        w = ((mask >> bits) & 1).astype(np.uint8)
         p = float(np.prod(np.where(w == 1, probs, 1.0 - probs)))
         yield p, ExamResultGraph(g, w)
 
@@ -211,10 +212,10 @@ def verify_ex_ante_fairness(
         )
     opt = benchmark(u, roster).values
     total = np.zeros(n)
+    students = np.repeat(np.arange(n), d)
     for bank in itertools.combinations(range(q), m):
         for rows in itertools.product(itertools.combinations(bank, d), repeat=n):
-            edges = tuple((i, j) for i, qs in enumerate(rows) for j in qs)
-            g = TaskAssignmentGraph(roster, edges)
+            g = TaskAssignmentGraph(roster, np.column_stack((students, np.ravel(rows))))
             for p, result in enumerate_outcomes(g, u):
                 total += p * simple_average(result).values
     total /= n_graphs
@@ -433,27 +434,13 @@ def _hold_out(
     }
 
 
-def cv_threshold_table(
-    answers: np.ndarray,
-    d1_values: Sequence[int],
-    d2_values: Sequence[int],
-    repetitions: int,
-    rules: Mapping[str, GradingRule] | None = None,
-    seed: int = 0,
-) -> dict[int, int | None]:
+def cv_threshold_table(results: Sequence[CvResult]) -> dict[int, int | None]:
     """Smallest d2 at which our rule's MSE beats averaging's, per student
-    sample size; None when it never does."""
-    table: dict[int, int | None] = {}
-    for di, d1 in enumerate(d1_values):
-        table[d1] = None
-        for d2 in sorted(d2_values):
-            res = cross_validate(
-                answers, d1, d2, repetitions, rules,
-                seed=_scalar_seed(seed, di, d2),
-            )
-            if res.mse_per_rule["ours"] < res.mse_per_rule["avg"]:
-                table[d1] = d2
-                break
+    sample size d1 of `results`; None when it never does."""
+    table: dict[int, int | None] = dict.fromkeys(res.d1 for res in results)
+    for res in sorted(results, key=lambda r: r.d2):
+        if table[res.d1] is None and res.mse_per_rule["ours"] < res.mse_per_rule["avg"]:
+            table[res.d1] = res.d2
     return table
 
 
@@ -471,9 +458,7 @@ def simulated_cross_validate(
     realized full-row accuracy."""
     rules = dict(RULES) if rules is None else dict(rules)
     roster = Roster.index_based(n, n_questions)
-    complete = TaskAssignmentGraph(
-        roster, tuple((i, j) for i in range(n) for j in range(n_questions))
-    )
+    complete = TaskAssignmentGraph(roster, np.indices((n, n_questions)).reshape(2, -1).T)
 
     def one(r: int):
         rng = substream(seed, r)

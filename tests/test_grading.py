@@ -247,8 +247,8 @@ class TestMapRule:
 
 class TestErrorBound:
     def test_bound_formula(self):
-        fit_merits = MeritVector.mean_zero({0: 0.5, 1: -0.5})
-        truth = MeritVector({0: 0.9, 1: -0.9})
+        fit_merits = MeritVector.mean_zero([0.5, -0.5, 0.0], [True, True, False])
+        truth = MeritVector(np.array([0.9, -0.9, 0.0]), np.array([True, True, False]))
         from fairgrade import FitReport
 
         bound = per_student_error_bound(FitReport(fit_merits, 0, 0.0, True), truth)

@@ -69,7 +69,7 @@ class TestTaskAssignmentGraph:
     def test_edges_sorted_and_deduped(self):
         r = Roster.index_based(2, 2)
         g = TaskAssignmentGraph(r, ((1, 1), (0, 0), (0, 1)))
-        assert g.edges == ((0, 0), (0, 1), (1, 1))
+        assert g.edges.tolist() == [[0, 0], [0, 1], [1, 1]]
         with pytest.raises(ValueError):
             TaskAssignmentGraph(r, ((0, 0), (0, 0)))
         with pytest.raises(ValueError):
@@ -79,11 +79,29 @@ class TestTaskAssignmentGraph:
         r = Roster.index_based(2, 2)
         g = TaskAssignmentGraph(r, np.array([[1, 1], [0, 0], [0, 1]]))
         assert g == TaskAssignmentGraph(r, ((1, 1), (0, 0), (0, 1)))
-        assert all(type(i) is int and type(j) is int for i, j in g.edges)
+        assert g.edges.dtype == np.intp and g.edges.shape == (3, 2)
         assert [a.tolist() for a in g.edge_arrays] == [[0, 0, 1], [0, 1, 1]]
         for bad in ([[0, 0], [0, 0]], [[0, 2]], [[-1, 0]], [[0, 0, 1]]):
             with pytest.raises(ValueError):
                 TaskAssignmentGraph(r, np.array(bad))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_permuted_pairs_give_the_sorted_graph(self, data):
+        n, q = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        pairs = data.draw(st.lists(
+            st.sampled_from(list(itertools.product(range(n), range(q)))), unique=True))
+        r = Roster.index_based(n, q)
+        g = TaskAssignmentGraph(r, data.draw(st.permutations(pairs)))
+        assert g == TaskAssignmentGraph(r, sorted(pairs))
+        assert g.edges.tolist() == [list(p) for p in sorted(pairs)]
+        assert g.n_edges == len(pairs)
+        if pairs:
+            assert g != TaskAssignmentGraph(r, sorted(pairs)[1:])
+        for array in (g.edges, *g.edge_arrays):
+            assert array.dtype == np.intp and not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0
 
     def test_degrees(self):
         r = Roster.index_based(2, 3)
@@ -135,7 +153,7 @@ class TestGenerateAssignment:
         r = Roster.index_based(n, q)
         for seed in range(30):
             fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert generate_assignment(r, m, d, fast).edges == scalar_assignment(r, slow).edges
+            assert generate_assignment(r, m, d, fast) == scalar_assignment(r, slow)
             assert fast.bit_generator.state == slow.bit_generator.state
 
     def test_question_subset_uniform(self):
@@ -159,8 +177,9 @@ class TestExamResultGraph:
     def test_rejects_wrong_key_set_and_values(self):
         r = Roster.index_based(1, 2)
         g = TaskAssignmentGraph(r, ((0, 0),))
-        with pytest.raises(ValueError):
-            ExamResultGraph.from_outcomes(g, {(0, 1): 1})
+        for outcomes in ({(0, 1): 1}, {(0.5, 0): 1}, {(0, 0): 1, (0, 1): 1}):
+            with pytest.raises(ValueError):
+                ExamResultGraph.from_outcomes(g, outcomes)
         with pytest.raises(ValueError):
             ExamResultGraph(g, np.array([2]))
         with pytest.raises(ValueError):
@@ -255,5 +274,5 @@ class TestClassifyPair:
             for j in range(g.roster.n_questions):
                 case = classify_pair(c, g, i, j)
                 assert isinstance(case, PairCase)
-                if (i, j) in g.assignment.edge_set:
+                if [i, j] in g.assignment.edges.tolist():
                     assert case is PairCase.EXISTING_EDGE

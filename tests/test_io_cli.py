@@ -16,6 +16,7 @@ from fairgrade import (
 )
 from fairgrade import graph, model
 from fairgrade import io as fio
+from fairgrade import simulation as sim
 from fairgrade.cli import parse_int_list, load_config_file, run
 
 from conftest import RUNNING_OUTCOMES, random_result_graph
@@ -85,7 +86,7 @@ class TestDenseMatrix:
     def test_na_cells_are_non_edges(self, tmp_path):
         p = write(tmp_path / "m.csv", "student,q1,q2\nA,1,NA\nB,NA,0\n")
         g = fio.read_dense_matrix(p)
-        assert g.assignment.edges == ((0, 0), (1, 1))
+        assert g.assignment.edges.tolist() == [[0, 0], [1, 1]]
         assert g.w.tolist() == [1, 0]
 
     def test_rejects_bad_cell_with_line_number(self, tmp_path):
@@ -147,6 +148,19 @@ class TestMeritsAndGrades:
         p = write(tmp_path / "u.csv", "vertex,kind,merit\nnope,student,0.0\n")
         with pytest.raises(fio.MalformedRowError):
             fio.read_merits(p, r)
+
+    @pytest.mark.parametrize("body, line", [
+        ("s0,student,0.1\ns0,student,0.2\n", 3),  # a repeated vertex
+        ("q0,question,0.0\ns0,question,0.1\n", 3),  # a student given as a question
+        ("s0,student,nan\n", 2),
+        ("q0,question,-inf\n", 2),
+    ])
+    def test_merit_row_faults(self, tmp_path, body, line):
+        r = Roster.index_based(1, 1)
+        p = write(tmp_path / "u.csv", "vertex,kind,merit\n" + body)
+        with pytest.raises(fio.MalformedRowError) as exc:
+            fio.read_merits(p, r)
+        assert exc.value.line == line
 
     def test_grade_csv_format(self, tmp_path, running_example):
         grades = simple_average(running_example)
@@ -345,6 +359,18 @@ class TestCli:
                        "--m", "3", "--d", "2", "--outdir", str(out)) == 0
         assert json.loads((out / "summary.json").read_text())["ex_ante_fair"] is True
 
+    @pytest.mark.parametrize("s0_rows, code", [
+        ("s0,student,0.1\n", 0),
+        ("s0,student,0.1\ns0,student,0.2\n", 3),
+        ("s0,question,0.1\n", 3),
+        ("s0,student,nan\n", 3),
+    ])
+    def test_verify_merit_file(self, tmp_path, s0_rows, code):
+        rest = "s1,student,0.0\nq0,question,0.5\nq1,question,0.0\nq2,question,-0.5\n"
+        merits = write(tmp_path / "u.csv", "vertex,kind,merit\n" + s0_rows + rest)
+        assert run_cli("verify", "--students", "2", "--questions", "3", "--m", "3",
+                       "--d", "2", "--merits", merits, "--outdir", str(tmp_path)) == code
+
     def test_verify_too_large_is_numeric_error(self, tmp_path):
         assert run_cli("verify", "--students", "6", "--questions", "9",
                        "--m", "9", "--d", "4", "--outdir", str(tmp_path)) == 4
@@ -402,6 +428,35 @@ class TestCli:
         summary = json.loads((out / "summary.json").read_text())
         full = next(p for p in summary["points"] if p["d2"] == 5)
         assert full["mse"]["ours"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_cv_threshold_table_reads_the_points(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(0)
+        body = "student," + ",".join(f"q{j}" for j in range(6)) + "\n"
+        for i in range(8):
+            body += f"s{i}," + ",".join(map(str, rng.integers(0, 2, 6))) + "\n"
+        path = write(tmp_path / "full.csv", body)
+        calls = []
+
+        def counted(*args, original=sim.cross_validate, **kwargs):
+            calls.append(args[1:3])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "cross_validate", counted)
+        out = tmp_path / "out"
+        assert run_cli("cv", "--input", path, "--d1", "4..8", "--d2", "2..6", "--reps", "4",
+                       "--seed", "3", "--threshold-table", "--outdir", str(out)) == 0
+        assert len(calls) == 25
+        summary = json.loads((out / "summary.json").read_text())
+        for d1 in range(4, 9):
+            wins = [p["d2"] for p in summary["points"]
+                    if p["d1"] == d1 and p["mse"]["ours"] < p["mse"]["avg"]]
+            assert summary["threshold_table"][str(d1)] == min(wins, default=None)
+
+    def test_cv_threshold_table_needs_both_rules(self, tmp_path, complete_file, capsys):
+        assert run_cli("cv", "--input", complete_file, "--d1", "4", "--d2", "3",
+                       "--reps", "2", "--seed", "3", "--rules", "avg", "--threshold-table",
+                       "--outdir", str(tmp_path)) == 2
+        assert "'ours' and 'avg'" in capsys.readouterr().err
 
     def test_cv_sim_subcommand(self, tmp_path):
         out = tmp_path / "out"

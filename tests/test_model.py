@@ -29,7 +29,7 @@ from fairgrade import (
     sample_exam_result,
     strongly_connected_components,
 )
-from fairgrade.model import _edge_ends, _newton_step, mm_step
+from fairgrade.model import _edge_ends, _newton_step, log_logistic, mm_step
 from fairgrade.rng import substream
 
 from conftest import random_result_graph
@@ -103,18 +103,51 @@ class TestLogistic:
 
 class TestMeritVector:
     def test_mean_zero_centering(self):
-        u = MeritVector.mean_zero({0: 1.0, 1: 2.0, 5: 6.0})
-        assert abs(sum(u.values.values())) <= 1e-12
+        covered = np.array([True, True, False, False, False, True])
+        u = MeritVector.mean_zero([1.0, 2.0, 0.0, 0.0, 0.0, 6.0], covered)
+        assert abs(u.values[covered].sum()) <= 1e-12
         assert merit_span(u) == pytest.approx(5.0)
 
     def test_mean_zero_invariant_enforced(self):
         with pytest.raises(ValueError):
-            MeritVector({0: 1.0, 1: 1.0}, normalization="mean_zero")
+            MeritVector(np.array([1.0, 1.0]), normalization="mean_zero")
+        with pytest.raises(ValueError):
+            MeritVector(np.array([0.0, np.nan]))
+        with pytest.raises(ValueError):
+            MeritVector(np.zeros(3), np.ones(2, dtype=bool))
 
     def test_missing_vertex(self):
-        u = MeritVector({0: 0.0})
-        with pytest.raises(MissingMeritError):
-            u[3]
+        u = MeritVector(np.zeros(4), np.array([True, False, False, False]))
+        for vertex in (1, 3, 4, -1):
+            with pytest.raises(MissingMeritError):
+                u[vertex]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-5, 5), st.booleans()), min_size=1, max_size=12))
+    def test_random_masks(self, entries):
+        values = np.array([v for v, _ in entries])
+        covered = np.array([c for _, c in entries])
+        u = MeritVector(values, covered)
+        roster = Roster.index_based(1, len(entries) - 1) if len(entries) > 1 else None
+        for v, (value, known) in enumerate(entries):
+            if known:
+                assert type(u[v]) is float and u[v] == value
+            else:
+                with pytest.raises(MissingMeritError):
+                    u[v]
+        if roster is not None:
+            if covered.all():
+                assert u.array_for(roster).tolist() == values.tolist()
+            else:
+                with pytest.raises(MissingMeritError):
+                    u.array_for(roster)
+        assume(covered.any())
+        centered = MeritVector.mean_zero(values, covered)
+        assert abs(centered.values[covered].sum()) <= 1e-12
+        assert centered.covered.tolist() == covered.tolist()
+        assert not centered.values.flags.writeable
+        assert centered.values[covered] - values[covered] == pytest.approx(
+            np.full(covered.sum(), -values[covered].mean()), abs=1e-12)
 
     def test_for_roster_layout(self):
         r = Roster.index_based(2, 2)
@@ -161,9 +194,24 @@ class TestLogLikelihood:
             direct += math.log(p if bit else 1 - p)
         assert log_likelihood(u, res) == pytest.approx(direct, abs=1e-12)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_matches_per_edge_loop(self, n, q, seed):
+        rng = np.random.default_rng(seed)
+        res = random_result_graph(rng, n, q)
+        u = MeritVector(rng.normal(0, 3, res.roster.n_vertices))
+        loop = 0.0
+        for (i, j), bit in zip(res.assignment.edges.tolist(), res.w.tolist()):
+            diff = u[i] - u[j + n]
+            loop += float(log_logistic(diff if bit else -diff))
+        assert log_likelihood(u, res) == pytest.approx(loop, rel=1e-12, abs=1e-12)
+        missing = n + int(res.assignment.edges[0, 1])  # an assigned question
+        with pytest.raises(MissingMeritError):
+            log_likelihood(MeritVector(u.values, np.arange(n + q) != missing), res)
+
     def test_shift_invariant(self):
         res, u = connected_instance(1)
-        shifted = MeritVector({k: v + 3.7 for k, v in u.values.items()})
+        shifted = MeritVector(u.values + 3.7)
         assert log_likelihood(shifted, res) == pytest.approx(
             log_likelihood(u, res), abs=1e-9
         )
@@ -199,7 +247,8 @@ class TestMleFit:
     def test_mean_zero_output(self):
         res, _ = connected_instance(3)
         fit = mle_fit(res, range(res.roster.n_vertices))
-        assert abs(sum(fit.merits.values.values())) <= 1e-9
+        assert fit.merits.covered.all()
+        assert abs(fit.merits.values.sum()) <= 1e-9
 
     def test_rejects_disconnected(self, running_example):
         r = Roster.index_based(1, 1)
@@ -228,13 +277,13 @@ class TestMleFit:
                     for (i, j), bit in zip(res.assignment.edges, res.w)]
             winner, loser = (np.array(side, dtype=np.intp) for side in zip(*ends))
             gamma = np.exp(rng.normal(0, 1, len(vertices)))
-            before = _ll_from_gamma(res, vertices, gamma)
-            after = _ll_from_gamma(res, vertices, mm_step(gamma, winner, loser))
+            before = _ll_from_gamma(res, gamma)
+            after = _ll_from_gamma(res, mm_step(gamma, winner, loser))
             assert after >= before - 1e-12
 
 
-def _ll_from_gamma(res, vertices, gamma):
-    u = MeritVector(dict(zip(vertices, np.log(gamma))))
+def _ll_from_gamma(res, gamma):
+    u = MeritVector(np.log(gamma))
     return log_likelihood(u, res)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fairgrade import (
+    CvResult,
     ExamResultGraph,
     GradeVector,
     InstanceTooLargeError,
@@ -273,10 +274,17 @@ class TestCrossValidation:
     def test_threshold_table_shape(self):
         rng = np.random.default_rng(4)
         answers = rng.integers(0, 2, (8, 6))
-        table = cv_threshold_table(answers, [4, 6], [2, 4, 6], 10, seed=15)
-        assert set(table) == {4, 6}
-        for v in table.values():
-            assert v is None or v in (2, 4, 6)
+        results = [cross_validate(answers, d1, d2, 10, seed=15)
+                   for d1 in (4, 6) for d2 in (6, 2, 4)]
+        table = cv_threshold_table(results)
+        assert list(table) == [4, 6]
+        for d1, v in table.items():
+            wins = sorted(r.d2 for r in results
+                          if r.d1 == d1 and r.mse_per_rule["ours"] < r.mse_per_rule["avg"])
+            assert v == (wins[0] if wins else None)
+        points = [CvResult(d1, d2, {"ours": ours, "avg": 0.2}, 1) for d1, d2, ours in
+                  ((4, 6, 0.1), (4, 2, 0.3), (4, 4, 0.1), (6, 2, 0.2), (6, 4, 0.25))]
+        assert cv_threshold_table(points) == {4: 4, 6: None}
 
     def test_simulated_cv_full_degree_zero(self):
         results = simulated_cross_validate(PriorSpec(), 4, [2, 5], 10, 16, n_questions=5)
