@@ -8,14 +8,18 @@ bit-exactly.
 A --config file holds the same options as `key=value` lines, keyed by flag
 name without the dashes; a switch is a bare key. Its lines are parsed as
 flags placed ahead of the command line, by the same parser, so they are
-checked exactly like flags and explicit flags win. Exit codes: 2
-configuration error, 3 data-format error, 4 numeric failure.
+checked exactly like flags and explicit flags win. The parser checks each
+flag value; the library raises ParameterOutOfRangeError for values that do
+not fit together. Exit codes: 2 configuration error, 3 data-format error, 4
+numeric failure; `run` catches only those named faults and OSError (exit 3),
+so any other exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import re
 import sys
@@ -24,27 +28,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .graph import (
-    ExamResultGraph,
-    ParameterOutOfRangeError,
-    Roster,
-    generate_assignment,
-)
-from .grading import (
-    GradeVector,
-    ZeroDegreeStudentError,
-    make_map_rule,
-    predict_matrix,
-    simple_average,
-)
-from .model import (
-    MeritVector,
-    NonConvergenceError,
-    NotStronglyConnectedError,
-    PriorSpec,
-    map_fit,
-    mle_fit,
-)
+from .graph import ExamResultGraph, ParameterOutOfRangeError, Roster, generate_assignment
+from .grading import (GradeVector, ZeroDegreeStudentError, make_map_rule, predict_matrix,
+                      simple_average)
+from .model import (MeritVector, NonConvergenceError, NotStronglyConnectedError, PriorSpec,
+                    map_fit, mle_fit)
 from . import io as fio
 from . import simulation as sim
 from .rng import substream
@@ -75,38 +63,56 @@ def parse_int_list(text: str) -> list[int]:
 def load_config_file(path: str) -> dict[str, str | None]:
     """key=value lines, or a bare key for a switch (value None); '#' starts
     a comment. Keys are flag names, returned with '-' as '_'."""
-    if not os.path.exists(path):
-        raise ConfigError(f"config file {path!r} does not exist")
+    try:
+        text = fio.read_text(path)
+    except (OSError, fio.MalformedRowError) as exc:
+        raise ConfigError(f"config file {path!r}: {exc}") from None
     values: dict[str, str | None] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, eq, value = line.partition("=")
-            key = key.strip()
-            if not key:
-                raise ConfigError(f"{path}:{lineno}: missing key in {line!r}")
-            values[key.replace("-", "_")] = value.strip() if eq else None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, value = line.partition("=")
+        key = key.strip()
+        if not key:
+            raise ConfigError(f"{path}:{lineno}: missing key in {line!r}")
+        values[key.replace("-", "_")] = value.strip() if eq else None
     return values
 
 
 def _checked(cast, ok, expected: str):
-    """argparse type: `cast` the text, then reject values failing `ok`."""
+    """argparse type: `cast` the text, then reject values that fail or overflow `ok`."""
 
     def parse(text: str):
         try:
             if ok(value := cast(text)):
                 return value
-        except ValueError:
+        except (ValueError, ArithmeticError):
             pass
         raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
 
     return parse
 
 
+def _floats(text: str) -> list[float]:
+    return [float(tok) for tok in text.split(",")]
+
+
 COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
-POSITIVE = _checked(float, lambda v: v > 0, "a number > 0")
+SEED = _checked(int, lambda v: v >= 0, "an integer >= 0")
+FINITE = _checked(float, math.isfinite, "a finite number")
+POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+# map_fit's prior precision std**-2 raises OverflowError below about 1e-154
+STD = _checked(float, lambda v: 0 < v < math.inf and v**-2 >= 0,
+               "a number of at least about 1e-154")
+COUNTS = _checked(parse_int_list, lambda v: v and min(v) >= 1,
+                  "integers >= 1, such as 3, 1,2,5 or 1..22")
+FLOATS = _checked(_floats, lambda v: all(map(math.isfinite, v)), "comma-separated finite numbers")
+RANGE = _checked(_floats, lambda v: len(v) == 2 and 0 <= v[1] - v[0] < math.inf,
+                 "low,high: two finite numbers with low <= high")
+RULE_NAMES = _checked(lambda text: [tok.strip() for tok in text.split(",")],
+                      lambda v: set(v) <= sim.RULES.keys(),
+                      f"comma-separated rule names from {sorted(sim.RULES)}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key=value config file; flags override it")
         p.add_argument("--outdir", help="output directory (default $FAIRGRADE_OUTDIR or .)")
         if seeded:
-            p.add_argument("--seed", type=int, required=True, help="master seed")
+            p.add_argument("--seed", type=SEED, required=True, help="master seed")
         return p
 
     p = add("grade", "grade one exam result file", seeded=False)
@@ -136,59 +142,61 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("simulate-bias", "expected-grade deviation on one random assignment")
     _population_flags(p)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--m", type=COUNT, required=True)
+    p.add_argument("--d", type=COUNT, required=True)
     p.add_argument("--reps", type=COUNT, default=200)
-    p.add_argument("--rules", default="ours,avg")
+    p.add_argument("--rules", type=RULE_NAMES, default="ours,avg")
 
     p = add("decompose", "bias + variance = error per rule, for the given "
             "merits and for all-equal merits")
     _population_flags(p)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--m", type=COUNT, required=True)
+    p.add_argument("--d", type=COUNT, required=True)
     p.add_argument("--graphs", type=COUNT, default=50)
     p.add_argument("--reps", type=COUNT, default=200)
 
     p = add("sweep-degree", "bias vs. per-student degree constraint")
     _population_flags(p)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--d", dest="d_values", required=True, help="e.g. 1..22 or 2,5,10")
+    p.add_argument("--m", type=COUNT, required=True)
+    p.add_argument("--d", dest="d_values", type=COUNTS, required=True, help="e.g. 1..22 or 2,5,10")
     p.add_argument("--graphs", type=COUNT, default=20)
     p.add_argument("--reps", type=COUNT, default=100)
-    p.add_argument("--rules", default="ours,avg")
+    p.add_argument("--rules", type=RULE_NAMES, default="ours,avg")
 
     p = add("sweep-bank", "bias vs. question sample size, fresh difficulties")
-    p.add_argument("--students", type=int, required=True)
-    p.add_argument("--abilities", help="comma-separated student merits (optional)")
-    p.add_argument("--difficulty-range", help="low,high for the uniform difficulty sampler")
-    p.add_argument("--m", dest="m_values", required=True, help="e.g. 5..40 or 5,10,20")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--students", type=COUNT, required=True)
+    p.add_argument("--abilities", type=FLOATS, help="comma-separated student merits (optional)")
+    p.add_argument("--difficulty-range", type=RANGE, default=sim.DEFAULT_DIFFICULTY_RANGE,
+                   help="low,high for the uniform difficulty sampler")
+    p.add_argument("--m", dest="m_values", type=COUNTS, required=True, help="e.g. 5..40 or 5,10,20")
+    p.add_argument("--d", type=COUNT, required=True)
     p.add_argument("--graphs", type=COUNT, default=20)
     p.add_argument("--reps", type=COUNT, default=100)
-    p.add_argument("--rules", default="ours,avg")
+    p.add_argument("--rules", type=RULE_NAMES, default="ours,avg")
 
     p = add("cv", "hold-out evaluation on a complete answer matrix")
     p.add_argument("--input", required=True, help="dense 0/1 matrix, no NA cells")
-    p.add_argument("--d1", required=True, help="student sample size(s), e.g. 35 or 5..35")
-    p.add_argument("--d2", dest="d2_values", required=True,
+    p.add_argument("--d1", type=COUNTS, required=True,
+                   help="student sample size(s), e.g. 35 or 5..35")
+    p.add_argument("--d2", dest="d2_values", type=COUNTS, required=True,
                    help="degree constraint(s), e.g. 2..22")
     p.add_argument("--reps", type=COUNT, default=200)
-    p.add_argument("--rules", default="ours,avg")
+    p.add_argument("--rules", type=RULE_NAMES, default="ours,avg")
     p.add_argument("--threshold-table", action="store_true",
                    help="also report the smallest winning d2 per d1")
 
     p = add("cv-sim", "the cv protocol on synthetic prior-drawn exams")
-    p.add_argument("--students", type=int, required=True)
-    p.add_argument("--questions", type=int, default=22)
-    p.add_argument("--d2", dest="d2_values", required=True)
+    p.add_argument("--students", type=COUNT, required=True)
+    p.add_argument("--questions", type=COUNT, default=22)
+    p.add_argument("--d2", dest="d2_values", type=COUNTS, required=True)
     p.add_argument("--reps", type=COUNT, default=200)
     _prior_flags(p)
 
     p = add("verify", "exact ex-ante fairness check by enumeration", seeded=False)
-    p.add_argument("--students", type=int, required=True)
-    p.add_argument("--questions", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--students", type=COUNT, required=True)
+    p.add_argument("--questions", type=COUNT, required=True)
+    p.add_argument("--m", type=COUNT, required=True)
+    p.add_argument("--d", type=COUNT, required=True)
     p.add_argument("--merits", help="merit CSV (default: all zero)")
     return parser
 
@@ -202,15 +210,15 @@ def _fit_flags(p):
 
 
 def _prior_flags(p):
-    p.add_argument("--student-mean", type=float, default=0.0)
-    p.add_argument("--student-std", type=float, default=1.0)
-    p.add_argument("--question-mean", type=float, default=0.0)
-    p.add_argument("--question-std", type=float, default=1.0)
+    p.add_argument("--student-mean", type=FINITE, default=0.0)
+    p.add_argument("--student-std", type=STD, default=1.0)
+    p.add_argument("--question-mean", type=FINITE, default=0.0)
+    p.add_argument("--question-std", type=STD, default=1.0)
 
 
 def _population_flags(p):
-    p.add_argument("--students", type=int, required=True)
-    p.add_argument("--questions", type=int, required=True)
+    p.add_argument("--students", type=COUNT, required=True)
+    p.add_argument("--questions", type=COUNT, required=True)
     p.add_argument("--merits", help="merit CSV; default draws uniformly from the "
                    "published ability/difficulty ranges")
 
@@ -228,15 +236,6 @@ def _prior_from(args) -> PriorSpec:
     return PriorSpec(args.student_mean, args.student_std, args.question_mean, args.question_std)
 
 
-def _rules_from(text: str):
-    rules = {}
-    for name in (tok.strip() for tok in text.split(",")):
-        if name not in sim.RULES:
-            raise ConfigError(f"unknown rule {name!r}; choose from {sorted(sim.RULES)}")
-        rules[name] = sim.RULES[name]
-    return rules
-
-
 def _row(parameter, value, rule, statistic, estimate, se=None) -> dict:
     """One report.csv row; floats are written with repr, so they round-trip."""
     return {"parameter": parameter, "value": value, "rule": rule, "statistic": statistic,
@@ -250,13 +249,20 @@ def _ingest(args) -> ExamResultGraph:
     return fio.ingest(args.input, fmt)
 
 
+def _merits_file(path, roster: Roster) -> MeritVector:
+    """The merit of every roster vertex, from a merit CSV."""
+    u = fio.read_merits(path, roster)
+    if not u.covered.all():
+        missing = roster.vertex_label(int(np.argmin(u.covered)))
+        raise fio.DimensionMismatchError(f"{path}: no merit for vertex {missing!r}")
+    return u
+
+
 def _population(args, seed_key: int):
     """Roster plus true merits for the synthetic experiments."""
     roster = Roster.index_based(args.students, args.questions)
     if args.merits:
-        u = fio.read_merits(args.merits, roster)
-        u.array_for(roster)  # must cover everything
-        return roster, u
+        return roster, _merits_file(args.merits, roster)
     rng = substream(args.seed, seed_key)
     abilities = rng.uniform(*ABILITY_RANGE, args.students)
     difficulties = rng.uniform(*sim.DEFAULT_DIFFICULTY_RANGE, args.questions)
@@ -288,7 +294,7 @@ def cmd_fit(args, outdir: Path) -> None:
             msg = "result graph is not strongly connected; use --method map"
             raise NotStronglyConnectedError(msg) from None
     else:
-        fit = map_fit(g, _prior_from(args), tol=args.tol, max_iter=min(args.max_iter, 200))
+        fit = map_fit(g, _prior_from(args), tol=args.tol, max_iter=args.max_iter)
     fio.write_merits(fit.merits, g.roster, outdir / "merits.csv")
     summary = {"method": args.method, "iterations": fit.iterations,
                "residual": fit.residual, "converged": fit.converged}
@@ -299,9 +305,9 @@ def cmd_simulate_bias(args, outdir: Path) -> None:
     roster, u = _population(args, 0)
     g = generate_assignment(roster, args.m, args.d, substream(args.seed, 1))
     rows, summary = [], {}
-    for name, rule in _rules_from(args.rules).items():
+    for name in args.rules:
         report = sim.estimate_ex_post_bias(
-            rule, g, u, args.reps, sim._scalar_seed(args.seed, 2)
+            sim.RULES[name], g, u, args.reps, sim._scalar_seed(args.seed, 2)
         )
         for sid, dev, se in zip(
             roster.students, report.per_student_deviation, report.per_student_se
@@ -357,26 +363,20 @@ def _sweep_to_outputs(result, outdir: Path) -> None:
 def cmd_sweep_degree(args, outdir: Path) -> None:
     roster, u = _population(args, 0)
     result = sim.sweep_degree(
-        roster, u, args.m, parse_int_list(args.d_values), args.graphs, args.reps,
-        sim._scalar_seed(args.seed, 1), rules=_rules_from(args.rules),
+        roster, u, args.m, args.d_values, args.graphs, args.reps,
+        sim._scalar_seed(args.seed, 1), rules={name: sim.RULES[name] for name in args.rules},
     )
     _sweep_to_outputs(result, outdir)
 
 
 def cmd_sweep_bank(args, outdir: Path) -> None:
-    if args.abilities:
-        student_merits = [float(tok) for tok in args.abilities.split(",")]
-        if len(student_merits) != args.students:
-            raise ConfigError("--abilities length must equal --students")
-    else:
-        student_merits = substream(args.seed, 0).uniform(*ABILITY_RANGE, args.students).tolist()
-    lo, hi = sim.DEFAULT_DIFFICULTY_RANGE
-    if args.difficulty_range:
-        lo, hi = (float(tok) for tok in args.difficulty_range.split(","))
+    if args.abilities and len(args.abilities) != args.students:
+        raise ConfigError("--abilities length must equal --students")
     result = sim.sweep_question_sample_size(
-        student_merits, sim.uniform_difficulty_sampler(lo, hi), parse_int_list(args.m_values), args.d,
-        args.graphs, args.reps, sim._scalar_seed(args.seed, 1),
-        rules=_rules_from(args.rules),
+        args.abilities or substream(args.seed, 0).uniform(*ABILITY_RANGE, args.students).tolist(),
+        sim.uniform_difficulty_sampler(*args.difficulty_range), args.m_values,
+        args.d, args.graphs, args.reps, sim._scalar_seed(args.seed, 1),
+        rules={name: sim.RULES[name] for name in args.rules},
     )
     _sweep_to_outputs(result, outdir)
 
@@ -391,12 +391,12 @@ def _dense_complete_matrix(path) -> np.ndarray:
 
 def cmd_cv(args, outdir: Path) -> None:
     answers = _dense_complete_matrix(args.input)
-    rules = _rules_from(args.rules)
+    rules = {name: sim.RULES[name] for name in args.rules}
     if args.threshold_table and not {"ours", "avg"} <= rules.keys():
         raise ConfigError("--threshold-table needs --rules to include 'ours' and 'avg'")
     rows, results = [], []
-    for di, d1 in enumerate(parse_int_list(args.d1)):
-        for d2 in parse_int_list(args.d2_values):
+    for di, d1 in enumerate(args.d1):
+        for d2 in args.d2_values:
             res = sim.cross_validate(
                 answers, d1, d2, args.reps, rules,
                 seed=sim._scalar_seed(args.seed, di, d2),
@@ -414,7 +414,7 @@ def cmd_cv(args, outdir: Path) -> None:
 
 def cmd_cv_sim(args, outdir: Path) -> None:
     results = sim.simulated_cross_validate(
-        _prior_from(args), args.students, parse_int_list(args.d2_values),
+        _prior_from(args), args.students, args.d2_values,
         args.reps, args.seed, n_questions=args.questions,
     )
     rows = [
@@ -431,10 +431,8 @@ def cmd_cv_sim(args, outdir: Path) -> None:
 
 def cmd_verify(args, outdir: Path) -> None:
     roster = Roster.index_based(args.students, args.questions)
-    if args.merits:
-        u = fio.read_merits(args.merits, roster)
-    else:
-        u = MeritVector(np.zeros(roster.n_vertices))
+    zero = MeritVector(np.zeros(roster.n_vertices))
+    u = _merits_file(args.merits, roster) if args.merits else zero
     fair = sim.verify_ex_ante_fairness(roster, args.m, args.d, u)
     fio.write_json_summary(
         {"rule": "avg", "ex_ante_fair": fair, "m": args.m, "d": args.d},
@@ -492,18 +490,15 @@ def run(argv=None) -> int:
         COMMANDS[args.command](args, outdir)
         fio.write_json_summary(manifest, outdir / "manifest.json")
         return 0
-    except DATA_ERRORS as exc:
+    except (*DATA_ERRORS, OSError) as exc:
         print(f"fairgrade: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NUMERIC_ERRORS as exc:
         print(f"fairgrade: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, ParameterOutOfRangeError, ValueError, KeyError) as exc:
+    except (ConfigError, ParameterOutOfRangeError) as exc:
         print(f"fairgrade: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as exc:
-        print(f"fairgrade: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
 
 
 def main() -> None:

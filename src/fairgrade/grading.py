@@ -16,22 +16,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import (
-    ExamResultGraph,
-    PairCase,
-    Roster,
-    _pair_cases,
-    strongly_connected_components,
-)
-from .model import (
-    FitReport,
-    MeritVector,
-    NonConvergenceError,
-    PriorSpec,
-    logistic,
-    map_fit,
-    mle_fit,
-)
+from .graph import ExamResultGraph, PairCase, Roster, _pair_cases, strongly_connected_components
+from .model import (FitReport, MeritVector, NonConvergenceError, PriorSpec, logistic, map_fit,
+                    mle_fit)
 
 
 class ZeroDegreeStudentError(ValueError):

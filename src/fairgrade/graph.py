@@ -21,7 +21,8 @@ from .rng import as_generator
 
 
 class ParameterOutOfRangeError(ValueError):
-    """Assignment parameters violate 1 <= d <= m <= |Q|."""
+    """A parameter lies outside its range, alone or against another one: an
+    assignment's 1 <= d <= m <= |Q|, a sample size or a replication count."""
 
 
 @dataclass(frozen=True)
@@ -132,15 +133,20 @@ def generate_assignment(roster: Roster, m: int, d: int, seed) -> TaskAssignmentG
 
     Deterministic given the seed.
     """
-    if not (1 <= d <= m <= roster.n_questions):
-        raise ParameterOutOfRangeError(
-            f"need 1 <= d <= m <= |Q|, got d={d}, m={m}, |Q|={roster.n_questions}"
-        )
+    check_assignment_sizes(roster, m, d)
     rng = as_generator(seed)
     eligible = _partial_shuffles(rng, roster.n_questions, m, 1)[0]
     picks = eligible[_partial_shuffles(rng, m, d, roster.n_students)]
     students = np.repeat(np.arange(roster.n_students), d)
     return TaskAssignmentGraph(roster, np.column_stack((students, picks.ravel())))
+
+
+def check_assignment_sizes(roster: Roster, m: int, d: int) -> None:
+    """Raise ParameterOutOfRangeError unless 1 <= d <= m <= |Q|."""
+    if not (1 <= d <= m <= roster.n_questions):
+        raise ParameterOutOfRangeError(
+            f"need 1 <= d <= m <= |Q|, got d={d}, m={m}, |Q|={roster.n_questions}"
+        )
 
 
 def _partial_shuffles(rng: np.random.Generator, pool: int, k: int, count: int) -> np.ndarray:

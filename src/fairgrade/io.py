@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+from io import StringIO
 from types import SimpleNamespace
 from typing import Iterable
 
@@ -50,9 +51,24 @@ NA_TOKENS = {"NA", "", "NaN", "nan"}
 _CELL_CODES = {"0": 0, "1": 1, **dict.fromkeys(NA_TOKENS, 2)}  # 2: never assigned
 
 
+def read_text(path) -> str:
+    """The file's UTF-8 text without a byte order mark; a byte that is not
+    UTF-8 raises MalformedRowError at its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise MalformedRowError(line, f"byte {data[exc.start]:#04x} is not UTF-8") from None
+
+
 def _read_rows(path) -> list[list[str]]:
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        return [row for row in csv.reader(fh)]
+    reader = csv.reader(StringIO(read_text(path), newline=""))
+    try:
+        return list(reader)
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        raise MalformedRowError(reader.line_num, str(exc)) from None
 
 
 def ingest(path, format: str) -> ExamResultGraph:
@@ -65,8 +81,7 @@ def ingest(path, format: str) -> ExamResultGraph:
 
 
 def detect_format(path) -> str:
-    with open(path, encoding="utf-8-sig") as fh:
-        header = fh.readline().strip()
+    header = StringIO(read_text(path), newline=None).readline().strip()
     return EDGE_LIST if header.split(",")[:3] == ["student", "question", "correct"] else DENSE_CSV
 
 

@@ -14,7 +14,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .graph import ExamResultGraph, Roster, TaskAssignmentGraph, generate_assignment
+from .graph import (ExamResultGraph, ParameterOutOfRangeError, Roster, TaskAssignmentGraph,
+                    check_assignment_sizes, generate_assignment)
 from .grading import GradeVector, grade, simple_average
 from .model import MeritVector, NonConvergenceError, benchmark, edge_probabilities
 from .rng import substream
@@ -46,7 +47,6 @@ class BiasReport:
     replications: int
     failed_replications: int
     estimator: str
-    rule_name: str
 
 
 @dataclass(frozen=True)
@@ -147,15 +147,7 @@ def estimate_ex_post_bias(
         replications=ok,
         failed_replications=failed,
         estimator=MONTE_CARLO,
-        rule_name=_rule_name(rule),
     )
-
-
-def _rule_name(rule: GradingRule) -> str:
-    for name, fn in RULES.items():
-        if fn is rule:
-            return name
-    return getattr(rule, "__name__", "rule")
 
 
 MAX_ENUMERATION_EDGES = 22
@@ -204,6 +196,7 @@ def verify_ex_ante_fairness(
 ) -> bool:
     """Exact check that averaging's expected grade over the random-assignment
     family equals the benchmark for every student."""
+    check_assignment_sizes(roster, m, d)
     n, q = roster.n_students, roster.n_questions
     n_graphs = math.comb(q, m) * math.comb(m, d) ** n
     if n_graphs * (1 << (n * d)) > MAX_FAIRNESS_OUTCOMES:
@@ -241,7 +234,7 @@ def decompose_error(
     if estimator not in (MONTE_CARLO, EXACT_ENUMERATION):
         raise ValueError(f"unknown estimator {estimator!r}")
     if estimator == MONTE_CARLO and replications < 2:
-        raise ValueError("need at least 2 replications")
+        raise ParameterOutOfRangeError("need at least 2 replications")
     biases, variances, errors, failed = [], [], [], 0
     for gi, g in enumerate(graphs):
         opt = benchmark(u, g.roster).values
@@ -364,7 +357,7 @@ def sweep_question_sample_size(
     the realized m-question benchmark."""
     rules = dict(RULES) if rules is None else dict(rules)
     if d > min(m_values):
-        raise ValueError("degree constraint exceeds smallest question sample size")
+        raise ParameterOutOfRangeError("degree constraint exceeds smallest question sample size")
     n = len(student_merits)
 
     def instances(mi: int, m: int):
@@ -401,7 +394,7 @@ def cross_validate(
         raise ValueError("answers must be a 2-D matrix")
     n, q = answers.shape
     if not (1 <= d1 <= n and 1 <= d2 <= q):
-        raise ValueError(f"need 1 <= d1 <= {n} and 1 <= d2 <= {q}")
+        raise ParameterOutOfRangeError(f"need 1 <= d1 <= {n} and 1 <= d2 <= {q}")
     if not np.isin(answers, (0, 1)).all():
         raise ValueError("answers must be a complete 0/1 matrix")
 
@@ -457,6 +450,8 @@ def simulated_cross_validate(
     priors, a complete exam is generated, and rules are scored against the
     realized full-row accuracy."""
     rules = dict(RULES) if rules is None else dict(rules)
+    if not all(1 <= d2 <= n_questions for d2 in d2_values):
+        raise ParameterOutOfRangeError(f"need 1 <= d2 <= {n_questions}, got {list(d2_values)}")
     roster = Roster.index_based(n, n_questions)
     complete = TaskAssignmentGraph(roster, np.indices((n, n_questions)).reshape(2, -1).T)
 
@@ -464,6 +459,8 @@ def simulated_cross_validate(
         rng = substream(seed, r)
         abilities = rng.normal(prior.student_mean, prior.student_std, n)
         difficulties = rng.normal(prior.question_mean, prior.question_std, n_questions)
+        if not (np.isfinite(abilities).all() and np.isfinite(difficulties).all()):
+            raise ParameterOutOfRangeError(f"{prior} draws merits too large for a float")
         u = MeritVector.for_roster(roster, abilities, difficulties)
         probs = edge_probabilities(complete, u)
         w = (rng.random(complete.n_edges) < probs).astype(np.uint8)

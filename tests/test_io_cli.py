@@ -14,7 +14,7 @@ from fairgrade import (
     predict_matrix,
     simple_average,
 )
-from fairgrade import graph, model
+from fairgrade import cli, graph, model
 from fairgrade import io as fio
 from fairgrade import simulation as sim
 from fairgrade.cli import parse_int_list, load_config_file, run
@@ -220,22 +220,38 @@ class TestConfigFile:
         ("sweep-degree", "d_values=1..3"),  # keys are flag names, not dests
         ("cv", "threshold_table=yes"),  # a switch is a bare key
         ("grade", "no-such-flag=1"),
+        ("sweep-degree", "d=3..2"),  # an empty list
+        ("simulate-bias", "rules=ours,bogus"),
+        ("grade", "tol=inf"),
+        ("simulate-bias", "seed=-1"),
+        ("simulate-bias", "students=0"),
+        ("sweep-bank", "difficulty-range=nan,1"),
+        ("grade", "question-std=1e-160"),  # its inverse square overflows
     ])
-    def test_bad_values_exit_2(self, tmp_path, exam_file, command, line):
+    def test_bad_values_exit_2(self, tmp_path, exam_file, capsys, command, line):
         base = {
             "grade": f"input={exam_file}\n",
             "fit": f"input={exam_file}\n",
             "simulate-bias": "students=3\nquestions=4\nm=4\nd=2\nseed=1\n",
             "sweep-degree": "students=3\nquestions=4\nm=4\nd=1..2\nseed=1\n",
+            "sweep-bank": "students=3\nm=2..3\nd=2\nseed=1\n",
             "cv": f"input={exam_file}\nd1=2\nd2=2\nseed=1\n",
         }[command]
         cfg = write(tmp_path / "run.cfg", base + line + "\n")
         out = tmp_path / "out"
         assert run_cli(command, "--config", cfg, "--outdir", str(out)) == 2
         assert not (out / "manifest.json").exists()
+        # the parser names the faulty flag
+        assert f"--{line.partition('=')[0].replace('_', '-')}" in capsys.readouterr().err
 
     def test_config_flag_without_value_exits_2(self):
         assert run_cli("grade", "--config") == 2
+
+    def test_undecodable_config_line_exits_2(self, tmp_path, exam_file, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(f"input={exam_file}\nrule=av\xe9\n".encode("latin-1"))
+        assert run_cli("grade", "--config", str(cfg), "--outdir", str(tmp_path)) == 2
+        assert "line 2: byte 0xe9 is not UTF-8" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, lines", [
         (["cv", "--input", "{complete}", "--d1", "3..4", "--d2", "2,5", "--reps", "4",
@@ -323,6 +339,38 @@ class TestCli:
         p = write(tmp_path / "shared.csv", "student,question,correct\na,b,1\nb,c,0\n")
         assert run_cli("grade", "--input", p, "--outdir", str(tmp_path)) == 3
 
+    @pytest.mark.parametrize("body, message", [
+        (b"student,question,correct\nS1,Q1,1\nS2,Q\xff,0\n", "line 3: byte 0xff is not UTF-8"),
+        (b"student,q1\nS1,1\nS2," + b"1" * (128 * 1024 + 1) + b"\n",
+         "line 3: field larger than field limit"),
+    ], ids=["not-utf-8", "field-over-128-KiB"])
+    def test_unreadable_text_is_data_error(self, tmp_path, capsys, body, message):
+        path = tmp_path / "exam.csv"
+        path.write_bytes(body)
+        assert run_cli("grade", "--input", str(path), "--outdir", str(tmp_path)) == 3
+        assert message in capsys.readouterr().err
+
+    def test_programming_errors_propagate(self, exam_file, tmp_path, monkeypatch):
+        for error in (ValueError, KeyError):
+            def broken(args, outdir, error=error):
+                raise error("a bug, not an input fault")
+
+            monkeypatch.setitem(cli.COMMANDS, "grade", broken)
+            with pytest.raises(error, match="a bug"):
+                run_cli("grade", "--input", exam_file, "--outdir", str(tmp_path))
+
+    def test_fit_map_passes_max_iter(self, exam_file, tmp_path, monkeypatch):
+        seen = []
+
+        def spy(*args, original=cli.map_fit, **kwargs):
+            seen.append(kwargs["max_iter"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "map_fit", spy)
+        assert run_cli("fit", "--input", exam_file, "--method", "map", "--max-iter", "500",
+                       "--outdir", str(tmp_path)) == 0
+        assert seen == [500]
+
     def test_fit_mle_runs_tarjan_once(self, tmp_path, monkeypatch, capsys):
         calls = []
 
@@ -364,12 +412,32 @@ class TestCli:
         ("s0,student,0.1\ns0,student,0.2\n", 3),
         ("s0,question,0.1\n", 3),
         ("s0,student,nan\n", 3),
+        ("", 3),  # s0 left out
     ])
     def test_verify_merit_file(self, tmp_path, s0_rows, code):
         rest = "s1,student,0.0\nq0,question,0.5\nq1,question,0.0\nq2,question,-0.5\n"
         merits = write(tmp_path / "u.csv", "vertex,kind,merit\n" + s0_rows + rest)
         assert run_cli("verify", "--students", "2", "--questions", "3", "--m", "3",
                        "--d", "2", "--merits", merits, "--outdir", str(tmp_path)) == code
+
+    def test_merit_file_missing_a_vertex_is_data_error(self, tmp_path, capsys):
+        merits = write(tmp_path / "u.csv", "vertex,kind,merit\ns0,student,0.1\n"
+                       "q0,question,0.0\nq1,question,0.2\n")
+        assert run_cli("simulate-bias", "--students", "2", "--questions", "2", "--m", "2",
+                       "--d", "1", "--reps", "2", "--seed", "1", "--merits", merits,
+                       "--outdir", str(tmp_path)) == 3
+        assert f"data error: {merits}: no merit for vertex 's1'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--students", "2", "--questions", "3", "--m", "5", "--d", "2"],
+        ["verify", "--students", "2", "--questions", "3", "--m", "2", "--d", "3"],
+        ["cv-sim", "--students", "3", "--questions", "4", "--d2", "2,9", "--reps", "2",
+         "--seed", "1"],
+    ], ids=["verify-m-over-bank", "verify-d-over-m", "cv-sim-d2-over-bank"])
+    def test_impossible_sample_sizes_exit_2(self, tmp_path, argv):
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--outdir", str(out)) == 2
+        assert not (out / "summary.json").exists()
 
     def test_verify_too_large_is_numeric_error(self, tmp_path):
         assert run_cli("verify", "--students", "6", "--questions", "9",

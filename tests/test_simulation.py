@@ -7,6 +7,7 @@ from fairgrade import (
     GradeVector,
     InstanceTooLargeError,
     MeritVector,
+    ParameterOutOfRangeError,
     Roster,
     TaskAssignmentGraph,
     answer_probability,
@@ -183,6 +184,12 @@ class TestExAnteFairness:
         with pytest.raises(InstanceTooLargeError):
             verify_ex_ante_fairness(r, 8, 4, u)
 
+    @pytest.mark.parametrize("m, d", [(4, 2), (2, 3), (3, 0)])
+    def test_impossible_sizes_rejected(self, small_population, m, d):
+        roster, u = small_population  # 3 questions: 0 assignments would give 0/0
+        with pytest.raises(ParameterOutOfRangeError):
+            verify_ex_ante_fairness(roster, m, d, u)
+
 
 class TestDecomposeError:
     def test_exact_identity(self, tiny_instance):
@@ -190,6 +197,11 @@ class TestDecomposeError:
         for rule in (simple_average, grade):
             dec = decompose_error(rule, [g], u, 0, 0, estimator=EXACT_ENUMERATION)
             assert abs(dec.error - dec.bias - dec.variance) <= 1e-12
+
+    def test_needs_two_replications(self, tiny_instance):
+        g, u = tiny_instance
+        with pytest.raises(ParameterOutOfRangeError):
+            decompose_error(simple_average, [g], u, 1, 9)
 
     def test_monte_carlo_identity_is_algebraic(self, tiny_instance):
         g, u = tiny_instance
@@ -237,7 +249,7 @@ class TestSweeps:
 
     def test_sweep_bank_validates_degree(self):
         sampler = uniform_difficulty_sampler()
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterOutOfRangeError):
             sweep_question_sample_size([0.0], sampler, [2, 5], 3, 1, 10, 0)
 
     def test_ecdf_sampler_range_and_determinism(self):
@@ -261,8 +273,10 @@ class TestCrossValidation:
             cross_validate(np.array([0, 1, 1]), 1, 1, 1)
         with pytest.raises(ValueError):
             cross_validate(np.array([[0, 2], [1, 0]]), 1, 1, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterOutOfRangeError):
             cross_validate(np.zeros((2, 2), dtype=int), 3, 1, 1)
+        with pytest.raises(ParameterOutOfRangeError):
+            cross_validate(np.zeros((2, 2), dtype=int), 1, 3, 1)
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
@@ -292,3 +306,12 @@ class TestCrossValidation:
         assert by_d2[5].mse_per_rule["ours"] == pytest.approx(0.0, abs=1e-12)
         assert by_d2[5].mse_per_rule["avg"] == pytest.approx(0.0, abs=1e-12)
         assert by_d2[2].mse_per_rule["avg"] > 0
+
+    @pytest.mark.parametrize("d2", [0, 6])
+    def test_simulated_cv_rejects_d2_outside_the_bank(self, d2):
+        with pytest.raises(ParameterOutOfRangeError):
+            simulated_cross_validate(PriorSpec(), 4, [2, d2], 2, 16, n_questions=5)
+
+    def test_simulated_cv_rejects_a_prior_that_overflows(self):
+        with pytest.raises(ParameterOutOfRangeError):
+            simulated_cross_validate(PriorSpec(student_std=1e308), 3, [2], 2, 1, n_questions=3)
