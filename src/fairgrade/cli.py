@@ -102,7 +102,7 @@ COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
 SEED = _checked(int, lambda v: v >= 0, "an integer >= 0")
 FINITE = _checked(float, math.isfinite, "a finite number")
 POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
-# map_fit's prior precision std**-2 raises OverflowError below about 1e-154
+# PriorSpec rejects a std whose precision std**-2 overflows; this check names the flag
 STD = _checked(float, lambda v: 0 < v < math.inf and v**-2 >= 0,
                "a number of at least about 1e-154")
 COUNTS = _checked(parse_int_list, lambda v: v and min(v) >= 1,

@@ -179,7 +179,7 @@ class ExamResultGraph:
         w = np.asarray(self.w)
         if w.shape != (self.assignment.n_edges,):
             raise ValueError("one outcome bit per assigned edge required")
-        if w.size and not np.isin(w, (0, 1)).all():
+        if not ((w == 0) | (w == 1)).all():
             raise ValueError("outcomes must be 0 or 1")
         w = w.astype(np.uint8)  # a private copy: the caller's array stays writable
         w.setflags(write=False)
@@ -232,9 +232,9 @@ class ExamResultGraph:
 
 def _successor_lists(k: int, tail: np.ndarray, head: np.ndarray) -> list[list[int]]:
     """Successors of each of k vertices under the edges tail -> head, in edge order."""
-    order = np.argsort(tail, kind="stable")
-    bounds = np.cumsum(np.bincount(tail, minlength=k))[:-1]
-    return [succ.tolist() for succ in np.split(head[order], bounds)]
+    heads = head[np.argsort(tail, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(tail, minlength=k)).tolist()
+    return [heads[a:b] for a, b in zip([0, *ends], ends)]
 
 
 class PairCase(Enum):
@@ -290,8 +290,7 @@ def _tarjan(adj: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     UNSEEN = -1
     index = [UNSEEN] * n
     lowlink = [0] * n
-    on_stack = [False] * n
-    comp_of = [UNSEEN] * n
+    comp_of = [UNSEEN] * n  # a seen vertex stays on `stack` until its SCC gets an id
     stack: list[int] = []
     comps: list[list[int]] = []
     counter = 0
@@ -299,41 +298,33 @@ def _tarjan(adj: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     for root in range(n):
         if index[root] != UNSEEN:
             continue
-        # iterative DFS: (vertex, next successor position)
-        work = [(root, 0)]
+        # iterative DFS, one frame per open vertex: (vertex, its successor
+        # iterator, which a return to the vertex resumes, its place on `stack`)
+        index[root] = lowlink[root] = counter
+        counter += 1
+        work = [(root, iter(adj[root]), len(stack))]
+        stack.append(root)
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for k in range(pi, len(adj[v])):
-                u = adj[v][k]
+            v, succ, pos = work[-1]
+            for u in succ:
                 if index[u] == UNSEEN:
-                    work[-1] = (v, k + 1)
-                    work.append((u, 0))
-                    advanced = True
+                    index[u] = lowlink[u] = counter
+                    counter += 1
+                    work.append((u, iter(adj[u]), len(stack)))
+                    stack.append(u)
                     break
-                if on_stack[u]:
-                    lowlink[v] = min(lowlink[v], index[u])
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    u = stack.pop()
-                    on_stack[u] = False
-                    comp_of[u] = len(comps)
-                    comp.append(u)
-                    if u == v:
-                        break
-                comps.append(comp)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
+                if comp_of[u] == UNSEEN and index[u] < lowlink[v]:
+                    lowlink[v] = index[u]
+            else:
+                work.pop()
+                if lowlink[v] == index[v]:
+                    comp = stack[pos:][::-1]  # listed from the top of the stack down
+                    del stack[pos:]
+                    for u in comp:
+                        comp_of[u] = len(comps)
+                    comps.append(comp)
+                elif lowlink[v] < lowlink[work[-1][0]]:
+                    lowlink[work[-1][0]] = lowlink[v]
     return comp_of, comps
 
 

@@ -15,12 +15,13 @@ from __future__ import annotations
 import csv
 import json
 from io import StringIO
+from operator import attrgetter
 from types import SimpleNamespace
 from typing import Iterable
 
 import numpy as np
 
-from .graph import ExamResultGraph, PairCase, Roster, TaskAssignmentGraph
+from .graph import ExamResultGraph, Roster, TaskAssignmentGraph
 from .grading import GradeVector, PredictionMatrix
 from .model import MeritVector
 
@@ -248,9 +249,9 @@ def _csv_fields(ids) -> list[str]:
 def write_predictions(pm: PredictionMatrix, entries_path, tags_path) -> None:
     header = ",".join(_csv_fields(["student", *pm.roster.questions])) + "\n"
     students = _csv_fields(pm.roster.students)
-    names = {case: case.name for case in PairCase}
+    # `_name_` is a PairCase's name; `.name` and dict lookups run Python-level Enum code
     for path, matrix, cell in ((entries_path, pm.entries, repr),
-                               (tags_path, pm.case_tags, names.__getitem__)):
+                               (tags_path, pm.case_tags, attrgetter("_name_"))):
         with open(path, "w", newline="") as fh:
             fh.write(header)
             # row by row: a whole-matrix .tolist() raises peak memory

@@ -9,8 +9,9 @@ all. Both fits run one damped Newton solver over the edge arrays, which
 differ only in the quadratic penalty (a gauge pin or the prior) and in the
 step taken when backtracking fails: the maximum likelihood fit falls back
 to a minorization-maximization update. Each Newton step eliminates one
-side of the bipartite Hessian, whose student and question blocks are both
-diagonal, and solves only the other side's Schur complement.
+side of the bipartite Hessian (its student and question blocks are both
+diagonal) and solves the other side's Schur complement, in a side layout
+and dense work arrays that each fit sets up once.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 
 from .graph import (
     ExamResultGraph,
+    ParameterOutOfRangeError,
     Roster,
     TaskAssignmentGraph,
     _successor_lists,
@@ -131,13 +133,13 @@ def merit_span(u: MeritVector) -> float:
 
 def logistic(x):
     """1 / (1 + exp(-x)), stable for large |x|; accepts scalars or arrays."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ex = np.exp(arr[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out.reshape(np.shape(x))
+    arr = np.asarray(x, dtype=float)
+    e = np.exp(-np.abs(np.atleast_1d(arr)))  # never overflows
+    denom = e + 1.0
+    np.divide(e, denom, out=e)  # exp(x) / (1 + exp(x)) for x < 0
+    np.divide(1.0, denom, out=denom)  # 1 / (1 + exp(-x)) for x >= 0
+    np.copyto(e, denom, where=arr >= 0)
+    return float(e[0]) if arr.ndim == 0 else e
 
 
 def log_logistic(x):
@@ -202,8 +204,13 @@ class PriorSpec:
     question_std: float = 1.0
 
     def __post_init__(self):
-        if self.student_std <= 0 or self.question_std <= 0:
-            raise ValueError("prior standard deviations must be strictly positive")
+        for name in ("student_std", "question_std"):
+            try:  # map_fit's precision std**-2 must be finite
+                if (std := getattr(self, name)) > 0 and float(std) ** -2 < np.inf:
+                    continue
+            except OverflowError:
+                pass
+            raise ParameterOutOfRangeError(f"{name} must be at least about 1e-154, got {std}")
 
 
 def _edge_ends(g: ExamResultGraph, vertices: list[int], tail, head):
@@ -227,31 +234,39 @@ def mm_step(gamma: np.ndarray, winner: np.ndarray, loser: np.ndarray) -> np.ndar
 _MIN_STEP = 2.0**-27
 
 
-def _newton_step(winner, loser, n_first, weight, precision, gauge, grad):
+def _schur_layout(winner, loser, n_first, k):
+    """`_newton_step`'s per-fit part: the sides e and r (slices), each edge's end
+    in either side, and the e x r workspace F (zero off the edges) and F D_e^-1."""
+    sides = [(slice(0, n_first), np.minimum(winner, loser)),
+             (slice(n_first, k), np.maximum(winner, loser) - n_first)]
+    (elim, e_end), (kept, r_end) = sides if n_first >= k - n_first else sides[::-1]
+    shape = sorted((n_first, k - n_first), reverse=True)
+    return elim, e_end, kept, r_end, np.zeros(shape), np.empty(shape)
+
+
+def _newton_step(winner, loser, n_first, weight, precision, gauge, grad, layout=None):
     """Newton step x with H x = grad; positions below `n_first` are students.
 
     Eliminates the larger side e (Wright & Panchapakesan 1969): solves the
     smaller side r's Schur complement S = D_r - F' D_e^-1 F, then x_e =
     D_e^-1 (g_e + F x_r). The gauge's J/k becomes J/|r| in S and a mean-zero
     step: the same step when grad sums to 0, as the likelihood gradient does.
+    `_newton` passes one `layout` per fit; each step overwrites its workspace.
     """
     k = len(grad)
+    elim, e_end, kept, r_end, f, scaled = layout or _schur_layout(winner, loser, n_first, k)
     diag = np.bincount(winner, weight, k) + np.bincount(loser, weight, k) + precision
-    sides = [(slice(0, n_first), np.minimum(winner, loser)),
-             (slice(n_first, k), np.maximum(winner, loser) - n_first)]
-    (elim, e_end), (kept, r_end) = sides if n_first >= k - n_first else sides[::-1]
     d_e, d_r = diag[elim], diag[kept]
     if not (d_e > 0).all():
         raise np.linalg.LinAlgError("zero or NaN pivot")
-    f = np.zeros((len(d_e), len(d_r)))
-    f[e_end, r_end] = weight  # each vertex pair shares at most one edge
-    scaled = f / d_e[:, None]
+    f[e_end, r_end] = weight  # the same cells every step: a vertex pair shares <= 1 edge
+    np.divide(f, d_e[:, None], out=scaled)
     x_r = np.linalg.solve(np.diag(d_r) - f.T @ scaled + gauge / len(d_r),
                           grad[kept] + scaled.T @ grad[elim])
     step = np.empty(k)
     step[kept] = x_r
     step[elim] = (grad[elim] + f @ x_r) / d_e
-    return step - step.mean() if gauge else step
+    return step - step.sum() / k if gauge else step
 
 
 def _newton(winner, loser, n_first, precision, center, gauge, fallback, tol, max_iter):
@@ -260,39 +275,41 @@ def _newton(winner, loser, n_first, precision, center, gauge, fallback, tol, max
 
     Starts from u = c. Each `_newton_step` is taken under a backtracking line
     search; when no trial length passes (or the Hessian is singular, `step`
-    None) the caller's `fallback(u, step)` gives the next iterate. Returns
-    (u, steps taken, sup-norm of the gradient, converged).
+    None) the caller's `fallback(u, step)` gives the next iterate. The
+    objective is evaluated once per trial, at the start and after a fallback.
+    Returns (u, steps taken, sup-norm of the gradient, converged).
     """
     k = len(center)
+    layout = _schur_layout(winner, loser, n_first, k)
 
     def objective(u):
         return float(log_logistic(u[winner] - u[loser]).sum()
                      - 0.5 * (precision * (u - center) ** 2).sum()
                      - 0.5 * gauge * u.sum() ** 2 / k)
 
-    u = center.copy()
+    u, f0 = center.copy(), None
     for it in range(max_iter + 1):
         upset = logistic(u[loser] - u[winner])  # chance the loser would have won
         grad = (np.bincount(winner, upset, k) - np.bincount(loser, upset, k)
-                - precision * (u - center) - gauge * u.mean())
+                - precision * (u - center) - gauge * u.sum() / k)
         residual = float(np.abs(grad).max())
         if residual <= tol or it == max_iter:
             return u, it, residual, residual <= tol
         try:
             step = _newton_step(winner, loser, n_first, upset * (1.0 - upset), precision,
-                                gauge, grad)
+                                gauge, grad, layout)
         except np.linalg.LinAlgError:
-            u = fallback(u, None)
+            u, f0 = fallback(u, None), None
             continue
-        f0, slope, t = objective(u), float(grad @ step), 1.0
+        f0, slope, t = objective(u) if f0 is None else f0, float(grad @ step), 1.0
         # near the optimum a full step changes the objective by less than its
         # rounding error; such a change must not refuse the step
         slack = 1e-12 * abs(f0)
-        while objective(u + t * step) < f0 + 0.25 * t * slope - slack:
+        while (f := objective(trial := u + t * step)) < f0 + 0.25 * t * slope - slack:
             t *= 0.5
             if t < _MIN_STEP:
                 break
-        u = u + t * step if t >= _MIN_STEP else fallback(u, step)
+        u, f0 = (trial, f) if t >= _MIN_STEP else (fallback(u, step), None)
 
 
 def _report(merits: MeritVector, iterations, residual, converged, tol) -> FitReport:

@@ -16,6 +16,7 @@ from fairgrade import (
     is_strongly_connected,
     strongly_connected_components,
 )
+from fairgrade.graph import _successor_lists, _tarjan
 
 from conftest import random_result_graph
 
@@ -46,6 +47,89 @@ def result_graphs(draw, max_students=4, max_questions=4):
     g = TaskAssignmentGraph(Roster.index_based(n, q), tuple(chosen))
     outcomes = dict(zip(chosen, w))
     return ExamResultGraph.from_outcomes(g, outcomes)
+
+
+def reference_successor_lists(k, tail, head):
+    """One `np.split` piece per vertex: the reference for `_successor_lists`."""
+    order = np.argsort(tail, kind="stable")
+    bounds = np.cumsum(np.bincount(tail, minlength=k))[:-1]
+    return [succ.tolist() for succ in np.split(head[order], bounds)]
+
+
+def reference_tarjan(adj):
+    """Tarjan with a (vertex, next successor position) work stack, which rescans
+    a vertex's successors from that position on every return to it: the
+    reference for `_tarjan`'s component ids and order."""
+    n = len(adj)
+    index, lowlink, on_stack, comp_of = [-1] * n, [0] * n, [False] * n, [-1] * n
+    stack, comps, counter = [], [], 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = lowlink[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            for k in range(pi, len(adj[v])):
+                u = adj[v][k]
+                if index[u] == -1:
+                    work[-1] = (v, k + 1)
+                    work.append((u, 0))
+                    advanced = True
+                    break
+                if on_stack[u]:
+                    lowlink[v] = min(lowlink[v], index[u])
+            if advanced:
+                continue
+            work.pop()
+            if lowlink[v] == index[v]:
+                comp = []
+                while True:
+                    u = stack.pop()
+                    on_stack[u] = False
+                    comp_of[u] = len(comps)
+                    comp.append(u)
+                    if u == v:
+                        break
+                comps.append(comp)
+            if work:
+                parent = work[-1][0]
+                lowlink[parent] = min(lowlink[parent], lowlink[v])
+    return comp_of, comps
+
+
+@st.composite
+def digraphs(draw):
+    """(k, tail, head): result graphs from 1x1 up, dense random digraphs with
+    self-loops and repeated edges, and deep 1200-vertex paths with a few
+    extra edges, each in a random vertex numbering and edge order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["result", "random", "path"]))
+    if kind == "result":
+        g = random_result_graph(rng, draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+        return g.roster.n_vertices, *g.directed_edges
+    k = draw(st.integers(1, 40)) if kind == "random" else 1200
+    extra = rng.integers(0, k, (2, rng.integers(0, 3 * k if kind == "random" else 30)))
+    path = rng.permutation(k)
+    tail = np.concatenate((path[:-1], extra[0])) if kind == "path" else extra[0]
+    head = np.concatenate((path[1:], extra[1])) if kind == "path" else extra[1]
+    order = rng.permutation(len(tail))
+    return k, tail[order], head[order]
+
+
+class TestTarjanKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(digraphs())
+    def test_matches_the_rescanning_reference(self, drawn):
+        k, tail, head = drawn
+        adj = _successor_lists(k, tail, head)
+        assert adj == reference_successor_lists(k, tail, head)
+        assert _tarjan(adj) == reference_tarjan(adj)
 
 
 class TestRoster:

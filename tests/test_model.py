@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import minimize
 
 from fairgrade import (
@@ -12,6 +13,7 @@ from fairgrade import (
     MissingMeritError,
     NonConvergenceError,
     NotStronglyConnectedError,
+    ParameterOutOfRangeError,
     PriorSpec,
     Roster,
     TaskAssignmentGraph,
@@ -29,6 +31,7 @@ from fairgrade import (
     sample_exam_result,
     strongly_connected_components,
 )
+from fairgrade import model
 from fairgrade.model import _edge_ends, _newton_step, log_logistic, mm_step
 from fairgrade.rng import substream
 
@@ -80,7 +83,37 @@ def connected_instance(seed, n=3, q=3, d=None):
     raise AssertionError("no connected sample found")
 
 
+def reference_logistic(x):
+    """The two-branch formula over boolean masks: the reference for `logistic`."""
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty_like(arr)
+    pos = arr >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
+    ex = np.exp(arr[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out.reshape(np.shape(x))
+
+
+LOGISTIC_INPUTS = st.one_of(st.floats(-800, 800), st.floats(allow_nan=False),
+                            st.sampled_from([0.0, -0.0, np.inf, -np.inf, 745.0, -745.0]))
+
+
 class TestLogistic:
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(float, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0),
+                      elements=LOGISTIC_INPUTS))
+    def test_arrays_match_the_masked_formula_bit_for_bit(self, x):
+        out, reference = logistic(x), reference_logistic(x)
+        assert type(out) is type(reference)  # a 0-d array gives a float
+        assert np.shape(out) == np.shape(reference)
+        assert np.asarray(out).tobytes() == np.asarray(reference).tobytes()
+
+    @given(LOGISTIC_INPUTS)
+    def test_python_scalars_match_bit_for_bit(self, x):
+        out = logistic(x)
+        assert type(out) is float
+        assert np.float64(out).tobytes() == np.float64(reference_logistic(x)).tobytes()
+
     @given(st.floats(-700, 700))
     def test_complement_identity(self, x):
         assert abs(logistic(x) + logistic(-x) - 1.0) <= 1e-12
@@ -325,6 +358,15 @@ class TestMapFit:
         assert fit.converged
         assert fit.merits[0] > fit.merits[r.question_vertex(0)]
 
+    @pytest.mark.parametrize("field", ["student_std", "question_std"])
+    def test_prior_std_whose_precision_overflows_is_rejected(self, field):
+        # 1e-160 ** -2 overflows a float, so map_fit could not use this prior
+        with pytest.raises(ParameterOutOfRangeError, match=field):
+            PriorSpec(**{field: 1e-160})
+        with pytest.raises(ValueError, match=field):
+            PriorSpec(**{field: 0.0})
+        assert PriorSpec(**{field: 1e-150}) is not None
+
     def test_prior_pull(self):
         # with a huge prior variance the fit tracks data; tiny variance pins means
         r = Roster.index_based(1, 1)
@@ -334,6 +376,80 @@ class TestMapFit:
         assert abs(tight.merits[0]) < 1e-4
         loose = map_fit(res, PriorSpec(0.0, 10.0, 0.0, 10.0))
         assert loose.merits[0] - loose.merits[1] > 3.0
+
+
+def _objective_evaluations(monkeypatch):
+    """Log every gradient `logistic` and objective `log_logistic` call of the
+    Newton loop, and every MM fallback; returns (calls, fallbacks)."""
+    calls, fallbacks = [], []
+
+    def logged(name, fn):
+        def wrapper(x, *args):
+            (fallbacks if name == "fallback" else calls).append((name, np.array(x)))
+            return fn(x, *args)
+        return wrapper
+
+    for name, attr in (("gradient", "logistic"), ("objective", "log_logistic"),
+                       ("fallback", "mm_step")):
+        monkeypatch.setattr(model, attr, logged(name, getattr(model, attr)))
+    return calls, fallbacks
+
+
+def _split_evaluations(calls):
+    """Objective evaluations at the current iterate, and at line-search trials.
+
+    The gradient sees u[loser] - u[winner] and the objective u[winner] -
+    u[loser], so an evaluation at the iterate sees the gradient's argument negated.
+    """
+    at_iterate, trials, previous = 0, 0, None
+    for name, x in calls:
+        if name == "gradient":
+            iterate = -x
+            continue
+        assert previous is None or not np.array_equal(x, previous), "point evaluated twice"
+        previous = x
+        if np.array_equal(x, iterate):
+            at_iterate += 1
+        else:
+            trials += 1
+    return at_iterate, trials
+
+
+class TestObjectiveEvaluations:
+    """A fit evaluates its objective once per line-search trial, plus once at
+    the start and once after each fallback."""
+
+    def test_mle_and_map_fits_evaluate_the_start_once(self, monkeypatch):
+        calls, _ = _objective_evaluations(monkeypatch)
+        res, _ = connected_instance(6, n=4, q=5)
+        fit = mle_fit(res, range(res.roster.n_vertices), tol=1e-12)
+        at_iterate, trials = _split_evaluations(calls)
+        assert fit.iterations >= 3
+        assert at_iterate == 1 and trials >= fit.iterations
+        calls.clear()
+        fit = map_fit(random_result_graph(np.random.default_rng(3), 6, 5), PriorSpec(), tol=1e-12)
+        at_iterate, trials = _split_evaluations(calls)
+        assert fit.iterations >= 3
+        assert at_iterate == 1 and trials >= fit.iterations
+
+    def test_each_fallback_adds_one_evaluation(self, monkeypatch):
+        calls, fallbacks = _objective_evaluations(monkeypatch)
+        steps = []
+
+        def newton_step(*args):
+            steps.append(None)
+            if len(steps) == 1:  # a singular Hessian
+                raise np.linalg.LinAlgError("forced")
+            step = _newton_step(*args)
+            return -step if len(steps) == 2 else step  # downhill: every trial fails
+
+        monkeypatch.setattr(model, "_newton_step", newton_step)
+        res, _ = connected_instance(6, n=4, q=5)
+        fit = mle_fit(res, range(res.roster.n_vertices), tol=1e-12)
+        at_iterate, trials = _split_evaluations(calls)
+        assert fit.converged and len(fallbacks) == 2
+        assert at_iterate <= 1 + len(fallbacks)
+        assert trials >= 28 + fit.iterations - 2  # the downhill step tried every length
 
 
 def dense_hessian(k, winner, loser, weight, precision, gauge):
