@@ -38,14 +38,11 @@ from .model import (
     NonConvergenceError,
     NotStronglyConnectedError,
     PriorSpec,
-    answer_probability,
     benchmark,
     edge_probabilities,
     likelihood_equation_residual,
-    log_likelihood,
     logistic,
     map_fit,
-    merit_span,
     mle_fit,
     sample_exam_result,
 )

@@ -21,6 +21,9 @@ from .model import (FitReport, MeritVector, NonConvergenceError, PriorSpec, logi
                     mle_fit)
 
 
+_CASE_TAGS = np.array([None, *PairCase], dtype=object)  # indexed by `PairCase` value
+
+
 class ZeroDegreeStudentError(ValueError):
     """A student with no assigned questions cannot be graded."""
 
@@ -110,21 +113,22 @@ def predict_matrix(
         u = np.zeros(roster.n_vertices)
         for cid in fitted:
             edges = by_comp[bounds[cid]:bounds[cid + 1]]
+            vertices = np.flatnonzero(comp == cid)
             try:
-                fit = mle_fit(g, components.components[cid], tol=tol, max_iter=max_iter,
+                fit = mle_fit(g, vertices, tol=tol, max_iter=max_iter,
                               _edges=(tail[edges], head[edges]))
             except NonConvergenceError as exc:
                 raise NonConvergenceError(
                     f"merit fit for component {cid} failed: {exc}", exc.report
                 ) from exc
-            np.copyto(u, fit.merits.values, where=fit.merits.covered)
+            u[vertices] = fit.merits.values[vertices]
         i, j = np.nonzero(codes == PairCase.SAME_COMPONENT.value)
         h[i, j] = logistic(u[i] - u[n + j])
     # incomparable cells take the row mean over the cells the other cases filled
     incomparable = codes == PairCase.INCOMPARABLE.value
     row_means = h.sum(axis=1) / (~incomparable).sum(axis=1)
     h = np.where(incomparable, row_means[:, None], h)
-    return PredictionMatrix(roster, h, np.array([None, *PairCase], dtype=object)[codes])
+    return PredictionMatrix(roster, h, _CASE_TAGS[codes])
 
 
 def grade(

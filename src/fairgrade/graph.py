@@ -346,16 +346,18 @@ def classify_pair(
     return PairCase(int(_pair_cases(c, edge, ci, cj)))
 
 
+# `_pair_cases`' case of a non-edge by 2 * (student SCC reaches question SCC) + converse
+_REACH_CASES = np.array([PairCase.INCOMPARABLE.value, PairCase.QUESTION_ABOVE.value,
+                         PairCase.STUDENT_ABOVE.value, PairCase.SAME_COMPONENT.value],
+                        dtype=np.int8)
+
+
 def _pair_cases(c: ComponentStructure, edge, ci, cj) -> np.ndarray:
     """`PairCase` values (int8) of student SCCs `ci` against question SCCs `cj`.
 
     `edge` marks the assigned pairs; the three arguments broadcast. Since the
     condensation is acyclic, mutual reach means one shared SCC.
     """
-    forward, backward = c.reach[ci, cj], c.reach[cj, ci]
-    return np.select(
-        [edge, forward & backward, forward, backward],
-        [PairCase.EXISTING_EDGE.value, PairCase.SAME_COMPONENT.value,
-         PairCase.STUDENT_ABOVE.value, PairCase.QUESTION_ABOVE.value],
-        PairCase.INCOMPARABLE.value,
-    ).astype(np.int8)
+    reach = np.left_shift(c.reach[ci, cj], 1, dtype=np.int8)
+    reach |= c.reach[cj, ci]
+    return np.where(edge, np.int8(PairCase.EXISTING_EDGE.value), _REACH_CASES[reach])

@@ -8,10 +8,12 @@ Gaussian-prior variant gives a penalized fit that needs no connectivity at
 all. Both fits run one damped Newton solver over the edge arrays, which
 differ only in the quadratic penalty (a gauge pin or the prior) and in the
 step taken when backtracking fails: the maximum likelihood fit falls back
-to a minorization-maximization update. Each Newton step eliminates one
-side of the bipartite Hessian (its student and question blocks are both
-diagonal) and solves the other side's Schur complement, in a side layout
-and dense work arrays that each fit sets up once.
+to a minorization-maximization update. Each line-search trial takes one
+exp per edge, for the objective and for the upset chances that the
+accepted trial hands to the next gradient and Hessian. Each Newton step
+eliminates one side of the bipartite Hessian (its student and question
+blocks are both diagonal) and solves the other side's Schur complement,
+in a side layout and dense work arrays that each fit sets up once.
 """
 
 from __future__ import annotations
@@ -124,13 +126,6 @@ class MeritVector:
         return self.at(np.arange(roster.n_vertices))
 
 
-def merit_span(u: MeritVector) -> float:
-    """Largest pairwise merit difference; the key connectivity diagnostic."""
-    if not u.covered.any():
-        raise ValueError("empty merit vector")
-    return float(np.ptp(u.values[u.covered]))
-
-
 def logistic(x):
     """1 / (1 + exp(-x)), stable for large |x|; accepts scalars or arrays."""
     arr = np.asarray(x, dtype=float)
@@ -140,16 +135,6 @@ def logistic(x):
     np.divide(1.0, denom, out=denom)  # 1 / (1 + exp(-x)) for x >= 0
     np.copyto(e, denom, where=arr >= 0)
     return float(e[0]) if arr.ndim == 0 else e
-
-
-def log_logistic(x):
-    """log(logistic(x)) without underflow to -inf for moderate x."""
-    return -np.logaddexp(0.0, -np.asarray(x, dtype=float))
-
-
-def answer_probability(u: MeritVector, roster: Roster, i: int, j: int) -> float:
-    """Chance that student i answers question j correctly (roster indices)."""
-    return float(logistic(u[roster.student_vertex(i)] - u[roster.question_vertex(j)]))
 
 
 def sample_exam_result(g: TaskAssignmentGraph, u: MeritVector, seed) -> ExamResultGraph:
@@ -176,12 +161,6 @@ def benchmark(u: MeritVector, roster: Roster):
     difficulties = merits[roster.n_students :]
     grades = logistic(abilities[:, None] - difficulties[None, :]).mean(axis=1)
     return GradeVector(roster, grades, "benchmark")
-
-
-def log_likelihood(u: MeritVector, g: ExamResultGraph) -> float:
-    """Sum of log-probabilities of the observed directed edges."""
-    tail, head = g.directed_edges
-    return float(log_logistic(u.at(tail) - u.at(head)).sum())
 
 
 @dataclass(frozen=True)
@@ -213,15 +192,6 @@ class PriorSpec:
             raise ParameterOutOfRangeError(f"{name} must be at least about 1e-154, got {std}")
 
 
-def _edge_ends(g: ExamResultGraph, vertices: list[int], tail, head):
-    """Positions in `vertices` of the winner and the loser of each edge inside it."""
-    pos = np.full(g.roster.n_vertices, -1, dtype=np.intp)
-    pos[vertices] = np.arange(len(vertices))
-    winner, loser = pos[tail], pos[head]
-    inside = (winner >= 0) & (loser >= 0)
-    return winner[inside], loser[inside]
-
-
 def mm_step(gamma: np.ndarray, winner: np.ndarray, loser: np.ndarray) -> np.ndarray:
     """One minorization-maximization update in the exp-merit parameterization."""
     k = len(gamma)
@@ -251,47 +221,71 @@ def _newton_step(winner, loser, n_first, weight, precision, gauge, grad, layout=
     smaller side r's Schur complement S = D_r - F' D_e^-1 F, then x_e =
     D_e^-1 (g_e + F x_r). The gauge's J/k becomes J/|r| in S and a mean-zero
     step: the same step when grad sums to 0, as the likelihood gradient does.
+    With the gauge there is no prior, so `precision` is not read.
     `_newton` passes one `layout` per fit; each step overwrites its workspace.
     """
     k = len(grad)
     elim, e_end, kept, r_end, f, scaled = layout or _schur_layout(winner, loser, n_first, k)
-    diag = np.bincount(winner, weight, k) + np.bincount(loser, weight, k) + precision
+    diag = np.bincount(winner, weight, k) + np.bincount(loser, weight, k)
+    if not gauge:
+        diag += precision
     d_e, d_r = diag[elim], diag[kept]
     if not (d_e > 0).all():
         raise np.linalg.LinAlgError("zero or NaN pivot")
     f[e_end, r_end] = weight  # the same cells every step: a vertex pair shares <= 1 edge
     np.divide(f, d_e[:, None], out=scaled)
-    x_r = np.linalg.solve(np.diag(d_r) - f.T @ scaled + gauge / len(d_r),
-                          grad[kept] + scaled.T @ grad[elim])
+    schur = f.T @ scaled
+    np.negative(schur, out=schur)
+    schur.ravel()[::len(d_r) + 1] += d_r
+    if gauge:
+        schur += 1.0 / len(d_r)
+    x_r = np.linalg.solve(schur, grad[kept] + scaled.T @ grad[elim])
     step = np.empty(k)
     step[kept] = x_r
     step[elim] = (grad[elim] + f @ x_r) / d_e
     return step - step.sum() / k if gauge else step
 
 
+def _log_likelihood(u, winner, loser):
+    """sum(log logistic(m)) over the edge margins m = u[winner] - u[loser], as
+    min(m, 0) - log1p(e), and each edge's upset chance logistic(-m), as
+    where(m > 0, e, 1) / (1 + e): both from one e = exp(-|m|)."""
+    m = u[winner] - u[loser]
+    e = np.exp(-np.abs(m))
+    return (np.minimum(m, 0.0) - np.log1p(e)).sum(), np.where(m > 0, e, 1.0) / (1.0 + e)
+
+
 def _newton(winner, loser, n_first, precision, center, gauge, fallback, tol, max_iter):
-    """Damped Newton ascent on sum(log f(u[winner] - u[loser])) minus the
-    penalty sum(precision * (u - c)^2)/2, and k * mean(u)^2/2 with the gauge.
+    """Damped Newton ascent on sum(log f(u[winner] - u[loser])) minus a
+    penalty: k * mean(u)^2/2 with the gauge, else sum(precision * (u - c)^2)/2.
 
     Starts from u = c. Each `_newton_step` is taken under a backtracking line
     search; when no trial length passes (or the Hessian is singular, `step`
     None) the caller's `fallback(u, step)` gives the next iterate. The
-    objective is evaluated once per trial, at the start and after a fallback.
+    objective is evaluated, by one `_log_likelihood` call, once per trial, at
+    the start and after a fallback; that is the loop's one exp per edge. The
+    accepted trial's upset chances carry over to the next gradient and
+    Hessian. As IEEE subtraction is antisymmetric, they are `logistic(u[loser]
+    - u[winner])` bit for bit, so the steps and iterates are those of a loop
+    that recomputes it. The objective only feeds the Armijo comparisons: its
+    rounding could move an iterate only where one lands within rounding.
     Returns (u, steps taken, sup-norm of the gradient, converged).
     """
+    if not (tol > 0 and max_iter >= 0):
+        raise ParameterOutOfRangeError(f"tol={tol} must be > 0 and max_iter={max_iter} >= 0")
     k = len(center)
     layout = _schur_layout(winner, loser, n_first, k)
 
-    def objective(u):
-        return float(log_logistic(u[winner] - u[loser]).sum()
-                     - 0.5 * (precision * (u - center) ** 2).sum()
-                     - 0.5 * gauge * u.sum() ** 2 / k)
+    def evaluate(u):
+        f, upset = _log_likelihood(u, winner, loser)
+        penalty = u.sum() ** 2 / k if gauge else (precision * (u - center) ** 2).sum()
+        return float(f - 0.5 * penalty), upset
 
-    u, f0 = center.copy(), None
+    u, at_u = center.copy(), None
     for it in range(max_iter + 1):
-        upset = logistic(u[loser] - u[winner])  # chance the loser would have won
-        grad = (np.bincount(winner, upset, k) - np.bincount(loser, upset, k)
-                - precision * (u - center) - gauge * u.sum() / k)
+        f0, upset = at_u or evaluate(u)  # upset: the chance the loser would have won
+        grad = np.bincount(winner, upset, k) - np.bincount(loser, upset, k)
+        grad -= u.sum() / k if gauge else precision * (u - center)
         residual = float(np.abs(grad).max())
         if residual <= tol or it == max_iter:
             return u, it, residual, residual <= tol
@@ -299,17 +293,17 @@ def _newton(winner, loser, n_first, precision, center, gauge, fallback, tol, max
             step = _newton_step(winner, loser, n_first, upset * (1.0 - upset), precision,
                                 gauge, grad, layout)
         except np.linalg.LinAlgError:
-            u, f0 = fallback(u, None), None
+            u, at_u = fallback(u, None), None
             continue
-        f0, slope, t = objective(u) if f0 is None else f0, float(grad @ step), 1.0
+        slope, t = float(grad @ step), 1.0
         # near the optimum a full step changes the objective by less than its
         # rounding error; such a change must not refuse the step
         slack = 1e-12 * abs(f0)
-        while (f := objective(trial := u + t * step)) < f0 + 0.25 * t * slope - slack:
+        while (at_t := evaluate(trial := u + t * step))[0] < f0 + 0.25 * t * slope - slack:
             t *= 0.5
             if t < _MIN_STEP:
                 break
-        u, f0 = (trial, f) if t >= _MIN_STEP else (fallback(u, step), None)
+        u, at_u = (trial, at_t) if t >= _MIN_STEP else (fallback(u, step), None)
 
 
 def _report(merits: MeritVector, iterations, residual, converged, tol) -> FitReport:
@@ -342,18 +336,23 @@ def mle_fit(
     MM update (Hunter 2004). The result is reported mean-zero over the
     component.
 
-    `_edges` is for `predict_matrix` alone: the (tail, head) vertices of
-    the edges inside an SCC it found, which skips the connectivity check.
+    `_edges` is for `predict_matrix` alone. It passes an SCC it found as its
+    sorted vertex array and `_edges` as the (tail, head) vertices of the
+    edges inside it, which skips the connectivity check.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    vertices = sorted(component)
+    vertices = sorted(component) if _edges is None else component
     k = len(vertices)
-    winner, loser = _edge_ends(g, vertices, *(g.directed_edges if _edges is None else _edges))
-    if _edges is None and (k < 2 or len(_tarjan(_successor_lists(k, winner, loser))[1]) > 1):
-        raise NotStronglyConnectedError(
-            f"vertex set {vertices} is not strongly connected in the result graph"
-        )
+    pos = np.full(g.roster.n_vertices, -1, dtype=np.intp)
+    pos[vertices] = np.arange(k)
+    tail, head = g.directed_edges if _edges is None else _edges
+    winner, loser = pos[tail], pos[head]
+    if _edges is None:  # keep the edges inside the set, which must be strongly connected
+        inside = (winner >= 0) & (loser >= 0)
+        winner, loser = winner[inside], loser[inside]
+        if k < 2 or len(_tarjan(_successor_lists(k, winner, loser))[1]) > 1:
+            raise NotStronglyConnectedError(
+                f"vertex set {vertices} is not strongly connected in the result graph"
+            )
 
     def mm_update(u, step):
         u = np.log(mm_step(np.exp(u), winner, loser))
@@ -361,12 +360,10 @@ def mle_fit(
 
     n_first = int(np.searchsorted(vertices, g.roster.n_students))
     u, iterations, residual, converged = _newton(
-        winner, loser, n_first, 0.0, np.zeros(k), True, mm_update, tol, max_iter)
+        winner, loser, n_first, None, np.zeros(k), True, mm_update, tol, max_iter)
     merits = np.zeros(g.roster.n_vertices)
     merits[vertices] = u
-    covered = np.zeros(g.roster.n_vertices, dtype=bool)
-    covered[vertices] = True
-    return _report(MeritVector.mean_zero(merits, covered), iterations, residual, converged, tol)
+    return _report(MeritVector.mean_zero(merits, pos >= 0), iterations, residual, converged, tol)
 
 
 def likelihood_equation_residual(u: MeritVector, g: ExamResultGraph) -> float:
@@ -397,8 +394,6 @@ def map_fit(
     with backtracking converges from anywhere; no connectivity is needed and
     no gauge normalization is applied.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     roster = g.roster
     n, q = roster.n_students, roster.n_questions
     mean = np.repeat([prior.student_mean, prior.question_mean], [n, q])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fairgrade import ExamResultGraph, MeritVector, Roster, TaskAssignmentGraph
+from fairgrade import ExamResultGraph, MeritVector, Roster, TaskAssignmentGraph, logistic
 
 # 6 students, 3 questions; outcomes chosen so that s0,s1,q0,q1 form one
 # strongly connected block, s2..s5 sit below it, and q2 sits below them.
@@ -37,3 +37,8 @@ def random_result_graph(rng: np.random.Generator, n: int, q: int) -> ExamResultG
         edges.extend((i, int(j)) for j in rng.permutation(q)[:d])
     g = TaskAssignmentGraph(Roster.index_based(n, q), tuple(edges))
     return ExamResultGraph(g, rng.integers(0, 2, g.n_edges).astype(np.uint8))
+
+
+def answer_probability(u: MeritVector, roster: Roster, i: int, j: int) -> float:
+    """Chance that student i answers question j correctly (roster indices)."""
+    return logistic(u[i] - u[roster.n_students + j])

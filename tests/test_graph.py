@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fairgrade import (
     ExamResultGraph,
@@ -16,7 +17,7 @@ from fairgrade import (
     is_strongly_connected,
     strongly_connected_components,
 )
-from fairgrade.graph import _successor_lists, _tarjan
+from fairgrade.graph import ComponentStructure, _pair_cases, _successor_lists, _tarjan
 
 from conftest import random_result_graph
 
@@ -130,6 +131,47 @@ class TestTarjanKernel:
         adj = _successor_lists(k, tail, head)
         assert adj == reference_successor_lists(k, tail, head)
         assert _tarjan(adj) == reference_tarjan(adj)
+
+
+def reference_pair_cases(c, edge, ci, cj):
+    """`np.select` over the four conditions in priority order: the reference
+    for `_pair_cases`."""
+    forward, backward = c.reach[ci, cj], c.reach[cj, ci]
+    return np.select(
+        [edge, forward & backward, forward, backward],
+        [PairCase.EXISTING_EDGE.value, PairCase.SAME_COMPONENT.value,
+         PairCase.STUDENT_ABOVE.value, PairCase.QUESTION_ABOVE.value],
+        PairCase.INCOMPARABLE.value,
+    ).astype(np.int8)
+
+
+@st.composite
+def condensations(draw):
+    """(structure, edge mask, student SCC ids, question SCC ids): the reach
+    matrix of a random DAG on 1-12 SCCs in topological order, closed as
+    `strongly_connected_components` closes it, and random SCC ids and edges."""
+    c = draw(st.integers(1, 12))
+    n, q = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    arcs = draw(hnp.arrays(bool, (c, c)))
+    reach = np.triu(arcs, 1)[::-1, ::-1] | np.eye(c, dtype=bool)  # arcs to lower ids only
+    for a in range(c):
+        reach[a] = reach[reach[a]].any(axis=0)
+    ids = draw(hnp.arrays(np.intp, n + q, elements=st.integers(0, c - 1)))
+    structure = ComponentStructure(ids, tuple(frozenset() for _ in range(c)), reach)
+    return structure, draw(hnp.arrays(bool, (n, q))), ids[:n], ids[n:]
+
+
+class TestPairCasesKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(condensations())
+    def test_matches_the_select_reference(self, drawn):
+        c, edge, ci, cj = drawn
+        codes = _pair_cases(c, edge, ci[:, None], cj[None, :])
+        reference = reference_pair_cases(c, edge, ci[:, None], cj[None, :])
+        assert codes.dtype == np.int8 and codes.shape == edge.shape
+        assert codes.tobytes() == reference.tobytes()
+        i, j = len(ci) - 1, len(cj) - 1  # one pair, as `classify_pair` asks
+        assert int(_pair_cases(c, edge[i, j], ci[i], cj[j])) == reference[i, j]
 
 
 class TestRoster:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -17,25 +18,23 @@ from fairgrade import (
     PriorSpec,
     Roster,
     TaskAssignmentGraph,
-    answer_probability,
     generate_assignment,
+    grade,
     benchmark,
     edge_probabilities,
     is_strongly_connected,
     likelihood_equation_residual,
-    log_likelihood,
     logistic,
     map_fit,
-    merit_span,
     mle_fit,
     sample_exam_result,
     strongly_connected_components,
 )
 from fairgrade import model
-from fairgrade.model import _edge_ends, _newton_step, log_logistic, mm_step
+from fairgrade.model import _log_likelihood, _newton_step, mm_step
 from fairgrade.rng import substream
 
-from conftest import random_result_graph
+from conftest import answer_probability, random_result_graph
 
 
 def oracle_mle(g: ExamResultGraph, vertices):
@@ -81,6 +80,27 @@ def connected_instance(seed, n=3, q=3, d=None):
         if is_strongly_connected(res):
             return res, u
     raise AssertionError("no connected sample found")
+
+
+def merit_span(u: MeritVector) -> float:
+    """Largest pairwise merit difference over the covered vertices."""
+    return float(np.ptp(u.values[u.covered]))
+
+
+def log_logistic(x):
+    """log(logistic(x)) in its `np.logaddexp` form: the reference for the
+    objective term of `_log_likelihood`."""
+    return -np.logaddexp(0.0, -np.asarray(x, dtype=float))
+
+
+def log_likelihood(u: MeritVector, g: ExamResultGraph) -> float:
+    """The fits' objective term `_log_likelihood` over g's observed edges, with
+    merits read through `u.at`: an uncovered end raises MissingMeritError."""
+    tail, head = g.directed_edges
+    ends = np.concatenate((tail, head))
+    merits = np.zeros(len(u.values))
+    merits[ends] = u.at(ends)
+    return float(_log_likelihood(merits, tail, head)[0])
 
 
 def reference_logistic(x):
@@ -293,6 +313,11 @@ class TestMleFit:
         with pytest.raises(NotStronglyConnectedError):
             mle_fit(running_example, range(running_example.roster.n_vertices))
 
+    def test_rejects_vertex_ids_that_are_not_integers(self):
+        res, _ = connected_instance(2)
+        with pytest.raises(IndexError):  # never truncated to the vertices 0..5
+            mle_fit(res, [v + 0.5 for v in range(res.roster.n_vertices)])
+
     def test_nonconvergence_carries_best_iterate(self):
         res, _ = connected_instance(4)
         with pytest.raises(NonConvergenceError) as exc:
@@ -379,40 +404,46 @@ class TestMapFit:
 
 
 def _objective_evaluations(monkeypatch):
-    """Log every gradient `logistic` and objective `log_logistic` call of the
-    Newton loop, and every MM fallback; returns (calls, fallbacks)."""
-    calls, fallbacks = [], []
+    """Log, in order, the point of every objective evaluation of the Newton
+    loop (one `_log_likelihood` call each) and the merits each MM fallback
+    moves to, as `mle_fit`'s fallback computes them from `mm_step`."""
+    events = []
+    likelihood, mm = model._log_likelihood, model.mm_step
 
-    def logged(name, fn):
-        def wrapper(x, *args):
-            (fallbacks if name == "fallback" else calls).append((name, np.array(x)))
-            return fn(x, *args)
-        return wrapper
+    def evaluation(u, *args):
+        events.append(("objective", u.copy()))
+        return likelihood(u, *args)
 
-    for name, attr in (("gradient", "logistic"), ("objective", "log_logistic"),
-                       ("fallback", "mm_step")):
-        monkeypatch.setattr(model, attr, logged(name, getattr(model, attr)))
-    return calls, fallbacks
+    def fallback(gamma, *args):
+        gamma = mm(gamma, *args)
+        u = np.log(gamma)
+        events.append(("fallback", u - u.mean()))
+        return gamma
+
+    monkeypatch.setattr(model, "_log_likelihood", evaluation)
+    monkeypatch.setattr(model, "mm_step", fallback)
+    return events
 
 
-def _split_evaluations(calls):
-    """Objective evaluations at the current iterate, and at line-search trials.
+def _split_evaluations(events, start):
+    """(evaluations at an iterate no trial reached, line-search trials, fallbacks).
 
-    The gradient sees u[loser] - u[winner] and the objective u[winner] -
-    u[loser], so an evaluation at the iterate sees the gradient's argument negated.
+    The former are the evaluation at `start` and the one at the merits each
+    fallback moved to, which must come next; every other evaluation is a trial.
     """
-    at_iterate, trials, previous = 0, 0, None
-    for name, x in calls:
-        if name == "gradient":
-            iterate = -x
-            continue
-        assert previous is None or not np.array_equal(x, previous), "point evaluated twice"
-        previous = x
-        if np.array_equal(x, iterate):
-            at_iterate += 1
+    points = [u for name, u in events if name == "objective"]
+    for a, b in itertools.combinations(points, 2):
+        assert not np.array_equal(a, b), "point evaluated twice"
+    at_iterate, trials, fallbacks, iterate = 0, 0, 0, start
+    for name, u in events:
+        if name == "fallback":
+            fallbacks, iterate = fallbacks + 1, u
+        elif iterate is not None:
+            assert np.array_equal(u, iterate), "start or fallback merits not evaluated next"
+            at_iterate, iterate = at_iterate + 1, None
         else:
             trials += 1
-    return at_iterate, trials
+    return at_iterate, trials, fallbacks
 
 
 class TestObjectiveEvaluations:
@@ -420,20 +451,21 @@ class TestObjectiveEvaluations:
     the start and once after each fallback."""
 
     def test_mle_and_map_fits_evaluate_the_start_once(self, monkeypatch):
-        calls, _ = _objective_evaluations(monkeypatch)
+        events = _objective_evaluations(monkeypatch)
         res, _ = connected_instance(6, n=4, q=5)
         fit = mle_fit(res, range(res.roster.n_vertices), tol=1e-12)
-        at_iterate, trials = _split_evaluations(calls)
-        assert fit.iterations >= 3
+        at_iterate, trials, fallbacks = _split_evaluations(events, np.zeros(9))
+        assert fit.iterations >= 3 and fallbacks == 0
         assert at_iterate == 1 and trials >= fit.iterations
-        calls.clear()
-        fit = map_fit(random_result_graph(np.random.default_rng(3), 6, 5), PriorSpec(), tol=1e-12)
-        at_iterate, trials = _split_evaluations(calls)
+        events.clear()
+        prior = PriorSpec(0.3, 1.0, -0.2, 1.0)
+        fit = map_fit(random_result_graph(np.random.default_rng(3), 6, 5), prior, tol=1e-12)
+        at_iterate, trials, _ = _split_evaluations(events, np.repeat([0.3, -0.2], [6, 5]))
         assert fit.iterations >= 3
         assert at_iterate == 1 and trials >= fit.iterations
 
     def test_each_fallback_adds_one_evaluation(self, monkeypatch):
-        calls, fallbacks = _objective_evaluations(monkeypatch)
+        events = _objective_evaluations(monkeypatch)
         steps = []
 
         def newton_step(*args):
@@ -446,10 +478,83 @@ class TestObjectiveEvaluations:
         monkeypatch.setattr(model, "_newton_step", newton_step)
         res, _ = connected_instance(6, n=4, q=5)
         fit = mle_fit(res, range(res.roster.n_vertices), tol=1e-12)
-        at_iterate, trials = _split_evaluations(calls)
-        assert fit.converged and len(fallbacks) == 2
-        assert at_iterate <= 1 + len(fallbacks)
+        at_iterate, trials, fallbacks = _split_evaluations(events, np.zeros(9))
+        assert fit.converged and fallbacks == 2
+        assert at_iterate == 1 + fallbacks
         assert trials >= 28 + fit.iterations - 2  # the downhill step tried every length
+
+
+EDGE_MARGINS = st.one_of(st.floats(-800, 800),
+                         st.sampled_from([0.0, -0.0, 745.0, -745.0, 1e-300, -1e-300]))
+
+
+@st.composite
+def margin_edges(draw):
+    """(u, winner, loser): merits from EDGE_MARGINS plus a last vertex at 0,
+    and every vertex paired with that one both ways, so each drawn value is
+    itself a margin, plus random pairs."""
+    values = draw(hnp.arrays(float, st.integers(1, 40), elements=EDGE_MARGINS))
+    k = len(values) + 1
+    extra = draw(hnp.arrays(np.intp, (2, draw(st.integers(0, 40))), elements=st.integers(0, k - 1)))
+    own = np.arange(k - 1)
+    zero = np.full(k - 1, k - 1)
+    return (np.append(values, 0.0), np.concatenate((own, zero, extra[0])),
+            np.concatenate((zero, own, extra[1])))
+
+
+class TestLogLikelihoodTerms:
+    """`_log_likelihood`, the Newton loop's one exp per edge, against the
+    forms it replaces: `logistic` per gradient and `np.logaddexp` per trial."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(margin_edges())
+    def test_upset_is_logistic_of_the_reversed_margin_bit_for_bit(self, drawn):
+        u, winner, loser = drawn
+        _, upset = _log_likelihood(u, winner, loser)
+        assert upset.tobytes() == logistic(u[loser] - u[winner]).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(margin_edges())
+    def test_objective_matches_the_logaddexp_form(self, drawn):
+        u, winner, loser = drawn
+        f, _ = _log_likelihood(u, winner, loser)
+        reference = log_logistic(u[winner] - u[loser]).sum()
+        assert abs(f - reference) <= 1e-15 * abs(reference)
+
+
+class TestFitParameters:
+    """Both fits reject a tolerance that is not positive and a negative
+    iteration budget before they iterate."""
+
+    @pytest.mark.parametrize("tol, max_iter", [(float("nan"), 100), (0.0, 100), (-1e-8, 100),
+                                               (1e-8, -1)])
+    def test_rejected_before_iterating(self, monkeypatch, tol, max_iter):
+        res, _ = connected_instance(6, n=4, q=5)
+
+        def no_iteration(*args):
+            raise AssertionError("the fit iterated")
+
+        monkeypatch.setattr(model, "_log_likelihood", no_iteration)
+        with pytest.raises(ParameterOutOfRangeError, match="max_iter"):
+            mle_fit(res, range(res.roster.n_vertices), tol=tol, max_iter=max_iter)
+        with pytest.raises(ParameterOutOfRangeError, match="max_iter"):
+            map_fit(res, PriorSpec(), tol=tol, max_iter=max_iter)
+
+    def test_grade_with_nan_tol_raises_at_once(self):
+        roster = Roster.index_based(35, 22)
+        rng = substream(11, 0)
+        u = MeritVector.for_roster(roster, rng.uniform(-1.486, 1.149, 35),
+                                   rng.uniform(-3.090, 2.099, 22))
+        res = sample_exam_result(generate_assignment(roster, 22, 10, rng), u, rng)
+        with pytest.raises(ParameterOutOfRangeError):
+            grade(res, tol=float("nan"))
+
+    def test_zero_iterations_report_the_start(self):
+        res, _ = connected_instance(6, n=4, q=5)
+        with pytest.raises(NonConvergenceError) as exc:
+            mle_fit(res, range(res.roster.n_vertices), max_iter=0)
+        assert exc.value.report.iterations == 0
+        assert not exc.value.report.merits.values.any()
 
 
 def dense_hessian(k, winner, loser, weight, precision, gauge):
@@ -519,7 +624,10 @@ class TestNewtonStep:
         vertices = sorted(max(strongly_connected_components(g).components, key=len))
         assume(len(vertices) >= 4)  # the smallest strongly connected piece is a 4-cycle
         k, n_first = len(vertices), sum(v < g.roster.n_students for v in vertices)
-        winner, loser = _edge_ends(g, vertices, *g.directed_edges)
+        pos = {v: k for k, v in enumerate(vertices)}
+        winner, loser = (np.array(side, dtype=np.intp) for side in zip(*(
+            (pos[a], pos[b]) for a, b in zip(*map(np.ndarray.tolist, g.directed_edges))
+            if a in pos and b in pos)))
         u = rng.normal(0, 1.5, k)
         u -= u.mean()
         upset = logistic(u[loser] - u[winner])

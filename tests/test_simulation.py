@@ -10,7 +10,6 @@ from fairgrade import (
     ParameterOutOfRangeError,
     Roster,
     TaskAssignmentGraph,
-    answer_probability,
     benchmark,
     decompose_error,
     estimate_ex_post_bias,
@@ -32,6 +31,8 @@ from fairgrade.simulation import (
     uniform_difficulty_sampler,
     ecdf_difficulty_sampler,
 )
+
+from conftest import answer_probability
 
 
 def recursive_expected_grade(rule, g, u):
