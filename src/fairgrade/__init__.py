@@ -16,7 +16,6 @@ from .graph import (
     ParameterOutOfRangeError,
     Roster,
     TaskAssignmentGraph,
-    classify_pair,
     generate_assignment,
     is_strongly_connected,
     strongly_connected_components,
@@ -56,7 +55,6 @@ from .simulation import (
     cross_validate,
     decompose_error,
     estimate_ex_post_bias,
-    exact_expected_grade,
     simulated_cross_validate,
     sweep_degree,
     sweep_question_sample_size,

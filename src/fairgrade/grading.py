@@ -17,8 +17,8 @@ from functools import cached_property
 import numpy as np
 
 from .graph import ExamResultGraph, PairCase, Roster, _pair_cases, strongly_connected_components
-from .model import (FitReport, MeritVector, NonConvergenceError, PriorSpec, logistic, map_fit,
-                    mle_fit)
+from .model import (FitReport, MeritVector, NonConvergenceError, PriorSpec, check_fit_limits,
+                    logistic, map_fit, mle_fit)
 
 
 _CASE_TAGS = np.array([None, *PairCase], dtype=object)  # indexed by `PairCase` value
@@ -87,6 +87,7 @@ def predict_matrix(
     max_iter: int = 10000,
 ) -> PredictionMatrix:
     """Fill the full students x bank prediction matrix, case by case."""
+    check_fit_limits(tol, max_iter)  # whether or not any SCC needs a fit
     roster = g.roster
     _require_positive_degrees(roster, g.assignment.student_degrees)
     components = strongly_connected_components(g)

@@ -61,12 +61,6 @@ class Roster:
     def n_vertices(self) -> int:
         return len(self.students) + len(self.questions)
 
-    def student_vertex(self, i: int) -> int:
-        return i
-
-    def question_vertex(self, j: int) -> int:
-        return self.n_students + j
-
     def vertex_label(self, v: int) -> str:
         n = self.n_students
         return self.students[v] if v < n else self.questions[v - n]
@@ -116,11 +110,6 @@ class TaskAssignmentGraph:
     def student_degrees(self) -> np.ndarray:
         s_idx, _ = self.edge_arrays
         return np.bincount(s_idx, minlength=self.roster.n_students)
-
-    @cached_property
-    def question_degrees(self) -> np.ndarray:
-        _, q_idx = self.edge_arrays
-        return np.bincount(q_idx, minlength=self.roster.n_questions)
 
     @property
     def n_edges(self) -> int:
@@ -251,8 +240,8 @@ class PairCase(Enum):
 class ComponentStructure:
     """SCC partition plus materialized condensation reachability.
 
-    `component_of` maps each roster vertex to its SCC id. `reach[a, b]` says
-    whether SCC `a` reaches SCC `b` (itself included), so queries are O(1).
+    `component_of` maps each roster vertex to its SCC id. The boolean matrix
+    `reach[a, b]` says whether SCC `a` reaches SCC `b` (itself included).
     """
 
     component_of: np.ndarray
@@ -262,10 +251,6 @@ class ComponentStructure:
     @property
     def n_components(self) -> int:
         return len(self.components)
-
-    def reaches(self, a: int, b: int) -> bool:
-        """Whether SCC `a` reaches SCC `b` in the condensation DAG."""
-        return bool(self.reach[a, b])
 
 
 def strongly_connected_components(g: ExamResultGraph) -> ComponentStructure:
@@ -331,19 +316,6 @@ def _tarjan(adj: list[list[int]]) -> tuple[list[int], list[list[int]]]:
 def is_strongly_connected(g: ExamResultGraph) -> bool:
     """Whether the whole result digraph (full bank included) is one SCC."""
     return strongly_connected_components(g).n_components == 1
-
-
-def classify_pair(
-    c: ComponentStructure, g: ExamResultGraph, i: int, j: int
-) -> PairCase:
-    """Which of the five prediction cases covers student i and question j."""
-    roster = g.roster
-    if not (0 <= i < roster.n_students and 0 <= j < roster.n_questions):
-        raise IndexError(f"pair ({i}, {j}) outside roster index range")
-    edge = (g.assignment.edges == (i, j)).all(axis=1).any()
-    ci = c.component_of[roster.student_vertex(i)]
-    cj = c.component_of[roster.question_vertex(j)]
-    return PairCase(int(_pair_cases(c, edge, ci, cj)))
 
 
 # `_pair_cases`' case of a non-edge by 2 * (student SCC reaches question SCC) + converse

@@ -33,8 +33,6 @@ from .graph import (
 )
 from .rng import as_generator
 
-MEAN_ZERO = "mean_zero"
-
 
 class MissingMeritError(KeyError):
     """A vertex required by the computation has no merit value."""
@@ -60,14 +58,12 @@ class MeritVector:
     `values[v]` is vertex v's merit where the boolean mask `covered[v]` is
     set (all vertices when `covered` is None); uncovered entries are ignored.
     Both arrays are read-only copies. The model is invariant to adding a
-    constant, so a vector may carry the normalization tag MEAN_ZERO: it sums
-    to 0 over its covered vertices. Untagged vectors are allowed (penalized
-    fits fix the gauge through the prior instead).
+    constant; `mean_zero` picks the vector that sums to 0 over its covered
+    vertices, as the maximum likelihood fit reports it.
     """
 
     values: np.ndarray
     covered: np.ndarray | None = None
-    normalization: str | None = None
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float)
@@ -77,11 +73,6 @@ class MeritVector:
             raise ValueError("merit values and coverage mask must be vectors of one length")
         if not np.isfinite(values[covered]).all():
             raise ValueError("merit values must be finite")
-        if self.normalization == MEAN_ZERO:
-            if abs(values[covered].sum()) > 1e-9:
-                raise ValueError("mean-zero vector does not sum to 0")
-        elif self.normalization is not None:
-            raise ValueError(f"unknown normalization tag {self.normalization!r}")
         for name, array in (("values", values), ("covered", covered)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
@@ -106,7 +97,7 @@ class MeritVector:
         covered = np.asarray(covered, dtype=bool)
         for _ in range(2):
             values[covered] -= np.cumsum(values[covered])[-1] / covered.sum()
-        return cls(values, covered, MEAN_ZERO)
+        return cls(values, covered)
 
     def at(self, vertices) -> np.ndarray:
         """Values of the vertex or vertex array `vertices`, all of which must be covered."""
@@ -214,18 +205,18 @@ def _schur_layout(winner, loser, n_first, k):
     return elim, e_end, kept, r_end, np.zeros(shape), np.empty(shape)
 
 
-def _newton_step(winner, loser, n_first, weight, precision, gauge, grad, layout=None):
-    """Newton step x with H x = grad; positions below `n_first` are students.
+def _newton_step(winner, loser, weight, precision, gauge, grad, layout):
+    """Newton step x with H x = grad, in the fit's `_schur_layout`.
 
     Eliminates the larger side e (Wright & Panchapakesan 1969): solves the
     smaller side r's Schur complement S = D_r - F' D_e^-1 F, then x_e =
     D_e^-1 (g_e + F x_r). The gauge's J/k becomes J/|r| in S and a mean-zero
     step: the same step when grad sums to 0, as the likelihood gradient does.
-    With the gauge there is no prior, so `precision` is not read.
-    `_newton` passes one `layout` per fit; each step overwrites its workspace.
+    With the gauge there is no prior, so `precision` is not read. Each step
+    overwrites the layout's workspace.
     """
     k = len(grad)
-    elim, e_end, kept, r_end, f, scaled = layout or _schur_layout(winner, loser, n_first, k)
+    elim, e_end, kept, r_end, f, scaled = layout
     diag = np.bincount(winner, weight, k) + np.bincount(loser, weight, k)
     if not gauge:
         diag += precision
@@ -255,6 +246,12 @@ def _log_likelihood(u, winner, loser):
     return (np.minimum(m, 0.0) - np.log1p(e)).sum(), np.where(m > 0, e, 1.0) / (1.0 + e)
 
 
+def check_fit_limits(tol, max_iter) -> None:
+    """Raise ParameterOutOfRangeError unless tol > 0 and max_iter >= 0."""
+    if not (tol > 0 and max_iter >= 0):
+        raise ParameterOutOfRangeError(f"tol={tol} must be > 0 and max_iter={max_iter} >= 0")
+
+
 def _newton(winner, loser, n_first, precision, center, gauge, fallback, tol, max_iter):
     """Damped Newton ascent on sum(log f(u[winner] - u[loser])) minus a
     penalty: k * mean(u)^2/2 with the gauge, else sum(precision * (u - c)^2)/2.
@@ -271,8 +268,7 @@ def _newton(winner, loser, n_first, precision, center, gauge, fallback, tol, max
     rounding could move an iterate only where one lands within rounding.
     Returns (u, steps taken, sup-norm of the gradient, converged).
     """
-    if not (tol > 0 and max_iter >= 0):
-        raise ParameterOutOfRangeError(f"tol={tol} must be > 0 and max_iter={max_iter} >= 0")
+    check_fit_limits(tol, max_iter)
     k = len(center)
     layout = _schur_layout(winner, loser, n_first, k)
 
@@ -290,8 +286,8 @@ def _newton(winner, loser, n_first, precision, center, gauge, fallback, tol, max
         if residual <= tol or it == max_iter:
             return u, it, residual, residual <= tol
         try:
-            step = _newton_step(winner, loser, n_first, upset * (1.0 - upset), precision,
-                                gauge, grad, layout)
+            step = _newton_step(winner, loser, upset * (1.0 - upset), precision, gauge, grad,
+                                layout)
         except np.linalg.LinAlgError:
             u, at_u = fallback(u, None), None
             continue

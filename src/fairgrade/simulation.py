@@ -27,7 +27,7 @@ RULES: dict[str, GradingRule] = {"ours": grade, "avg": simple_average}
 MONTE_CARLO = "monte_carlo"
 EXACT_ENUMERATION = "exact_enumeration"
 
-# published difficulty range used when no empirical sample is supplied
+# the published range of question difficulties: `uniform_difficulty_sampler`'s default
 DEFAULT_DIFFICULTY_RANGE = (-3.090, 2.099)
 
 
@@ -126,12 +126,11 @@ def estimate_ex_post_bias(
     u: MeritVector,
     replications: int,
     seed: int,
-    benchmark_grades: np.ndarray | None = None,
 ) -> BiasReport:
     """Monte-Carlo estimate of each student's expected-grade deviation."""
     if replications < 1:
         raise ValueError("replications must be >= 1")
-    opt = benchmark(u, g.roster).values if benchmark_grades is None else benchmark_grades
+    opt = benchmark(u, g.roster).values
     mat, failed = _replicate(rule, g, u, replications, seed)
     ok = len(mat)
     mean = mat.mean(axis=0)
@@ -164,14 +163,6 @@ def enumerate_outcomes(g: TaskAssignmentGraph, u: MeritVector):
         w = ((mask >> bits) & 1).astype(np.uint8)
         p = float(np.prod(np.where(w == 1, probs, 1.0 - probs)))
         yield p, ExamResultGraph(g, w)
-
-
-def exact_expected_grade(
-    rule: GradingRule, g: TaskAssignmentGraph, u: MeritVector
-) -> dict[str, float]:
-    """E_w[grade_i], exactly, by enumerating every outcome vector."""
-    m1, _, _ = _exact_moments(rule, g, u)
-    return {sid: float(v) for sid, v in zip(g.roster.students, m1)}
 
 
 def _exact_moments(rule: GradingRule, g: TaskAssignmentGraph, u: MeritVector):
@@ -273,11 +264,10 @@ def sweep_degree(
 ) -> SweepResult:
     """Expected max/avg squared deviation per rule, across degree constraints."""
     rules = dict(RULES) if rules is None else dict(rules)
-    opt = benchmark(u, roster).values
     points = []
     for di, d in enumerate(d_values):
         instances = [
-            (generate_assignment(roster, m, d, substream(seed, di, gi, 0)), u, opt)
+            (generate_assignment(roster, m, d, substream(seed, di, gi, 0)), u)
             for gi in range(graphs_per_d)
         ]
         points.append(_sweep_point(d, instances, rules, replications, seed, di))
@@ -286,13 +276,12 @@ def sweep_degree(
 
 def _sweep_point(value, instances, rules, replications, seed, vi) -> SweepPoint:
     """Mean and standard error over graphs of each rule's max/avg bias, for
-    the `vi`-th sweep value; `instances` lists (graph, merits, benchmark)."""
+    the `vi`-th sweep value; `instances` lists (graph, merits) pairs."""
     reports = {name: [] for name in rules}
-    for gi, (g, u, opt) in enumerate(instances):
+    for gi, (g, u) in enumerate(instances):
         for name, rule in rules.items():
             reports[name].append(estimate_ex_post_bias(
-                rule, g, u, replications, _scalar_seed(seed, vi, gi, 1), benchmark_grades=opt,
-            ))
+                rule, g, u, replications, _scalar_seed(seed, vi, gi, 1)))
     stats = {}
     for name, rule_reports in reports.items():
         max_bias = [r.max_bias for r in rule_reports]
@@ -328,20 +317,6 @@ def uniform_difficulty_sampler(
     return sampler
 
 
-def ecdf_difficulty_sampler(observed: Sequence[float]):
-    """Inverse-CDF sampler from the piecewise-linear interpolation of an
-    empirical difficulty sample."""
-    xs = np.sort(np.asarray(observed, dtype=float))
-    if xs.size < 2:
-        raise ValueError("need at least two observed difficulties")
-    levels = np.linspace(0.0, 1.0, xs.size)
-
-    def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
-        return np.interp(rng.random(size), levels, xs)
-
-    return sampler
-
-
 def sweep_question_sample_size(
     student_merits: Sequence[float],
     difficulty_sampler: Callable[[np.random.Generator, int], np.ndarray],
@@ -365,7 +340,7 @@ def sweep_question_sample_size(
         for gi in range(graphs_per_m):
             rng = substream(seed, mi, gi, 0)
             u = MeritVector.for_roster(roster, student_merits, difficulty_sampler(rng, m))
-            yield generate_assignment(roster, m, d, rng), u, benchmark(u, roster).values
+            yield generate_assignment(roster, m, d, rng), u
 
     points = [
         _sweep_point(m, list(instances(mi, m)), rules, replications, seed, mi)
@@ -444,12 +419,10 @@ def simulated_cross_validate(
     repetitions: int,
     seed: int,
     n_questions: int = 22,
-    rules: Mapping[str, GradingRule] | None = None,
 ) -> list[CvResult]:
     """Synthetic counterpart of `cross_validate`: merits are drawn from the
-    priors, a complete exam is generated, and rules are scored against the
-    realized full-row accuracy."""
-    rules = dict(RULES) if rules is None else dict(rules)
+    priors, a complete exam is generated, and the `RULES` are scored against
+    the realized full-row accuracy."""
     if not all(1 <= d2 <= n_questions for d2 in d2_values):
         raise ParameterOutOfRangeError(f"need 1 <= d2 <= {n_questions}, got {list(d2_values)}")
     roster = Roster.index_based(n, n_questions)
@@ -465,13 +438,13 @@ def simulated_cross_validate(
         probs = edge_probabilities(complete, u)
         w = (rng.random(complete.n_edges) < probs).astype(np.uint8)
         full = w.reshape(n, n_questions)  # the complete graph's edges are row-major
-        return {d2: _hold_out(full, d2, rng, rules) for d2 in d2_values}
+        return {d2: _hold_out(full, d2, rng, RULES) for d2 in d2_values}
 
     reps = [one(r) for r in range(repetitions)]
     results = []
     for d2 in d2_values:
         mse = {
-            name: float(np.mean([r[d2][name] for r in reps])) for name in rules
+            name: float(np.mean([r[d2][name] for r in reps])) for name in RULES
         }
         results.append(CvResult(d1=n, d2=int(d2), mse_per_rule=mse, repetitions=repetitions))
     return results

@@ -39,6 +39,22 @@ def random_result_graph(rng: np.random.Generator, n: int, q: int) -> ExamResultG
     return ExamResultGraph(g, rng.integers(0, 2, g.n_edges).astype(np.uint8))
 
 
+def brute_force_reachability(adj):
+    """Floyd-Warshall style closure; independent of the SCC code."""
+    n = len(adj)
+    reach = [[a == b for b in range(n)] for a in range(n)]
+    for a in range(n):
+        for b in adj[a]:
+            reach[a][b] = True
+    for k in range(n):
+        for a in range(n):
+            if reach[a][k]:
+                for b in range(n):
+                    if reach[k][b]:
+                        reach[a][b] = True
+    return reach
+
+
 def answer_probability(u: MeritVector, roster: Roster, i: int, j: int) -> float:
     """Chance that student i answers question j correctly (roster indices)."""
     return logistic(u[i] - u[roster.n_students + j])

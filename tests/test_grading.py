@@ -12,7 +12,6 @@ from fairgrade import (
     Roster,
     TaskAssignmentGraph,
     ZeroDegreeStudentError,
-    classify_pair,
     generate_assignment,
     grade,
     is_strongly_connected,
@@ -26,7 +25,7 @@ from fairgrade import (
 )
 from fairgrade import grading
 
-from conftest import random_result_graph
+from conftest import brute_force_reachability, random_result_graph
 
 
 class TestSimpleAverage:
@@ -86,7 +85,7 @@ class TestPredictMatrix:
         from fairgrade import logistic
 
         for i, j in ((0, 2), (2, 0)):
-            expected = logistic(fit.merits[i] - fit.merits[r.question_vertex(j)])
+            expected = logistic(fit.merits[i] - fit.merits[r.n_students + j])
             assert pm.case_tags[i, j] is PairCase.SAME_COMPONENT
             assert pm.entries[i, j] == pytest.approx(expected, abs=1e-9)
 
@@ -121,9 +120,15 @@ class TestPredictMatrix:
         g = random_result_graph(rng, int(rng.integers(1, 7)), int(rng.integers(1, 7)))
         pm = predict_matrix(g)
         h, tags = pm.entries, pm.case_tags
-        c = strongly_connected_components(g)
+        reach = brute_force_reachability(g.directed_adjacency())
+        n, edges = g.roster.n_students, g.outcomes
         for i, j in np.ndindex(h.shape):
-            assert tags[i, j] is classify_pair(c, g, i, j)
+            down, up = reach[i][n + j], reach[n + j][i]
+            expected = (PairCase.EXISTING_EDGE if (i, j) in edges
+                        else PairCase.SAME_COMPONENT if down and up
+                        else PairCase.STUDENT_ABOVE if down
+                        else PairCase.QUESTION_ABOVE if up else PairCase.INCOMPARABLE)
+            assert tags[i, j] is expected
         for (i, j), bit in g.outcomes.items():
             assert h[i, j] == bit
         assert (h[tags == PairCase.STUDENT_ABOVE] == 1.0).all()

@@ -12,30 +12,14 @@ from fairgrade import (
     ParameterOutOfRangeError,
     Roster,
     TaskAssignmentGraph,
-    classify_pair,
     generate_assignment,
     is_strongly_connected,
+    predict_matrix,
     strongly_connected_components,
 )
 from fairgrade.graph import ComponentStructure, _pair_cases, _successor_lists, _tarjan
 
-from conftest import random_result_graph
-
-
-def brute_force_reachability(adj):
-    """Floyd-Warshall style closure; independent of the SCC code."""
-    n = len(adj)
-    reach = [[a == b for b in range(n)] for a in range(n)]
-    for a in range(n):
-        for b in adj[a]:
-            reach[a][b] = True
-    for k in range(n):
-        for a in range(n):
-            if reach[a][k]:
-                for b in range(n):
-                    if reach[k][b]:
-                        reach[a][b] = True
-    return reach
+from conftest import brute_force_reachability, random_result_graph
 
 
 @st.composite
@@ -170,7 +154,7 @@ class TestPairCasesKernel:
         reference = reference_pair_cases(c, edge, ci[:, None], cj[None, :])
         assert codes.dtype == np.int8 and codes.shape == edge.shape
         assert codes.tobytes() == reference.tobytes()
-        i, j = len(ci) - 1, len(cj) - 1  # one pair, as `classify_pair` asks
+        i, j = len(ci) - 1, len(cj) - 1  # one pair: scalar arguments broadcast too
         assert int(_pair_cases(c, edge[i, j], ci[i], cj[j])) == reference[i, j]
 
 
@@ -186,8 +170,8 @@ class TestRoster:
     def test_vertex_numbering_round_trips(self):
         r = Roster.index_based(3, 4)
         assert r.n_vertices == 7
-        assert r.vertex_label(r.student_vertex(2)) == "s2"
-        assert r.vertex_label(r.question_vertex(3)) == "q3"
+        assert r.vertex_label(2) == "s2"
+        assert r.vertex_label(r.n_students + 3) == "q3"
         assert r.is_student_vertex(2) and not r.is_student_vertex(3)
 
 
@@ -233,7 +217,8 @@ class TestTaskAssignmentGraph:
         r = Roster.index_based(2, 3)
         g = TaskAssignmentGraph(r, ((0, 0), (0, 1), (1, 1)))
         assert g.student_degrees.tolist() == [2, 1]
-        assert g.question_degrees.tolist() == [1, 2, 0]
+        _, q_idx = g.edge_arrays
+        assert np.bincount(q_idx, minlength=3).tolist() == [1, 2, 0]
 
 
 class TestGenerateAssignment:
@@ -247,7 +232,7 @@ class TestGenerateAssignment:
         r = Roster.index_based(5, 10)
         g = generate_assignment(r, 6, 4, 123)
         assert (g.student_degrees == 4).all()
-        assert (g.question_degrees > 0).sum() <= 6
+        assert (np.bincount(g.edge_arrays[1]) > 0).sum() <= 6
 
     def test_deterministic_given_seed(self):
         r = Roster.index_based(4, 8)
@@ -333,8 +318,8 @@ class TestStronglyConnectedComponents:
         c = strongly_connected_components(running_example)
         assert c.n_components == 6
         roster = running_example.roster
-        block = {roster.student_vertex(0), roster.student_vertex(1),
-                 roster.question_vertex(0), roster.question_vertex(1)}
+        n = roster.n_students
+        block = {0, 1, n + 0, n + 1}
         assert block in [set(comp) for comp in c.components]
 
     @settings(max_examples=150, deadline=None)
@@ -347,7 +332,7 @@ class TestStronglyConnectedComponents:
             for b in range(nv):
                 same = reach[a][b] and reach[b][a]
                 assert (c.component_of[a] == c.component_of[b]) == same
-                assert c.reaches(c.component_of[a], c.component_of[b]) == reach[a][b]
+                assert c.reach[c.component_of[a], c.component_of[b]] == reach[a][b]
 
     @settings(max_examples=100, deadline=None)
     @given(result_graphs())
@@ -361,18 +346,17 @@ class TestStronglyConnectedComponents:
         g = TaskAssignmentGraph(r, ((0, 0),))
         res = ExamResultGraph(g, np.array([1]))
         c = strongly_connected_components(res)
-        assert frozenset({r.question_vertex(1)}) in c.components
+        assert frozenset({r.n_students + 1}) in c.components
 
 
 class TestClassifyPair:
     def test_running_example_cases(self, running_example):
-        c = strongly_connected_components(running_example)
-        g = running_example
-        assert classify_pair(c, g, 0, 0) is PairCase.EXISTING_EDGE
-        assert classify_pair(c, g, 0, 2) is PairCase.STUDENT_ABOVE
-        assert classify_pair(c, g, 1, 2) is PairCase.STUDENT_ABOVE
-        assert classify_pair(c, g, 2, 1) is PairCase.QUESTION_ABOVE
-        assert classify_pair(c, g, 2, 2) is PairCase.EXISTING_EDGE
+        tags = predict_matrix(running_example).case_tags
+        assert tags[0, 0] is PairCase.EXISTING_EDGE
+        assert tags[0, 2] is PairCase.STUDENT_ABOVE
+        assert tags[1, 2] is PairCase.STUDENT_ABOVE
+        assert tags[2, 1] is PairCase.QUESTION_ABOVE
+        assert tags[2, 2] is PairCase.EXISTING_EDGE
 
     def test_same_component_and_incomparable(self):
         r = Roster.index_based(2, 2)
@@ -380,8 +364,7 @@ class TestClassifyPair:
         # s0->q0, q0->s1, s1->q0 is multi; instead: s0->q0, q0->s0 gives SCC.
         g = TaskAssignmentGraph(r, ((0, 0), (1, 1)))
         res = ExamResultGraph.from_outcomes(g, {(0, 0): 1, (1, 1): 0})
-        c = strongly_connected_components(res)
-        assert classify_pair(c, res, 0, 1) is PairCase.INCOMPARABLE
+        assert predict_matrix(res).case_tags[0, 1] is PairCase.INCOMPARABLE
         # 2-cycle through two edges needs two questions:
         g2 = TaskAssignmentGraph(r, ((0, 0), (0, 1), (1, 0), (1, 1)))
         res2 = ExamResultGraph.from_outcomes(
@@ -389,16 +372,20 @@ class TestClassifyPair:
         )
         c2 = strongly_connected_components(res2)
         assert c2.n_components == 1
+        tags = predict_matrix(res2).case_tags
         for i, j in ((0, 0), (0, 1)):
-            assert classify_pair(c2, res2, i, j) is PairCase.EXISTING_EDGE
+            assert tags[i, j] is PairCase.EXISTING_EDGE
 
     @settings(max_examples=100, deadline=None)
     @given(result_graphs())
     def test_total_and_exclusive(self, g):
+        # a drawn student may have no question, which `predict_matrix` rejects
         c = strongly_connected_components(g)
+        comp = c.component_of
+        edges = g.assignment.edges.tolist()
         for i in range(g.roster.n_students):
             for j in range(g.roster.n_questions):
-                case = classify_pair(c, g, i, j)
-                assert isinstance(case, PairCase)
-                if [i, j] in g.assignment.edges.tolist():
+                edge = [i, j] in edges
+                case = PairCase(int(_pair_cases(c, edge, comp[i], comp[g.roster.n_students + j])))
+                if edge:
                     assert case is PairCase.EXISTING_EDGE

@@ -31,7 +31,7 @@ from fairgrade import (
     strongly_connected_components,
 )
 from fairgrade import model
-from fairgrade.model import _log_likelihood, _newton_step, mm_step
+from fairgrade.model import _log_likelihood, _newton_step, _schur_layout, mm_step
 from fairgrade.rng import substream
 
 from conftest import answer_probability, random_result_graph
@@ -163,8 +163,6 @@ class TestMeritVector:
 
     def test_mean_zero_invariant_enforced(self):
         with pytest.raises(ValueError):
-            MeritVector(np.array([1.0, 1.0]), normalization="mean_zero")
-        with pytest.raises(ValueError):
             MeritVector(np.array([0.0, np.nan]))
         with pytest.raises(ValueError):
             MeritVector(np.zeros(3), np.ones(2, dtype=bool))
@@ -282,8 +280,7 @@ class TestMleFit:
         # each vertex in the block has one win out of two comparisons, so the
         # all-equal merit vector solves the likelihood equation exactly
         r = running_example.roster
-        block = [r.student_vertex(0), r.student_vertex(1),
-                 r.question_vertex(0), r.question_vertex(1)]
+        block = [0, 1, r.n_students + 0, r.n_students + 1]
         fit = mle_fit(running_example, block)
         assert fit.converged
         for v in block:
@@ -381,7 +378,7 @@ class TestMapFit:
         res = ExamResultGraph(g, np.array([1, 0]))
         fit = map_fit(res, PriorSpec())
         assert fit.converged
-        assert fit.merits[0] > fit.merits[r.question_vertex(0)]
+        assert fit.merits[0] > fit.merits[r.n_students + 0]
 
     @pytest.mark.parametrize("field", ["student_std", "question_std"])
     def test_prior_std_whose_precision_overflows_is_rejected(self, field):
@@ -549,6 +546,16 @@ class TestFitParameters:
         with pytest.raises(ParameterOutOfRangeError):
             grade(res, tol=float("nan"))
 
+    @pytest.mark.parametrize("tol, max_iter", [(float("nan"), 100), (-1.0, 100), (1e-8, -5)])
+    def test_grade_checks_limits_when_nothing_needs_a_fit(self, tol, max_iter):
+        # a complete exam: every cell is observed, so no SCC is fitted
+        roster = Roster.index_based(3, 3)
+        g = TaskAssignmentGraph(roster, np.indices((3, 3)).reshape(2, -1).T)
+        res = ExamResultGraph(g, np.array([1, 1, 0, 0, 1, 1, 1, 0, 1]))
+        assert is_strongly_connected(res)
+        with pytest.raises(ParameterOutOfRangeError, match="max_iter"):
+            grade(res, tol=tol, max_iter=max_iter)
+
     def test_zero_iterations_report_the_start(self):
         res, _ = connected_instance(6, n=4, q=5)
         with pytest.raises(NonConvergenceError) as exc:
@@ -612,7 +619,8 @@ class TestNewtonStep:
         weight = upset * (1 - upset)
         precision = np.repeat(rng.uniform(0.1, 4.0, 2), [n, k - n])
         grad = rng.normal(0, 1, k)
-        step = _newton_step(winner, loser, n, weight, precision, False, grad)
+        layout = _schur_layout(winner, loser, n, k)
+        step = _newton_step(winner, loser, weight, precision, False, grad, layout)
         reference = np.linalg.solve(
             dense_hessian(k, winner, loser, weight, precision, False), grad)
         assert _relative_gap(step, reference) <= 1e-12
@@ -633,7 +641,8 @@ class TestNewtonStep:
         upset = logistic(u[loser] - u[winner])
         weight = upset * (1 - upset)
         grad = np.bincount(winner, upset, k) - np.bincount(loser, upset, k)
-        step = _newton_step(winner, loser, n_first, weight, 0.0, True, grad)
+        layout = _schur_layout(winner, loser, n_first, k)
+        step = _newton_step(winner, loser, weight, 0.0, True, grad, layout)
         reference = np.linalg.solve(dense_hessian(k, winner, loser, weight, 0.0, True), grad)
         assert _relative_gap(step, reference) <= 1e-12
 

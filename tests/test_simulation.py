@@ -13,7 +13,6 @@ from fairgrade import (
     benchmark,
     decompose_error,
     estimate_ex_post_bias,
-    exact_expected_grade,
     generate_assignment,
     grade,
     simple_average,
@@ -26,10 +25,10 @@ from fairgrade.model import PriorSpec
 from fairgrade.simulation import (
     EXACT_ENUMERATION,
     MONTE_CARLO,
+    _exact_moments,
     cross_validate,
     cv_threshold_table,
     uniform_difficulty_sampler,
-    ecdf_difficulty_sampler,
 )
 
 from conftest import answer_probability
@@ -63,31 +62,27 @@ class TestExactExpectedGrade:
         r = Roster.index_based(1, 1)
         g = TaskAssignmentGraph(r, ((0, 0),))
         u = MeritVector.for_roster(r, [0.0], [0.0])
-        assert exact_expected_grade(simple_average, g, u)["s0"] == pytest.approx(0.5)
+        assert _exact_moments(simple_average, g, u)[0][0] == pytest.approx(0.5)
 
     def test_complete_graph_matches_benchmark(self):
         r = Roster.index_based(2, 2)
         g = TaskAssignmentGraph(r, ((0, 0), (0, 1), (1, 0), (1, 1)))
         u = MeritVector.for_roster(r, [0.3, -0.3], [0.5, -0.5])
-        exact = exact_expected_grade(simple_average, g, u)
-        opt = benchmark(u, r).as_dict()
-        for sid in r.students:
-            assert exact[sid] == pytest.approx(opt[sid], abs=1e-12)
+        exact = _exact_moments(simple_average, g, u)[0]
+        assert exact == pytest.approx(benchmark(u, r).values, abs=1e-12)
 
     def test_matches_recursive_oracle(self, tiny_instance):
         g, u = tiny_instance
         for rule in (simple_average, grade):
-            exact = exact_expected_grade(rule, g, u)
-            oracle = recursive_expected_grade(rule, g, u)
-            for k, sid in enumerate(g.roster.students):
-                assert exact[sid] == pytest.approx(oracle[k], abs=1e-12)
+            exact = _exact_moments(rule, g, u)[0]
+            assert exact == pytest.approx(recursive_expected_grade(rule, g, u), abs=1e-12)
 
     def test_too_large_rejected(self):
         r = Roster.index_based(5, 5)
         g = TaskAssignmentGraph(r, tuple((i, j) for i in range(5) for j in range(5)))
         u = MeritVector.for_roster(r, [0.0] * 5, [0.0] * 5)
         with pytest.raises(InstanceTooLargeError):
-            exact_expected_grade(simple_average, g, u)
+            _exact_moments(simple_average, g, u)
 
 
 class TestEstimateExPostBias:
@@ -109,10 +104,10 @@ class TestEstimateExPostBias:
         g, u = tiny_instance
         opt = benchmark(u, g.roster).values
         for rule in (simple_average, grade):
-            exact = exact_expected_grade(rule, g, u)
+            exact = _exact_moments(rule, g, u)[0]
             report = estimate_ex_post_bias(rule, g, u, 3000, 4)
-            for k, sid in enumerate(g.roster.students):
-                true_dev = exact[sid] - opt[k]
+            for k in range(g.roster.n_students):
+                true_dev = exact[k] - opt[k]
                 se = max(report.per_student_se[k], 1e-12)
                 assert abs(report.per_student_deviation[k] - true_dev) <= 4 * se
 
@@ -252,13 +247,6 @@ class TestSweeps:
         sampler = uniform_difficulty_sampler()
         with pytest.raises(ParameterOutOfRangeError):
             sweep_question_sample_size([0.0], sampler, [2, 5], 3, 1, 10, 0)
-
-    def test_ecdf_sampler_range_and_determinism(self):
-        sampler = ecdf_difficulty_sampler([-2.0, -1.0, 0.5, 2.0])
-        draws = sampler(np.random.default_rng(0), 100)
-        assert draws.min() >= -2.0 and draws.max() <= 2.0
-        again = sampler(np.random.default_rng(0), 100)
-        assert np.array_equal(draws, again)
 
 
 class TestCrossValidation:
