@@ -101,29 +101,24 @@ def predict_matrix(
     h = np.zeros(edge.shape)
     h[s_idx, q_idx] = g.w
     h[codes == PairCase.STUDENT_ABOVE.value] = 1.0
-    # the edges inside each SCC, in edge order, by one stable sort on SCC id
-    tail, head = g.directed_edges
-    inner = np.where(comp[tail] == comp[head], comp[tail], -1)
-    by_comp = np.argsort(inner, kind="stable")
-    c = components.n_components
-    bounds = np.searchsorted(inner[by_comp], np.arange(c + 1))
-    # an SCC has SAME_COMPONENT cells exactly when fewer edges than students x questions join it
-    fitted = np.flatnonzero(np.diff(bounds) < np.bincount(comp[:n], minlength=c)
-                            * np.bincount(comp[n:], minlength=c))
+    same = codes == PairCase.SAME_COMPONENT.value
+    # the SCCs to fit are those whose students have SAME_COMPONENT cells
+    fitted = np.flatnonzero(np.bincount(comp[:n], same.any(axis=1), components.n_components))
     if fitted.size:
+        tail, head = g.directed_edges
         u = np.zeros(roster.n_vertices)
         for cid in fitted:
-            edges = by_comp[bounds[cid]:bounds[cid + 1]]
+            inside = (comp[tail] == cid) & (comp[head] == cid)  # the SCC's edges, in edge order
             vertices = np.flatnonzero(comp == cid)
             try:
                 fit = mle_fit(g, vertices, tol=tol, max_iter=max_iter,
-                              _edges=(tail[edges], head[edges]))
+                              _edges=(tail[inside], head[inside]))
             except NonConvergenceError as exc:
                 raise NonConvergenceError(
                     f"merit fit for component {cid} failed: {exc}", exc.report
                 ) from exc
             u[vertices] = fit.merits.values[vertices]
-        i, j = np.nonzero(codes == PairCase.SAME_COMPONENT.value)
+        i, j = np.nonzero(same)
         h[i, j] = logistic(u[i] - u[n + j])
     # incomparable cells take the row mean over the cells the other cases filled
     incomparable = codes == PairCase.INCOMPARABLE.value

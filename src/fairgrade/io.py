@@ -3,7 +3,8 @@
 Two exam formats are supported. The edge list is one row per assigned pair
 (`student,question,correct`). The dense matrix has one row per student, one
 column per question, and cells in {0, 1, NA} where NA means the pair was
-never assigned.
+never assigned. Both readers check the body as a whole, and rescan its rows
+in file order only to name the first faulty one.
 
 Output contract of the writers: floats are written as their shortest
 round-trip `repr`, ids are quoted as `csv.writer` quotes them (only when they
@@ -15,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 from io import StringIO
+from itertools import chain
 from operator import attrgetter
 from types import SimpleNamespace
 from typing import Iterable
@@ -140,7 +142,7 @@ def _result_graph(roster: Roster, s_idx: np.ndarray, q_idx: np.ndarray, bits: np
 
 def read_dense_matrix(path) -> ExamResultGraph:
     rows = _read_rows(path)
-    body = [(line, row) for line, row in enumerate(rows[1:], start=2) if row]
+    body = [row for row in rows[1:] if row]
     if not body:
         raise MalformedRowError(1, "need a header row and at least one student row")
     header = [c.strip() for c in rows[0]]
@@ -149,24 +151,37 @@ def read_dense_matrix(path) -> ExamResultGraph:
     questions = dict.fromkeys(header[1:])
     if len(questions) != len(header) - 1:
         raise MalformedRowError(1, "duplicate question id in the header")
-    students, cells = {}, []
-    for line, row in body:
-        if len(row) != len(header):
-            raise DimensionMismatchError(f"line {line}: expected {len(header)} fields, "
-                                         f"got {len(row)}")
+    if set(map(len, body)) == {len(header)}:
+        students = [row[0].strip() for row in body]
+        if len({*questions, *students}) == len(questions) + len(students):
+            for strip in (False, True):  # strip the cells only if one misses as written
+                cells = chain.from_iterable(row[1:] for row in body)
+                try:
+                    codes = np.fromiter(map(_CELL_CODES.__getitem__, map(str.strip, cells)
+                                            if strip else cells), np.uint8).reshape(len(body), -1)
+                except KeyError:  # a padded cell, or one that is no token
+                    continue
+                s_idx, q_idx = np.nonzero(codes < 2)  # row-major: sorted by (student, question)
+                return _result_graph(Roster(tuple(students), tuple(questions)),
+                                     s_idx, q_idx, codes[s_idx, q_idx])
+    raise _dense_fault(rows, len(header), questions)
+
+
+def _dense_fault(rows: list[list[str]], width: int, questions: dict) -> ValueError:
+    """The data error of a dense matrix's first faulty row, in file order."""
+    students = set()
+    for line, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            return DimensionMismatchError(f"line {line}: expected {width} fields, got {len(row)}")
         sid = row[0].strip()
         if sid in students or sid in questions:
-            raise MalformedRowError(line, f"student id {sid!r} repeats a student or question id")
-        students[sid] = None
-        row_cells = [*map(str.strip, row[1:])]
-        if not set(row_cells).issubset(_CELL_CODES):
-            bad = next(c for c in row_cells if c not in _CELL_CODES)
-            raise MalformedRowError(line, f"cell must be 0, 1, or NA, got {bad!r}")
-        cells += row_cells
-    codes = np.fromiter(map(_CELL_CODES.__getitem__, cells), np.uint8).reshape(len(students), -1)
-    s_idx, q_idx = np.nonzero(codes < 2)  # row-major: sorted by (student, question)
-    return _result_graph(Roster(tuple(students), tuple(questions)),
-                         s_idx, q_idx, codes[s_idx, q_idx])
+            return MalformedRowError(line, f"student id {sid!r} repeats a student or question id")
+        students.add(sid)
+        if bad := [c for c in map(str.strip, row[1:]) if c not in _CELL_CODES]:
+            return MalformedRowError(line, f"cell must be 0, 1, or NA, got {bad[0]!r}")
+    raise AssertionError("the dense matrix failed a check but no row is faulty")
 
 
 def write_edge_list(g: ExamResultGraph, path) -> None:

@@ -332,11 +332,19 @@ def mle_fit(
     MM update (Hunter 2004). The result is reported mean-zero over the
     component.
 
-    `_edges` is for `predict_matrix` alone. It passes an SCC it found as its
-    sorted vertex array and `_edges` as the (tail, head) vertices of the
-    edges inside it, which skips the connectivity check.
+    A vertex that repeats, lies outside the roster or is not an integer raises
+    ParameterOutOfRangeError. `_edges` is for `predict_matrix` alone. It
+    passes an SCC it found as its sorted vertex array and `_edges` as the
+    (tail, head) vertices of the edges inside it, which skips both checks.
     """
-    vertices = sorted(component) if _edges is None else component
+    if _edges is None:  # the first bad vertex in `component`'s order is named
+        size, seen = g.roster.n_vertices, set()
+        for v in component:
+            if not isinstance(v, (int, np.integer)) or not 0 <= v < size or v in seen:
+                raise ParameterOutOfRangeError(f"vertex {v!r} repeats or is not in range({size})")
+            seen.add(int(v))
+        component = sorted(seen)
+    vertices = component
     k = len(vertices)
     pos = np.full(g.roster.n_vertices, -1, dtype=np.intp)
     pos[vertices] = np.arange(k)

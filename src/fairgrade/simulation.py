@@ -1,8 +1,9 @@
 """Experiment harness: fairness estimation, enumeration oracles, sweeps, CV.
 
 All Monte-Carlo quantities are keyed by (master seed, index path): the k-th
-outcome draw on a graph comes from its own substream, so runs are
-reproducible and no draw depends on how many others ran before it.
+outcome draw on a graph comes from its own substream, so runs are reproducible
+and no draw depends on how many others ran before it. An estimate over no
+graphs, draws or repetitions raises ParameterOutOfRangeError naming the count.
 """
 
 from __future__ import annotations
@@ -97,6 +98,12 @@ class CvResult:
     repetitions: int
 
 
+def _require_positive(**counts: int) -> None:
+    for name, count in counts.items():
+        if count < 1:
+            raise ParameterOutOfRangeError(f"{name} must be >= 1, got {count}")
+
+
 def _replicate(
     rule: GradingRule, g: TaskAssignmentGraph, u: MeritVector, replications: int, *key: int
 ) -> tuple[np.ndarray, int]:
@@ -128,8 +135,7 @@ def estimate_ex_post_bias(
     seed: int,
 ) -> BiasReport:
     """Monte-Carlo estimate of each student's expected-grade deviation."""
-    if replications < 1:
-        raise ValueError("replications must be >= 1")
+    _require_positive(replications=replications)
     opt = benchmark(u, g.roster).values
     mat, failed = _replicate(rule, g, u, replications, seed)
     ok = len(mat)
@@ -225,7 +231,8 @@ def decompose_error(
     if estimator not in (MONTE_CARLO, EXACT_ENUMERATION):
         raise ValueError(f"unknown estimator {estimator!r}")
     if estimator == MONTE_CARLO and replications < 2:
-        raise ParameterOutOfRangeError("need at least 2 replications")
+        raise ParameterOutOfRangeError(f"replications must be >= 2, got {replications}")
+    _require_positive(graphs=len(graphs))
     biases, variances, errors, failed = [], [], [], 0
     for gi, g in enumerate(graphs):
         opt = benchmark(u, g.roster).values
@@ -264,6 +271,7 @@ def sweep_degree(
 ) -> SweepResult:
     """Expected max/avg squared deviation per rule, across degree constraints."""
     rules = dict(RULES) if rules is None else dict(rules)
+    _require_positive(graphs_per_d=graphs_per_d, replications=replications)
     points = []
     for di, d in enumerate(d_values):
         instances = [
@@ -331,6 +339,7 @@ def sweep_question_sample_size(
     draw fresh difficulties per graph and measure both rules' deviation from
     the realized m-question benchmark."""
     rules = dict(RULES) if rules is None else dict(rules)
+    _require_positive(graphs_per_m=graphs_per_m, replications=replications)
     if d > min(m_values):
         raise ParameterOutOfRangeError("degree constraint exceeds smallest question sample size")
     n = len(student_merits)
@@ -370,6 +379,7 @@ def cross_validate(
     n, q = answers.shape
     if not (1 <= d1 <= n and 1 <= d2 <= q):
         raise ParameterOutOfRangeError(f"need 1 <= d1 <= {n} and 1 <= d2 <= {q}")
+    _require_positive(repetitions=repetitions)
     if not np.isin(answers, (0, 1)).all():
         raise ValueError("answers must be a complete 0/1 matrix")
 
@@ -425,6 +435,7 @@ def simulated_cross_validate(
     the realized full-row accuracy."""
     if not all(1 <= d2 <= n_questions for d2 in d2_values):
         raise ParameterOutOfRangeError(f"need 1 <= d2 <= {n_questions}, got {list(d2_values)}")
+    _require_positive(repetitions=repetitions)
     roster = Roster.index_based(n, n_questions)
     complete = TaskAssignmentGraph(roster, np.indices((n, n_questions)).reshape(2, -1).T)
 

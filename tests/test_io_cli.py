@@ -113,6 +113,24 @@ class TestDenseMatrix:
         with pytest.raises(fio.DimensionMismatchError):
             fio.read_dense_matrix(p)
 
+    @pytest.mark.parametrize("body, error, line", [
+        # two faults of different kinds: the one on the earlier line wins, whichever
+        # whole-body check fails first
+        ("student,q1,q2\ns1,x,0\ns2,1\n", fio.MalformedRowError, 2),
+        ("student,q1,q2\ns1,1\ns1,0,1\n", fio.DimensionMismatchError, 2),
+        # the padded cell passes the stripped retry, the bad cell after it does not
+        ("student,q1,q2\ns1, 1,0\ns2,0,x\n", fio.MalformedRowError, 3),
+    ])
+    def test_first_fault_in_file_order(self, tmp_path, body, error, line):
+        with pytest.raises(error, match=f"^line {line}:"):
+            fio.read_dense_matrix(write(tmp_path / "m.csv", body))
+
+    def test_padded_cells(self, tmp_path):
+        p = write(tmp_path / "m.csv", "student,q1,q2\ns1, 1, NA \ns2,0 ,1\n")
+        g = fio.read_dense_matrix(p)
+        assert g.assignment.edges.tolist() == [[0, 0], [1, 0], [1, 1]]
+        assert g.w.tolist() == [1, 0, 1]
+
     def test_complete_matrix(self, tmp_path):
         body = "student," + ",".join(f"q{j}" for j in range(4)) + "\n"
         rng = np.random.default_rng(1)

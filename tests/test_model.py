@@ -312,8 +312,28 @@ class TestMleFit:
 
     def test_rejects_vertex_ids_that_are_not_integers(self):
         res, _ = connected_instance(2)
-        with pytest.raises(IndexError):  # never truncated to the vertices 0..5
+        with pytest.raises(ParameterOutOfRangeError, match="vertex 0.5 repeats or"):
             mle_fit(res, [v + 0.5 for v in range(res.roster.n_vertices)])
+
+    @pytest.mark.parametrize("extra, message", [
+        (0, r"vertex 0 repeats or is not in range\(6\)"),
+        (6, "vertex 6 repeats or"),
+        (-1, "vertex -1 repeats or"),
+        (2.5, "vertex 2.5 repeats or"),
+    ])
+    def test_rejects_a_malformed_vertex_set(self, extra, message):
+        res, _ = connected_instance(2)  # 3 students and 3 questions
+        with pytest.raises(ParameterOutOfRangeError, match=message):
+            mle_fit(res, [*range(6), extra])
+
+    def test_accepts_any_collection_of_integer_vertices(self):
+        res, _ = connected_instance(2)
+        k = res.roster.n_vertices
+        fits = [mle_fit(res, vertices).merits.values
+                for vertices in (range(k), frozenset(range(k)), np.arange(k)[::-1],
+                                 np.arange(k, dtype=np.int32))]
+        for values in fits[1:]:
+            assert np.array_equal(values, fits[0])
 
     def test_nonconvergence_carries_best_iterate(self):
         res, _ = connected_instance(4)

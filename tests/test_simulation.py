@@ -249,6 +249,37 @@ class TestSweeps:
             sweep_question_sample_size([0.0], sampler, [2, 5], 3, 1, 10, 0)
 
 
+class TestEmptyWork:
+    """An estimate over no graphs, draws or repetitions raises, naming the
+    count, instead of averaging nothing into NaN."""
+
+    @pytest.mark.parametrize("call, count", [
+        ("estimate_ex_post_bias", "replications"),
+        ("decompose_error", "graphs"),
+        ("sweep_degree", "graphs_per_d"),
+        ("sweep_question_sample_size", "graphs_per_m"),
+        ("cross_validate", "repetitions"),
+        ("simulated_cross_validate", "repetitions"),
+    ])
+    def test_raises_naming_the_count(self, small_population, call, count):
+        roster, u = small_population
+        g = generate_assignment(roster, 3, 2, 0)
+        sampler = uniform_difficulty_sampler()
+        answers = np.random.default_rng(5).integers(0, 2, (4, 3))
+        calls = {
+            "estimate_ex_post_bias": lambda: estimate_ex_post_bias(grade, g, u, 0, 1),
+            "decompose_error": lambda: decompose_error(grade, [], u, 5, 1),
+            "sweep_degree": lambda: sweep_degree(roster, u, 3, [2], 0, 5, 1),
+            "sweep_question_sample_size": lambda: sweep_question_sample_size(
+                [0.0, 0.5], sampler, [3], 2, 0, 5, 1),
+            "cross_validate": lambda: cross_validate(answers, 3, 2, repetitions=0),
+            "simulated_cross_validate": lambda: simulated_cross_validate(
+                PriorSpec(), 6, [2], 0, 1),
+        }
+        with pytest.raises(ParameterOutOfRangeError, match=f"^{count} must be >= 1, got 0$"):
+            calls[call]()
+
+
 class TestCrossValidation:
     def test_full_degree_gives_zero_mse(self):
         rng = np.random.default_rng(2)
