@@ -69,6 +69,18 @@ class Roster:
         return v < self.n_students
 
 
+def _as_indices(values) -> np.ndarray:
+    """`values` as intp; a float or object value the cast changes, such as 0.5, is a ValueError."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "fO":
+        return values.astype(np.intp, copy=False)
+    with np.errstate(invalid="ignore"):  # NaN and inf cast to junk, which the test catches
+        indices = values.astype(np.intp)
+    if (changed := indices != values).any():
+        raise ValueError(f"index {values[changed].flat[0]} is not an integer")
+    return indices
+
+
 @dataclass(frozen=True, eq=False)
 class TaskAssignmentGraph:
     """Undirected bipartite graph of which questions each student was asked.
@@ -84,7 +96,7 @@ class TaskAssignmentGraph:
     edges: np.ndarray
 
     def __post_init__(self):
-        s_idx, q_idx = np.asarray(self.edges, dtype=np.intp).reshape(len(self.edges), 2).T
+        s_idx, q_idx = _as_indices(self.edges).reshape(len(self.edges), 2).T
         # np.take keeps the (2, E) result C-ordered, so each of `edge_arrays` is contiguous
         columns = np.take(np.stack((s_idx, q_idx)), np.lexsort((q_idx, s_idx)), axis=1)
         s_idx, q_idx = columns

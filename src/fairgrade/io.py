@@ -3,8 +3,8 @@
 Two exam formats are supported. The edge list is one row per assigned pair
 (`student,question,correct`). The dense matrix has one row per student, one
 column per question, and cells in {0, 1, NA} where NA means the pair was
-never assigned. Both readers check the body as a whole, and rescan its rows
-in file order only to name the first faulty one.
+never assigned. Both readers convert rows as `csv.reader` yields them from the
+open file, and rescan the whole file only to name the first fault.
 
 Output contract of the writers: floats are written as their shortest
 round-trip `repr`, ids are quoted as `csv.writer` quotes them (only when they
@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
-from io import StringIO
-from itertools import chain
+from itertools import islice
 from operator import attrgetter
 from types import SimpleNamespace
 from typing import Iterable
@@ -55,8 +54,8 @@ _CELL_CODES = {"0": 0, "1": 1, **dict.fromkeys(NA_TOKENS, 2)}  # 2: never assign
 
 
 def read_text(path) -> str:
-    """The file's UTF-8 text without a byte order mark; a byte that is not
-    UTF-8 raises MalformedRowError at its line."""
+    """The whole file's UTF-8 text without a byte order mark; a byte that is not
+    UTF-8 raises MalformedRowError at its line (the readers' fault path uses this)."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -66,12 +65,19 @@ def read_text(path) -> str:
         raise MalformedRowError(line, f"byte {data[exc.start]:#04x} is not UTF-8") from None
 
 
-def _read_rows(path) -> list[list[str]]:
-    reader = csv.reader(StringIO(read_text(path), newline=""))
+def _rows(path, reader=csv.reader):
+    """`reader`'s rows (lines, for `iter`) as the file is read, as UTF-8 without
+    a byte order mark; a csv.Error raises MalformedRowError at its line. A byte
+    that is not UTF-8, anywhere in the file, comes first."""
     try:
-        return list(reader)
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            yield from (rows := reader(fh))
+    except UnicodeDecodeError:
+        read_text(path)
+        raise
     except csv.Error as exc:  # such as a field over csv.field_size_limit()
-        raise MalformedRowError(reader.line_num, str(exc)) from None
+        read_text(path)
+        raise MalformedRowError(rows.line_num, str(exc)) from None
 
 
 def ingest(path, format: str) -> ExamResultGraph:
@@ -84,37 +90,42 @@ def ingest(path, format: str) -> ExamResultGraph:
 
 
 def detect_format(path) -> str:
-    header = StringIO(read_text(path), newline=None).readline().strip()
+    """EDGE_LIST if line 1 is the edge-list header, else DENSE_CSV; later faults are the reader's."""
+    header = next(_rows(path, iter), "").strip()
     return EDGE_LIST if header.split(",")[:3] == ["student", "question", "correct"] else DENSE_CSV
 
 
 def read_edge_list(path) -> ExamResultGraph:
-    rows = _read_rows(path)
-    if not rows or [c.strip() for c in rows[0]] != ["student", "question", "correct"]:
-        raise MalformedRowError(1, "expected header 'student,question,correct'")
-    body = [row for row in rows[1:] if row]
-    if not body:
-        raise MalformedRowError(len(rows) + 1, "no data rows")
-    # checked column by column; a failed check rescans row by row for the first fault
-    if set(map(len, body)) == {3}:
-        sids, qids, toks = ([*map(str.strip, column)] for column in zip(*body))
-        # dicts keep first-seen order, so ids are indexed in file order
-        students, questions = (dict(zip(dict.fromkeys(ids), range(len(ids))))
-                               for ids in (sids, qids))
-        if set(toks) <= {"0", "1"} and students.keys().isdisjoint(questions):
-            s_idx = np.fromiter(map(students.__getitem__, sids), np.intp, len(sids))
-            q_idx = np.fromiter(map(questions.__getitem__, qids), np.intp, len(qids))
-            codes = s_idx * len(questions) + q_idx
-            order = np.argsort(codes, kind="stable")
-            if np.diff(codes[order]).all():  # a duplicate pair sorts next to its twin
-                bits = np.fromiter(map("1".__eq__, toks), np.uint8, len(toks))
-                return _result_graph(Roster(tuple(students), tuple(questions)),
-                                     s_idx[order], q_idx[order], bits[order])
-    raise _edge_list_fault(rows)
+    rows = _rows(path)
+    if [c.strip() for c in next(rows, ())] != ["student", "question", "correct"]:
+        raise _edge_list_fault(list(_rows(path)))
+    fields = []
+    for row in filter(None, rows):  # blank rows are skipped
+        if len(row) != 3:
+            raise _edge_list_fault(list(_rows(path)))
+        fields.extend(row)
+    sids, qids, toks = ([*map(str.strip, fields[k::3])] for k in range(3))
+    # dicts keep first-seen order, so ids are indexed in file order
+    students, questions = (dict(zip(dict.fromkeys(ids), range(len(ids))))
+                           for ids in (sids, qids))
+    if not fields or not set(toks) <= {"0", "1"} or not students.keys().isdisjoint(questions):
+        raise _edge_list_fault(list(_rows(path)))
+    s_idx = np.fromiter(map(students.__getitem__, sids), np.intp, len(sids))
+    q_idx = np.fromiter(map(questions.__getitem__, qids), np.intp, len(qids))
+    codes = s_idx * len(questions) + q_idx
+    order = np.argsort(codes, kind="stable")
+    if not np.diff(codes[order]).all():  # a duplicate pair sorts next to its twin
+        raise _edge_list_fault(list(_rows(path)))
+    bits = np.fromiter(map("1".__eq__, toks), np.uint8, len(toks))
+    return _result_graph(students, questions, s_idx[order], q_idx[order], bits[order])
 
 
 def _edge_list_fault(rows: list[list[str]]) -> ValueError:
-    """The data error of an edge list's first faulty row, in file order."""
+    """The data error of an edge list's header, else of its first faulty row."""
+    if not rows or [c.strip() for c in rows[0]] != ["student", "question", "correct"]:
+        return MalformedRowError(1, "expected header 'student,question,correct'")
+    if not any(rows[1:]):
+        return MalformedRowError(len(rows) + 1, "no data rows")
     students, questions, seen = set(), set(), set()
     for line, row in enumerate(rows[1:], start=2):
         if not row:
@@ -135,41 +146,46 @@ def _edge_list_fault(rows: list[list[str]]) -> ValueError:
     raise AssertionError("the edge list failed a check but no row is faulty")
 
 
-def _result_graph(roster: Roster, s_idx: np.ndarray, q_idx: np.ndarray, bits: np.ndarray):
-    """Result graph from edges sorted by (student, question) and their outcome bits."""
+def _result_graph(students, questions, s_idx: np.ndarray, q_idx: np.ndarray, bits: np.ndarray):
+    """Result graph from ids in index order, edges sorted by (student, question) and their bits."""
+    roster = Roster(tuple(students), tuple(questions))
     return ExamResultGraph(TaskAssignmentGraph(roster, np.column_stack((s_idx, q_idx))), bits)
 
 
 def read_dense_matrix(path) -> ExamResultGraph:
-    rows = _read_rows(path)
-    body = [row for row in rows[1:] if row]
-    if not body:
-        raise MalformedRowError(1, "need a header row and at least one student row")
+    rows = _rows(path)
+    header = [c.strip() for c in next(rows, ())]
+    questions = dict.fromkeys(header[1:])
+    if len(header) < 2 or header[0] not in ("student", "") or len(questions) < len(header) - 1:
+        raise _dense_fault(list(_rows(path)))
+    students, parts = [], []
+    for row in filter(None, rows):  # blank rows are skipped
+        if len(row) != len(header):
+            raise _dense_fault(list(_rows(path)))
+        students.append(row[0].strip())
+        try:
+            parts.append(bytes(map(_CELL_CODES.__getitem__, islice(row, 1, None))))
+        except KeyError:  # a padded cell, or one that is no token (code 3)
+            parts.append(bytes(_CELL_CODES.get(c.strip(), 3) for c in row[1:]))
+    flat = b"".join(parts)
+    if not students or 3 in flat or len({*questions, *students}) < len(questions) + len(students):
+        raise _dense_fault(list(_rows(path)))
+    codes = np.frombuffer(flat, np.uint8).reshape(len(students), -1)
+    s_idx, q_idx = np.nonzero(codes < 2)  # row-major: sorted by (student, question)
+    return _result_graph(students, questions, s_idx, q_idx, codes[s_idx, q_idx])
+
+
+def _dense_fault(rows: list[list[str]]) -> ValueError:
+    """The data error of a dense matrix's header, else of its first faulty row."""
+    if not any(rows[1:]):
+        return MalformedRowError(1, "need a header row and at least one student row")
     header = [c.strip() for c in rows[0]]
     if len(header) < 2 or header[0] not in ("student", ""):
-        raise MalformedRowError(1, "expected 'student' then question ids in the header")
-    questions = dict.fromkeys(header[1:])
+        return MalformedRowError(1, "expected 'student' then question ids in the header")
+    questions = set(header[1:])
     if len(questions) != len(header) - 1:
-        raise MalformedRowError(1, "duplicate question id in the header")
-    if set(map(len, body)) == {len(header)}:
-        students = [row[0].strip() for row in body]
-        if len({*questions, *students}) == len(questions) + len(students):
-            for strip in (False, True):  # strip the cells only if one misses as written
-                cells = chain.from_iterable(row[1:] for row in body)
-                try:
-                    codes = np.fromiter(map(_CELL_CODES.__getitem__, map(str.strip, cells)
-                                            if strip else cells), np.uint8).reshape(len(body), -1)
-                except KeyError:  # a padded cell, or one that is no token
-                    continue
-                s_idx, q_idx = np.nonzero(codes < 2)  # row-major: sorted by (student, question)
-                return _result_graph(Roster(tuple(students), tuple(questions)),
-                                     s_idx, q_idx, codes[s_idx, q_idx])
-    raise _dense_fault(rows, len(header), questions)
-
-
-def _dense_fault(rows: list[list[str]], width: int, questions: dict) -> ValueError:
-    """The data error of a dense matrix's first faulty row, in file order."""
-    students = set()
+        return MalformedRowError(1, "duplicate question id in the header")
+    students, width = set(), len(header)
     for line, row in enumerate(rows[1:], start=2):
         if not row:
             continue
@@ -215,7 +231,7 @@ def write_merits(u: MeritVector, roster: Roster, path) -> None:
 
 
 def read_merits(path, roster: Roster) -> MeritVector:
-    rows = _read_rows(path)
+    rows = list(_rows(path))
     if not rows or [c.strip() for c in rows[0]] != ["vertex", "kind", "merit"]:
         raise MalformedRowError(1, "expected header 'vertex,kind,merit'")
     label_to_vertex = {label: v for v, label in enumerate(roster.students + roster.questions)}

@@ -28,6 +28,7 @@ from .graph import (
     ParameterOutOfRangeError,
     Roster,
     TaskAssignmentGraph,
+    _as_indices,
     _successor_lists,
     _tarjan,
 )
@@ -101,7 +102,7 @@ class MeritVector:
 
     def at(self, vertices) -> np.ndarray:
         """Values of the vertex or vertex array `vertices`, all of which must be covered."""
-        vertices = np.asarray(vertices, dtype=np.intp)
+        vertices = _as_indices(vertices)
         inside = (vertices >= 0) & (vertices < len(self.values))
         # the padded mask's last entry stands for every vertex outside the vector
         known = np.append(self.covered, False)[np.where(inside, vertices, -1)]

@@ -195,6 +195,20 @@ class TestTaskAssignmentGraph:
             with pytest.raises(ValueError):
                 TaskAssignmentGraph(r, np.array(bad))
 
+    @pytest.mark.parametrize("edges, value", [
+        ([(0, 0.5), (1, 1)], "0.5"),  # was read as the edge (0, 0)
+        ([(0, 1.9), (1, 0)], "1.9"),  # was read as the edge (0, 1)
+        (np.array([[0.0, 1.0], [1.0, np.nan]]), "nan"),
+    ])
+    def test_rejects_fractional_ids(self, edges, value):
+        with pytest.raises(ValueError, match=f"^index {value} is not an integer$"):
+            TaskAssignmentGraph(Roster.index_based(2, 2), edges)
+
+    def test_integral_floats_are_ids(self):
+        r = Roster.index_based(2, 2)
+        g = TaskAssignmentGraph(r, [(0, 1.0), (1.0, 0)])
+        assert g == TaskAssignmentGraph(r, [(0, 1), (1, 0)]) and g.edges.dtype == np.intp
+
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_permuted_pairs_give_the_sorted_graph(self, data):

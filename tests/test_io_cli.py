@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,6 +150,82 @@ def test_byte_order_mark_is_ignored(tmp_path, writer):
     fmt = fio.detect_format(plain)
     assert fio.detect_format(marked) == fmt
     assert fio.ingest(marked, fmt) == fio.ingest(plain, fmt) == g
+
+
+BIG = b"9" * (128 * 1024 + 1)  # one field over csv.field_size_limit()
+
+
+class TestFaultsTheFuzzMisses:
+    """Files that TestFuzzedRows does not generate; each error was recorded
+    from the reader that parsed the whole file before checking a row."""
+
+    @pytest.mark.parametrize("reader, body, error, message", [
+        # a quoted comma or line break; a row fault is numbered by csv row
+        ("edge", b'student,question,correct\n"s,1",q1,1\n"s\n2",q2,0\ns3,q3,2\n',
+         fio.MalformedRowError, "line 4: correctness must be 0 or 1, got '2'"),
+        ("dense", b'student,q1,q2\n"s,1",1,0\n"s\n2",0,NA\ns3,1,x\n',
+         fio.MalformedRowError, "line 4: cell must be 0, 1, or NA, got 'x'"),
+        # lines that end in a bare carriage return
+        ("edge", b"student,question,correct\rs1,q1,1\rs2,q2\rs3,q3,1\r",
+         fio.MalformedRowError, "line 3: expected 3 fields, got 2"),
+        ("dense", b"student,q1,q2\rs1,1,0\rs2,0,2\r",
+         fio.MalformedRowError, "line 3: cell must be 0, 1, or NA, got '2'"),
+        # an oversized field wins over a ragged row, before it or after it
+        ("dense", b"student,q1\ns1," + BIG + b"\ns2,1,0\n",
+         fio.MalformedRowError, "line 2: field larger than field limit (131072)"),
+        ("dense", b"student,q1\ns1,1,0\ns2," + BIG + b"\n",
+         fio.MalformedRowError, "line 3: field larger than field limit (131072)"),
+        ("edge", b"student,question,correct\ns1,q1\ns2,q2," + BIG + b"\n",
+         fio.MalformedRowError, "line 3: field larger than field limit (131072)"),
+        # a byte that is not UTF-8 wins over a bad cell, before it or after it
+        ("dense", b"student,q1,q2\ns1,\xff,0\ns2,1,x\n",
+         fio.MalformedRowError, "line 2: byte 0xff is not UTF-8"),
+        ("dense", b"student,q1,q2\ns1,1,x\ns2,1,\xfe\n",
+         fio.MalformedRowError, "line 3: byte 0xfe is not UTF-8"),
+        ("edge", b"student,question,correct\ns1,q1,7\ns2,q\xe9,1\n",
+         fio.MalformedRowError, "line 3: byte 0xe9 is not UTF-8"),
+        ("dense", b"student,q1\ns1,x\n" + b"".join(b"s%d,1\n" % i for i in range(2, 3000))
+         + b"s\xff,1\n", fio.MalformedRowError, "line 3001: byte 0xff is not UTF-8"),
+        # an oversized field wins over a bad header
+        ("edge", b"name,question,correct\ns1,q1," + BIG + b"\n",
+         fio.MalformedRowError, "line 2: field larger than field limit (131072)"),
+        ("dense", b"pupil,q1\ns1," + BIG + b"\n",
+         fio.MalformedRowError, "line 2: field larger than field limit (131072)"),
+        # a header, then only blank lines
+        ("edge", b"student,question,correct\n\n\n",
+         fio.MalformedRowError, "line 4: no data rows"),
+        ("dense", b"student,q1,q2\n\n\n",
+         fio.MalformedRowError, "line 1: need a header row and at least one student row"),
+    ], ids=["edge-quoted", "dense-quoted", "edge-cr", "dense-cr", "dense-big-then-ragged",
+            "dense-ragged-then-big", "edge-ragged-then-big", "dense-byte-then-cell",
+            "dense-cell-then-byte", "edge-cell-then-byte", "dense-cell-then-byte-past-8-KB",
+            "edge-header-and-big", "dense-header-and-big", "edge-blank-body", "dense-blank-body"])
+    def test_error_and_line(self, tmp_path, reader, body, error, message):
+        path = tmp_path / "exam.csv"
+        path.write_bytes(body)
+        read = fio.read_edge_list if reader == "edge" else fio.read_dense_matrix
+        with pytest.raises(error) as exc:
+            read(path)
+        assert type(exc.value) is error and str(exc.value) == message
+        assert exc.value.line == int(message.split(":")[0].removeprefix("line "))
+
+
+def test_reading_holds_one_row_at_a_time(tmp_path):
+    """A 1000 x 200 sheet (600 KB) reads in well under the 14 MB that a list of
+    its rows takes, and sniffing its format decodes only its start."""
+    roster = Roster.index_based(1000, 200)
+    g = graph.generate_assignment(roster, 200, 3, 0)
+    u = MeritVector.for_roster(roster, [0.0] * 1000, [0.0] * 200)
+    path = tmp_path / "exam.csv"
+    fio.write_dense_matrix(model.sample_exam_result(g, u, 1), path)
+    for call, bound in ((fio.read_dense_matrix, 2e6), (fio.detect_format, 1e5)):
+        tracemalloc.start()
+        try:
+            call(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (call.__name__, peak)
 
 
 class TestMeritsAndGrades:
