@@ -196,8 +196,8 @@ class TestTaskAssignmentGraph:
                 TaskAssignmentGraph(r, np.array(bad))
 
     @pytest.mark.parametrize("edges, value", [
-        ([(0, 0.5), (1, 1)], "0.5"),  # was read as the edge (0, 0)
-        ([(0, 1.9), (1, 0)], "1.9"),  # was read as the edge (0, 1)
+        ([(0, 0.5), (1, 1)], "0.5"),  # not the edge (0, 0)
+        ([(0, 1.9), (1, 0)], "1.9"),  # not the edge (0, 1)
         (np.array([[0.0, 1.0], [1.0, np.nan]]), "nan"),
     ])
     def test_rejects_fractional_ids(self, edges, value):

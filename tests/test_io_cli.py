@@ -156,8 +156,8 @@ BIG = b"9" * (128 * 1024 + 1)  # one field over csv.field_size_limit()
 
 
 class TestFaultsTheFuzzMisses:
-    """Files that TestFuzzedRows does not generate; each error was recorded
-    from the reader that parsed the whole file before checking a row."""
+    """Files that TestFuzzedRows does not generate. A csv or decoding fault
+    anywhere in the file wins over a header or row fault."""
 
     @pytest.mark.parametrize("reader, body, error, message", [
         # a quoted comma or line break; a row fault is numbered by csv row

@@ -176,7 +176,7 @@ class TestMeritVector:
     def test_rejects_fractional_vertices(self):
         u = MeritVector(np.array([1.0, 2.0, 3.0]))
         for lookup, value in ((lambda: u.at(0.5), "0.5"), (lambda: u[1.9], "1.9"),
-                              (lambda: u.at([0, 2.5]), "2.5")):  # each read vertex 0 or 1
+                              (lambda: u.at([0, 2.5]), "2.5")):
             with pytest.raises(ValueError, match=f"^index {value} is not an integer$"):
                 lookup()
         assert u[1.0] == 2.0 and u.at(np.array([2.0, 0.0])).tolist() == [3.0, 1.0]
