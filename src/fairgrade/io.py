@@ -3,8 +3,10 @@
 Two exam formats are supported. The edge list is one row per assigned pair
 (`student,question,correct`). The dense matrix has one row per student, one
 column per question, and cells in {0, 1, NA} where NA means the pair was
-never assigned. Both readers convert rows as `csv.reader` yields them from the
-open file, and rescan the whole file only to name the first fault.
+never assigned. The readers take rows as `csv.reader` yields them from the
+open file and check each row as it comes, except the edge list: it is checked
+column by column and rescanned only to name its first fault. A fault names the
+line its row ends on; a csv fault or a non-UTF-8 byte anywhere in the file wins.
 
 Output contract of the writers: floats are written as their shortest
 round-trip `repr`, ids are quoted as `csv.writer` quotes them (only when they
@@ -15,10 +17,12 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import deque
+from contextlib import contextmanager
 from itertools import islice
 from operator import attrgetter
 from types import SimpleNamespace
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 import numpy as np
 
@@ -51,33 +55,40 @@ EDGE_LIST = "edge-list"
 DENSE_CSV = "dense-csv"
 NA_TOKENS = {"NA", "", "NaN", "nan"}
 _CELL_CODES = {"0": 0, "1": 1, **dict.fromkeys(NA_TOKENS, 2)}  # 2: never assigned
+_EDGE_HEADER = ["student", "question", "correct"]
 
 
 def read_text(path) -> str:
-    """The whole file's UTF-8 text without a byte order mark; a byte that is not
-    UTF-8 raises MalformedRowError at its line (the readers' fault path uses this)."""
+    """The file's UTF-8 text without a BOM; a non-UTF-8 byte is a MalformedRowError at its line."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        line = len((data[:exc.start] + b".").splitlines())  # lines end as for csv.reader
         raise MalformedRowError(line, f"byte {data[exc.start]:#04x} is not UTF-8") from None
 
 
-def _rows(path, reader=csv.reader):
-    """`reader`'s rows (lines, for `iter`) as the file is read, as UTF-8 without
-    a byte order mark; a csv.Error raises MalformedRowError at its line. A byte
-    that is not UTF-8, anywhere in the file, comes first."""
+@contextmanager
+def _reader(path):
+    """A `csv.reader` over the file as it is read, as UTF-8 without a byte order
+    mark; `line_num` is the line its last row ended on. A csv.Error raises
+    MalformedRowError at its line; a non-UTF-8 byte anywhere in the file wins."""
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
-            yield from (rows := reader(fh))
+            yield (rows := csv.reader(fh))
     except UnicodeDecodeError:
         read_text(path)
         raise
     except csv.Error as exc:  # such as a field over csv.field_size_limit()
         read_text(path)
         raise MalformedRowError(rows.line_num, str(exc)) from None
+
+
+def _fail(rows, fault: ValueError) -> NoReturn:
+    """Raise `fault` once the rest of `rows` is read: a later csv or byte fault wins."""
+    deque(rows, maxlen=0)
+    raise fault from None
 
 
 def ingest(path, format: str) -> ExamResultGraph:
@@ -90,60 +101,63 @@ def ingest(path, format: str) -> ExamResultGraph:
 
 
 def detect_format(path) -> str:
-    """EDGE_LIST if line 1 is the edge-list header, else DENSE_CSV; later faults are the reader's."""
-    header = next(_rows(path, iter), "").strip()
-    return EDGE_LIST if header.split(",")[:3] == ["student", "question", "correct"] else DENSE_CSV
+    """EDGE_LIST if line 1, read as CSV, starts with the edge-list header, else
+    DENSE_CSV; later faults are the reader's."""
+    with _reader(path) as rows:
+        header = [c.strip() for c in next(rows, ())]
+    return EDGE_LIST if header[:3] == _EDGE_HEADER else DENSE_CSV
 
 
 def read_edge_list(path) -> ExamResultGraph:
-    rows = _rows(path)
-    if [c.strip() for c in next(rows, ())] != ["student", "question", "correct"]:
-        raise _edge_list_fault(list(_rows(path)))
-    fields = []
-    for row in filter(None, rows):  # blank rows are skipped
-        if len(row) != 3:
-            raise _edge_list_fault(list(_rows(path)))
-        fields.extend(row)
+    with _reader(path) as rows:
+        if [c.strip() for c in next(rows, ())] != _EDGE_HEADER:
+            _edge_list_fault(path)
+        fields = []
+        for row in filter(None, rows):  # blank rows are skipped
+            if len(row) != 3:
+                _edge_list_fault(path)
+            fields.extend(row)
     sids, qids, toks = ([*map(str.strip, fields[k::3])] for k in range(3))
     # dicts keep first-seen order, so ids are indexed in file order
     students, questions = (dict(zip(dict.fromkeys(ids), range(len(ids))))
                            for ids in (sids, qids))
     if not fields or not set(toks) <= {"0", "1"} or not students.keys().isdisjoint(questions):
-        raise _edge_list_fault(list(_rows(path)))
+        _edge_list_fault(path)
     s_idx = np.fromiter(map(students.__getitem__, sids), np.intp, len(sids))
     q_idx = np.fromiter(map(questions.__getitem__, qids), np.intp, len(qids))
     codes = s_idx * len(questions) + q_idx
     order = np.argsort(codes, kind="stable")
     if not np.diff(codes[order]).all():  # a duplicate pair sorts next to its twin
-        raise _edge_list_fault(list(_rows(path)))
+        _edge_list_fault(path)
     bits = np.fromiter(map("1".__eq__, toks), np.uint8, len(toks))
     return _result_graph(students, questions, s_idx[order], q_idx[order], bits[order])
 
 
-def _edge_list_fault(rows: list[list[str]]) -> ValueError:
-    """The data error of an edge list's header, else of its first faulty row."""
-    if not rows or [c.strip() for c in rows[0]] != ["student", "question", "correct"]:
-        return MalformedRowError(1, "expected header 'student,question,correct'")
-    if not any(rows[1:]):
-        return MalformedRowError(len(rows) + 1, "no data rows")
-    students, questions, seen = set(), set(), set()
-    for line, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            return MalformedRowError(line, f"expected 3 fields, got {len(row)}")
-        sid, qid, tok = (c.strip() for c in row)
-        if tok not in ("0", "1"):
-            return MalformedRowError(line, f"correctness must be 0 or 1, got {tok!r}")
-        if (sid, qid) in seen:
-            return DuplicateEdgeError(line, (sid, qid))
-        seen.add((sid, qid))
-        students.add(sid)
-        questions.add(qid)
-        if sid in questions or qid in students:
-            shared = sid if sid in questions else qid
-            return MalformedRowError(line, f"id {shared!r} is both a student and a question")
-    raise AssertionError("the edge list failed a check but no row is faulty")
+def _edge_list_fault(path) -> NoReturn:
+    """Raise the data error of an edge list's header, else of its first faulty row."""
+    with _reader(path) as rows:
+        if [c.strip() for c in next(rows, ())] != _EDGE_HEADER:
+            _fail(rows, MalformedRowError(1, "expected header 'student,question,correct'"))
+        students, questions, seen = set(), set(), set()
+        for row in filter(None, rows):
+            if len(row) != 3:
+                _fail(rows, MalformedRowError(rows.line_num, f"expected 3 fields, got {len(row)}"))
+            sid, qid, tok = (c.strip() for c in row)
+            if tok not in ("0", "1"):
+                _fail(rows, MalformedRowError(
+                    rows.line_num, f"correctness must be 0 or 1, got {tok!r}"))
+            if (sid, qid) in seen:
+                _fail(rows, DuplicateEdgeError(rows.line_num, (sid, qid)))
+            seen.add((sid, qid))
+            students.add(sid)
+            questions.add(qid)
+            if sid in questions or qid in students:
+                shared = sid if sid in questions else qid
+                _fail(rows, MalformedRowError(
+                    rows.line_num, f"id {shared!r} is both a student and a question"))
+    if seen:
+        raise AssertionError("the edge list failed a check but no row is faulty")
+    raise MalformedRowError(rows.line_num + 1, "no data rows")
 
 
 def _result_graph(students, questions, s_idx: np.ndarray, q_idx: np.ndarray, bits: np.ndarray):
@@ -153,72 +167,54 @@ def _result_graph(students, questions, s_idx: np.ndarray, q_idx: np.ndarray, bit
 
 
 def read_dense_matrix(path) -> ExamResultGraph:
-    rows = _rows(path)
-    header = [c.strip() for c in next(rows, ())]
-    questions = dict.fromkeys(header[1:])
-    if len(header) < 2 or header[0] not in ("student", "") or len(questions) < len(header) - 1:
-        raise _dense_fault(list(_rows(path)))
-    students, parts = [], []
-    for row in filter(None, rows):  # blank rows are skipped
-        if len(row) != len(header):
-            raise _dense_fault(list(_rows(path)))
-        students.append(row[0].strip())
-        try:
-            parts.append(bytes(map(_CELL_CODES.__getitem__, islice(row, 1, None))))
-        except KeyError:  # a padded cell, or one that is no token (code 3)
-            parts.append(bytes(_CELL_CODES.get(c.strip(), 3) for c in row[1:]))
-    flat = b"".join(parts)
-    if not students or 3 in flat or len({*questions, *students}) < len(questions) + len(students):
-        raise _dense_fault(list(_rows(path)))
-    codes = np.frombuffer(flat, np.uint8).reshape(len(students), -1)
+    with _reader(path) as rows:
+        header = [c.strip() for c in next(rows, ())]
+        questions = dict.fromkeys(header[1:])
+        if len(header) < 2 or header[0] not in ("student", ""):
+            fault = "expected 'student' then question ids in the header"
+        else:
+            fault = len(questions) < len(header) - 1 and "duplicate question id in the header"
+        if fault and any(rows):  # with no student row, the empty-body error below wins
+            _fail(rows, MalformedRowError(1, fault))
+        students, parts = {}, []
+        for row in filter(None, rows):  # blank rows are skipped
+            if len(row) != len(header):
+                _fail(rows, DimensionMismatchError(
+                    f"line {rows.line_num}: expected {len(header)} fields, got {len(row)}"))
+            sid = row[0].strip()
+            if sid in students or sid in questions:
+                _fail(rows, MalformedRowError(
+                    rows.line_num, f"student id {sid!r} repeats a student or question id"))
+            students[sid] = None
+            try:
+                parts.append(bytes(map(_CELL_CODES.__getitem__, islice(row, 1, None))))
+            except KeyError:  # a padded cell, or one that is no token
+                cells = [c.strip() for c in row[1:]]
+                if bad := [c for c in cells if c not in _CELL_CODES]:
+                    _fail(rows, MalformedRowError(
+                        rows.line_num, f"cell must be 0, 1, or NA, got {bad[0]!r}"))
+                parts.append(bytes(map(_CELL_CODES.__getitem__, cells)))
+    if not students:
+        raise MalformedRowError(1, "need a header row and at least one student row")
+    codes = np.frombuffer(b"".join(parts), np.uint8).reshape(len(students), -1)
     s_idx, q_idx = np.nonzero(codes < 2)  # row-major: sorted by (student, question)
     return _result_graph(students, questions, s_idx, q_idx, codes[s_idx, q_idx])
-
-
-def _dense_fault(rows: list[list[str]]) -> ValueError:
-    """The data error of a dense matrix's header, else of its first faulty row."""
-    if not any(rows[1:]):
-        return MalformedRowError(1, "need a header row and at least one student row")
-    header = [c.strip() for c in rows[0]]
-    if len(header) < 2 or header[0] not in ("student", ""):
-        return MalformedRowError(1, "expected 'student' then question ids in the header")
-    questions = set(header[1:])
-    if len(questions) != len(header) - 1:
-        return MalformedRowError(1, "duplicate question id in the header")
-    students, width = set(), len(header)
-    for line, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != width:
-            return DimensionMismatchError(f"line {line}: expected {width} fields, got {len(row)}")
-        sid = row[0].strip()
-        if sid in students or sid in questions:
-            return MalformedRowError(line, f"student id {sid!r} repeats a student or question id")
-        students.add(sid)
-        if bad := [c for c in map(str.strip, row[1:]) if c not in _CELL_CODES]:
-            return MalformedRowError(line, f"cell must be 0, 1, or NA, got {bad[0]!r}")
-    raise AssertionError("the dense matrix failed a check but no row is faulty")
 
 
 def write_edge_list(g: ExamResultGraph, path) -> None:
     roster = g.roster
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh, lineterminator="\n")
-        out.writerow(["student", "question", "correct"])
+        out.writerow(_EDGE_HEADER)
         s_idx, q_idx = g.assignment.edge_arrays
         out.writerows(zip(map(roster.students.__getitem__, s_idx.tolist()),
                           map(roster.questions.__getitem__, q_idx.tolist()), g.w.tolist()))
 
 
 def write_dense_matrix(g: ExamResultGraph, path) -> None:
-    roster = g.roster
-    cells = np.full((roster.n_students, roster.n_questions), "NA", dtype=object)
-    cells[g.assignment.edge_arrays] = np.array(["0", "1"], dtype=object)[g.w]
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(["student", *roster.questions])
-        for i, sid in enumerate(roster.students):
-            out.writerow([sid, *cells[i]])
+    codes = np.full((g.roster.n_students, g.roster.n_questions), 2, np.uint8)
+    codes[g.assignment.edge_arrays] = g.w
+    _write_matrix(path, g.roster, codes, ("0", "1", "NA").__getitem__)
 
 
 def write_merits(u: MeritVector, roster: Roster, path) -> None:
@@ -231,33 +227,33 @@ def write_merits(u: MeritVector, roster: Roster, path) -> None:
 
 
 def read_merits(path, roster: Roster) -> MeritVector:
-    rows = list(_rows(path))
-    if not rows or [c.strip() for c in rows[0]] != ["vertex", "kind", "merit"]:
-        raise MalformedRowError(1, "expected header 'vertex,kind,merit'")
     label_to_vertex = {label: v for v, label in enumerate(roster.students + roster.questions)}
     values = np.zeros(roster.n_vertices)
     covered = np.zeros(roster.n_vertices, dtype=bool)
-    for line, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise MalformedRowError(line, f"expected 3 fields, got {len(row)}")
-        label, kind, tok = (c.strip() for c in row)
-        if label not in label_to_vertex:
-            raise MalformedRowError(line, f"unknown vertex {label!r}")
-        v = label_to_vertex[label]
-        expected = "student" if roster.is_student_vertex(v) else "question"
-        if kind != expected:
-            raise MalformedRowError(line, f"vertex {label!r} is a {expected}, got kind {kind!r}")
-        if covered[v]:
-            raise MalformedRowError(line, f"vertex {label!r} repeats an earlier row")
-        try:
-            values[v] = float(tok)
-        except ValueError:
-            raise MalformedRowError(line, f"bad merit value {tok!r}") from None
-        if not np.isfinite(values[v]):
-            raise MalformedRowError(line, f"merit must be finite, got {tok!r}")
-        covered[v] = True
+    with _reader(path) as rows:
+        if [c.strip() for c in next(rows, ())] != ["vertex", "kind", "merit"]:
+            _fail(rows, MalformedRowError(1, "expected header 'vertex,kind,merit'"))
+        for row in filter(None, rows):  # blank rows are skipped
+            line = rows.line_num
+            if len(row) != 3:
+                _fail(rows, MalformedRowError(line, f"expected 3 fields, got {len(row)}"))
+            label, kind, tok = (c.strip() for c in row)
+            if label not in label_to_vertex:
+                _fail(rows, MalformedRowError(line, f"unknown vertex {label!r}"))
+            v = label_to_vertex[label]
+            expected = "student" if roster.is_student_vertex(v) else "question"
+            if kind != expected:
+                _fail(rows, MalformedRowError(
+                    line, f"vertex {label!r} is a {expected}, got kind {kind!r}"))
+            if covered[v]:
+                _fail(rows, MalformedRowError(line, f"vertex {label!r} repeats an earlier row"))
+            try:
+                values[v] = float(tok)
+            except ValueError:
+                _fail(rows, MalformedRowError(line, f"bad merit value {tok!r}"))
+            if not np.isfinite(values[v]):
+                _fail(rows, MalformedRowError(line, f"merit must be finite, got {tok!r}"))
+            covered[v] = True
     return MeritVector(values, covered)
 
 
@@ -277,17 +273,19 @@ def _csv_fields(ids) -> list[str]:
     return [line[:-2] for line in lines]
 
 
+def _write_matrix(path, roster: Roster, matrix: np.ndarray, cell) -> None:
+    """A header row of question ids, then each student's id and `cell` of each entry in its row."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(_csv_fields(["student", *roster.questions])) + "\n")
+        # row by row: a whole-matrix .tolist() raises peak memory
+        fh.writelines(f"{sid},{','.join(map(cell, row.tolist()))}\n"
+                      for sid, row in zip(_csv_fields(roster.students), matrix))
+
+
 def write_predictions(pm: PredictionMatrix, entries_path, tags_path) -> None:
-    header = ",".join(_csv_fields(["student", *pm.roster.questions])) + "\n"
-    students = _csv_fields(pm.roster.students)
+    _write_matrix(entries_path, pm.roster, pm.entries, repr)
     # `_name_` is a PairCase's name; `.name` and dict lookups run Python-level Enum code
-    for path, matrix, cell in ((entries_path, pm.entries, repr),
-                               (tags_path, pm.case_tags, attrgetter("_name_"))):
-        with open(path, "w", newline="") as fh:
-            fh.write(header)
-            # row by row: a whole-matrix .tolist() raises peak memory
-            fh.writelines(f"{sid},{','.join(map(cell, row.tolist()))}\n"
-                          for sid, row in zip(students, matrix))
+    _write_matrix(tags_path, pm.roster, pm.case_tags, attrgetter("_name_"))
 
 
 def write_tidy_report(rows: Iterable[dict], path) -> None:

@@ -160,16 +160,20 @@ class TestFaultsTheFuzzMisses:
     anywhere in the file wins over a header or row fault."""
 
     @pytest.mark.parametrize("reader, body, error, message", [
-        # a quoted comma or line break; a row fault is numbered by csv row
+        # a quoted comma or line break; a row fault names the line the row ends on
         ("edge", b'student,question,correct\n"s,1",q1,1\n"s\n2",q2,0\ns3,q3,2\n',
-         fio.MalformedRowError, "line 4: correctness must be 0 or 1, got '2'"),
+         fio.MalformedRowError, "line 5: correctness must be 0 or 1, got '2'"),
         ("dense", b'student,q1,q2\n"s,1",1,0\n"s\n2",0,NA\ns3,1,x\n',
-         fio.MalformedRowError, "line 4: cell must be 0, 1, or NA, got 'x'"),
+         fio.MalformedRowError, "line 5: cell must be 0, 1, or NA, got 'x'"),
+        ("merits", b'vertex,kind,merit\n"s\n0",student,0.5\nq0,question,x\n',
+         fio.MalformedRowError, "line 4: bad merit value 'x'"),
         # lines that end in a bare carriage return
         ("edge", b"student,question,correct\rs1,q1,1\rs2,q2\rs3,q3,1\r",
          fio.MalformedRowError, "line 3: expected 3 fields, got 2"),
         ("dense", b"student,q1,q2\rs1,1,0\rs2,0,2\r",
          fio.MalformedRowError, "line 3: cell must be 0, 1, or NA, got '2'"),
+        ("dense", b"student,q1\rs1,1\rs2,\xff\r",
+         fio.MalformedRowError, "line 3: byte 0xff is not UTF-8"),
         # an oversized field wins over a ragged row, before it or after it
         ("dense", b"student,q1\ns1," + BIG + b"\ns2,1,0\n",
          fio.MalformedRowError, "line 2: field larger than field limit (131072)"),
@@ -186,6 +190,8 @@ class TestFaultsTheFuzzMisses:
          fio.MalformedRowError, "line 3: byte 0xe9 is not UTF-8"),
         ("dense", b"student,q1\ns1,x\n" + b"".join(b"s%d,1\n" % i for i in range(2, 3000))
          + b"s\xff,1\n", fio.MalformedRowError, "line 3001: byte 0xff is not UTF-8"),
+        ("merits", b'vertex,kind,merit\n"s\n0",student,x\nq0,question,\xff\n',
+         fio.MalformedRowError, "line 4: byte 0xff is not UTF-8"),
         # an oversized field wins over a bad header
         ("edge", b"name,question,correct\ns1,q1," + BIG + b"\n",
          fio.MalformedRowError, "line 2: field larger than field limit (131072)"),
@@ -196,14 +202,16 @@ class TestFaultsTheFuzzMisses:
          fio.MalformedRowError, "line 4: no data rows"),
         ("dense", b"student,q1,q2\n\n\n",
          fio.MalformedRowError, "line 1: need a header row and at least one student row"),
-    ], ids=["edge-quoted", "dense-quoted", "edge-cr", "dense-cr", "dense-big-then-ragged",
-            "dense-ragged-then-big", "edge-ragged-then-big", "dense-byte-then-cell",
-            "dense-cell-then-byte", "edge-cell-then-byte", "dense-cell-then-byte-past-8-KB",
+    ], ids=["edge-quoted", "dense-quoted", "merits-quoted", "edge-cr", "dense-cr",
+            "dense-cr-byte", "dense-big-then-ragged", "dense-ragged-then-big",
+            "edge-ragged-then-big", "dense-byte-then-cell", "dense-cell-then-byte",
+            "edge-cell-then-byte", "dense-cell-then-byte-past-8-KB", "merits-value-then-byte",
             "edge-header-and-big", "dense-header-and-big", "edge-blank-body", "dense-blank-body"])
     def test_error_and_line(self, tmp_path, reader, body, error, message):
         path = tmp_path / "exam.csv"
         path.write_bytes(body)
-        read = fio.read_edge_list if reader == "edge" else fio.read_dense_matrix
+        read = {"edge": fio.read_edge_list, "dense": fio.read_dense_matrix,
+                "merits": lambda p: fio.read_merits(p, Roster(("s\n0",), ("q0",)))}[reader]
         with pytest.raises(error) as exc:
             read(path)
         assert type(exc.value) is error and str(exc.value) == message
@@ -212,20 +220,35 @@ class TestFaultsTheFuzzMisses:
 
 def test_reading_holds_one_row_at_a_time(tmp_path):
     """A 1000 x 200 sheet (600 KB) reads in well under the 14 MB that a list of
-    its rows takes, and sniffing its format decodes only its start."""
+    its rows takes, also when its last row is faulty, and sniffing its format
+    decodes only its start."""
     roster = Roster.index_based(1000, 200)
     g = graph.generate_assignment(roster, 200, 3, 0)
     u = MeritVector.for_roster(roster, [0.0] * 1000, [0.0] * 200)
-    path = tmp_path / "exam.csv"
+    path, faulty = tmp_path / "exam.csv", tmp_path / "faulty.csv"
     fio.write_dense_matrix(model.sample_exam_result(g, u, 1), path)
-    for call, bound in ((fio.read_dense_matrix, 2e6), (fio.detect_format, 1e5)):
+    faulty.write_text(path.read_text().rstrip("\n").rpartition(",")[0] + ",x\n")
+
+    def read_faulty(path):
+        with pytest.raises(fio.MalformedRowError, match="^line 1001: cell must be"):
+            fio.read_dense_matrix(path)
+
+    for call, file, bound in ((fio.read_dense_matrix, path, 2e6), (read_faulty, faulty, 2e6),
+                              (fio.detect_format, path, 1e5)):
         tracemalloc.start()
         try:
-            call(path)
+            call(file)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < bound, (call.__name__, peak)
+
+
+@pytest.mark.parametrize("header", ['"student",question,correct', " student , question,correct "])
+def test_edge_header_is_read_as_csv(tmp_path, header):
+    p = write(tmp_path / "exam.csv", header + "\n" + RUNNING_CSV.split("\n", 1)[1])
+    assert fio.detect_format(p) == fio.EDGE_LIST
+    assert run_cli("grade", "--input", p, "--outdir", str(tmp_path / "out")) == 0
 
 
 class TestMeritsAndGrades:

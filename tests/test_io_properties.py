@@ -1,5 +1,5 @@
 """Reader and writer properties: round trips, fuzzed rows against a per-line
-oracle, and the prediction writer's bytes against a `csv.writer` oracle."""
+oracle, and the matrix writers' bytes against `csv.writer` oracles."""
 
 import csv
 
@@ -126,7 +126,7 @@ def fuzzed_file(header, row):
                      st.booleans())
 
 
-def check_against_oracle(tmp_path_factory, reader, oracle, parts):
+def check_against_oracle(tmp_path_factory, reader, oracle, parts, sniff=False):
     bom, header, rows, final_newline = parts
     lines = [header, *rows]
     text = "\n".join(lines) + ("\n" if final_newline else "")
@@ -146,6 +146,8 @@ def check_against_oracle(tmp_path_factory, reader, oracle, parts):
     assert g.roster.students == tuple(students)
     assert g.roster.questions == tuple(questions)
     assert labelled(g) == outcomes
+    if sniff:  # auto-detection sends the file to the same reader
+        assert fio.ingest(path, fio.detect_format(path)) == g
 
 
 # " a" and "a" are one id once stripped; "a" as a question is shared with a student
@@ -171,12 +173,34 @@ class TestFuzzedRows:
     @settings(max_examples=400, deadline=None)
     @given(fuzzed_file(EDGE_HEADER, EDGE_ROW))
     def test_edge_list(self, tmp_path_factory, parts):
-        check_against_oracle(tmp_path_factory, fio.read_edge_list, edge_list_oracle, parts)
+        check_against_oracle(tmp_path_factory, fio.read_edge_list, edge_list_oracle, parts,
+                             sniff=True)
 
     @settings(max_examples=400, deadline=None)
     @given(fuzzed_file(DENSE_HEADER, DENSE_ROW))
     def test_dense_matrix(self, tmp_path_factory, parts):
         check_against_oracle(tmp_path_factory, fio.read_dense_matrix, dense_oracle, parts)
+
+
+def csv_writer_dense_matrix(g: ExamResultGraph, path) -> None:
+    """The dense matrix writer as it was when every row went through `csv.writer`."""
+    roster = g.roster
+    cells = np.full((roster.n_students, roster.n_questions), "NA", dtype=object)
+    cells[g.assignment.edge_arrays] = np.array(["0", "1"], dtype=object)[g.w]
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(["student", *roster.questions])
+        for i, sid in enumerate(roster.students):
+            out.writerow([sid, *cells[i]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(exams())
+def test_dense_matrix_bytes_match_csv_writer(tmp_path_factory, g):
+    d = tmp_path_factory.mktemp("dense")
+    fio.write_dense_matrix(g, d / "exam.csv")
+    csv_writer_dense_matrix(g, d / "exam_ref.csv")
+    assert (d / "exam.csv").read_bytes() == (d / "exam_ref.csv").read_bytes()
 
 
 def csv_writer_predictions(pm: PredictionMatrix, entries_path, tags_path) -> None:
