@@ -11,8 +11,9 @@ flags placed ahead of the command line, by the same parser, so they are
 checked exactly like flags and explicit flags win. The parser checks each
 flag value; the library raises ParameterOutOfRangeError for values that do
 not fit together. Exit codes: 2 configuration error, 3 data-format error, 4
-numeric failure; `run` catches only those named faults and OSError (exit 3),
-so any other exception is a bug and propagates with its traceback.
+numeric failure, including an experiment whose every draw or repetition
+failed; `run` catches only those named faults and OSError (exit 3), so any
+other exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ EXIT_NUMERIC = 4
 DATA_ERRORS = (fio.MalformedRowError, fio.DuplicateEdgeError, fio.DimensionMismatchError,
                ZeroDegreeStudentError)
 NUMERIC_ERRORS = (NonConvergenceError, NotStronglyConnectedError, sim.InstanceTooLargeError,
-                  np.linalg.LinAlgError)
+                  sim.AllReplicationsFailedError, np.linalg.LinAlgError)
 
 
 class ConfigError(ValueError):
@@ -404,7 +405,8 @@ def cmd_cv(args, outdir: Path) -> None:
             for name, mse in sorted(res.mse_per_rule.items()):
                 rows.append(_row(f"d1={d1}:d2", d2, name, "mse", mse))
             results.append(res)
-    out = {"points": [{"d1": r.d1, "d2": r.d2, "mse": r.mse_per_rule} for r in results]}
+    out = {"points": [{"d1": r.d1, "d2": r.d2, "mse": r.mse_per_rule,
+                       "failed_repetitions": r.failed_repetitions} for r in results]}
     if args.threshold_table:
         table = sim.cv_threshold_table(results)
         out["threshold_table"] = {str(k): v for k, v in table.items()}
@@ -424,7 +426,8 @@ def cmd_cv_sim(args, outdir: Path) -> None:
     ]
     fio.write_tidy_report(rows, outdir / "report.csv")
     fio.write_json_summary(
-        {"points": [{"d2": r.d2, "mse": r.mse_per_rule} for r in results]},
+        {"points": [{"d2": r.d2, "mse": r.mse_per_rule, "failed_repetitions": r.failed_repetitions}
+                    for r in results]},
         outdir / "summary.json",
     )
 

@@ -2,8 +2,9 @@
 
 All Monte-Carlo quantities are keyed by (master seed, index path): the k-th
 outcome draw on a graph comes from its own substream, so runs are reproducible
-and no draw depends on how many others ran before it. An estimate over no
-graphs, draws or repetitions raises ParameterOutOfRangeError naming the count.
+and no draw depends on how many others ran before it. `_replicate` runs them
+all and counts those that fail numerically. An estimate over no graphs, draws,
+repetitions or sweep values raises ParameterOutOfRangeError naming the count.
 """
 
 from __future__ import annotations
@@ -18,10 +19,12 @@ import numpy as np
 from .graph import (ExamResultGraph, ParameterOutOfRangeError, Roster, TaskAssignmentGraph,
                     check_assignment_sizes, generate_assignment)
 from .grading import GradeVector, grade, simple_average
-from .model import MeritVector, NonConvergenceError, benchmark, edge_probabilities
+from .model import (MeritVector, NonConvergenceError, benchmark, edge_probabilities,
+                    sample_exam_result)
 from .rng import substream
 
 GradingRule = Callable[[ExamResultGraph], GradeVector]
+Trial = Callable[[np.random.Generator], np.ndarray]  # one Monte-Carlo draw from its substream
 
 RULES: dict[str, GradingRule] = {"ours": grade, "avg": simple_average}
 
@@ -34,6 +37,10 @@ DEFAULT_DIFFICULTY_RANGE = (-3.090, 2.099)
 
 class InstanceTooLargeError(ValueError):
     """Exact enumeration was requested for an instance beyond the cap."""
+
+
+class AllReplicationsFailedError(RuntimeError):
+    """Every Monte-Carlo draw of an estimate failed numerically."""
 
 
 @dataclass(frozen=True)
@@ -92,10 +99,14 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class CvResult:
+    """Each rule's hold-out MSE at one (d1, d2), over the `repetitions` that
+    succeeded; `failed_repetitions` counts those in which any rule failed."""
+
     d1: int
     d2: int
     mse_per_rule: dict[str, float]
     repetitions: int
+    failed_repetitions: int = 0
 
 
 def _require_positive(**counts: int) -> None:
@@ -104,27 +115,28 @@ def _require_positive(**counts: int) -> None:
             raise ParameterOutOfRangeError(f"{name} must be >= 1, got {count}")
 
 
-def _replicate(
-    rule: GradingRule, g: TaskAssignmentGraph, u: MeritVector, replications: int, *key: int
-) -> tuple[np.ndarray, int]:
-    """Grade `replications` outcome draws on `g`; draw k comes from
-    substream(*key, k).
+def _replicate(trial: Trial, count: int, *key: int) -> tuple[np.ndarray, int]:
+    """Run `trial(substream(*key, k))` for each k < `count`.
 
-    Returns the grades of the draws that succeeded, one row each, and the
-    number that failed numerically. Any other exception from the rule is a
-    programming error and propagates. Raises if every draw failed.
+    Returns the rows of the trials that succeeded, stacked, and the number
+    that failed numerically. Any other exception from a trial is a
+    programming error and propagates. Raises if every trial failed.
     """
-    probs = edge_probabilities(g, u)
     rows, failed = [], 0
-    for k in range(replications):
-        w = (substream(*key, k).random(g.n_edges) < probs).astype(np.uint8)
+    for k in range(count):
         try:
-            rows.append(rule(ExamResultGraph(g, w)).values)
+            rows.append(trial(substream(*key, k)))
         except (NonConvergenceError, np.linalg.LinAlgError):
             failed += 1
     if not rows:
-        raise RuntimeError("every replication failed; nothing to aggregate")
+        raise AllReplicationsFailedError("every replication failed; nothing to aggregate")
     return np.stack(rows), failed
+
+
+def _outcomes(rule: GradingRule, g: TaskAssignmentGraph, u: MeritVector) -> Trial:
+    """Trial for `_replicate`: `rule`'s grades on one outcome draw on `g`."""
+    probs = edge_probabilities(g, u)
+    return lambda rng: rule(ExamResultGraph(g, rng.random(g.n_edges) < probs)).values
 
 
 def estimate_ex_post_bias(
@@ -137,21 +149,16 @@ def estimate_ex_post_bias(
     """Monte-Carlo estimate of each student's expected-grade deviation."""
     _require_positive(replications=replications)
     opt = benchmark(u, g.roster).values
-    mat, failed = _replicate(rule, g, u, replications, seed)
+    mat, failed = _replicate(_outcomes(rule, g, u), replications, seed)
     ok = len(mat)
     mean = mat.mean(axis=0)
     deviation = mean - opt
     se = mat.std(axis=0, ddof=1) / np.sqrt(ok) if ok > 1 else np.zeros_like(mean)
     bias = deviation**2
     return BiasReport(
-        per_student_deviation=deviation,
-        per_student_bias=bias,
-        per_student_se=se,
-        max_bias=float(bias.max()),
-        avg_bias=float(bias.mean()),
-        replications=ok,
-        failed_replications=failed,
-        estimator=MONTE_CARLO,
+        per_student_deviation=deviation, per_student_bias=bias, per_student_se=se,
+        max_bias=float(bias.max()), avg_bias=float(bias.mean()),
+        replications=ok, failed_replications=failed, estimator=MONTE_CARLO,
     )
 
 
@@ -233,7 +240,7 @@ def decompose_error(
     if estimator == MONTE_CARLO and replications < 2:
         raise ParameterOutOfRangeError(f"replications must be >= 2, got {replications}")
     _require_positive(graphs=len(graphs))
-    biases, variances, errors, failed = [], [], [], 0
+    parts, failed = [], 0
     for gi, g in enumerate(graphs):
         opt = benchmark(u, g.roster).values
         if estimator == EXACT_ENUMERATION:
@@ -241,22 +248,15 @@ def decompose_error(
             bias = (m1 - opt) ** 2
             var = m2 - m1**2
         else:
-            mat, graph_failed = _replicate(rule, g, u, replications, seed, gi)
+            mat, graph_failed = _replicate(_outcomes(rule, g, u), replications, seed, gi)
             failed += graph_failed
             mean = mat.mean(axis=0)
             bias = (mean - opt) ** 2
             var = ((mat - mean) ** 2).mean(axis=0)
             err = ((mat - opt) ** 2).mean(axis=0)
-        biases.append(bias.mean())
-        variances.append(var.mean())
-        errors.append(err.mean())
-    return ErrorDecomposition(
-        bias=float(np.mean(biases)),
-        variance=float(np.mean(variances)),
-        error=float(np.mean(errors)),
-        estimator=estimator,
-        failed_replications=failed,
-    )
+        parts.append((bias.mean(), var.mean(), err.mean()))
+    bias, variance, error = (float(np.mean(column)) for column in zip(*parts))
+    return ErrorDecomposition(bias, variance, error, estimator, failed)
 
 
 def sweep_degree(
@@ -271,7 +271,7 @@ def sweep_degree(
 ) -> SweepResult:
     """Expected max/avg squared deviation per rule, across degree constraints."""
     rules = dict(RULES) if rules is None else dict(rules)
-    _require_positive(graphs_per_d=graphs_per_d, replications=replications)
+    _require_positive(d_values=len(d_values), graphs_per_d=graphs_per_d, replications=replications)
     points = []
     for di, d in enumerate(d_values):
         instances = [
@@ -339,7 +339,7 @@ def sweep_question_sample_size(
     draw fresh difficulties per graph and measure both rules' deviation from
     the realized m-question benchmark."""
     rules = dict(RULES) if rules is None else dict(rules)
-    _require_positive(graphs_per_m=graphs_per_m, replications=replications)
+    _require_positive(m_values=len(m_values), graphs_per_m=graphs_per_m, replications=replications)
     if d > min(m_values):
         raise ParameterOutOfRangeError("degree constraint exceeds smallest question sample size")
     n = len(student_merits)
@@ -383,33 +383,39 @@ def cross_validate(
     if not np.isin(answers, (0, 1)).all():
         raise ValueError("answers must be a complete 0/1 matrix")
 
-    def one(r: int):
-        rng = substream(seed, r)
+    def trial(rng: np.random.Generator):
         students = np.sort(rng.permutation(n)[:d1])
-        return _hold_out(answers[students], d2, rng, rules)
+        return np.array([_hold_out(answers[students], d2, rng, rules)])
 
-    reps = [one(r) for r in range(repetitions)]
-    mse = {name: float(np.mean([r[name] for r in reps])) for name in rules}
-    return CvResult(d1=d1, d2=d2, mse_per_rule=mse, repetitions=repetitions)
+    return _cv_results(d1, [d2], rules, trial, repetitions, seed)[0]
 
 
 def _hold_out(
     full: np.ndarray, d2: int, rng: np.random.Generator, rules: Mapping[str, GradingRule]
-) -> dict[str, float]:
+) -> list[float]:
     """Keep d2 random cells of each row of the complete 0/1 matrix `full`
     and score each rule's grades on that exam by their mean squared error
-    against the full-row accuracy."""
+    against the full-row accuracy, in the order of `rules`."""
     n, q = full.shape
-    cols = np.array([np.sort(rng.permutation(q)[:d2]) for _ in range(n)])
-    rows = np.repeat(np.arange(n), cols.shape[1])
-    cols = cols.ravel()
+    cols = np.concatenate([np.sort(rng.permutation(q)[:d2]) for _ in range(n)])
+    rows = np.repeat(np.arange(n), d2)
     g = TaskAssignmentGraph(Roster.index_based(n, q), np.column_stack((rows, cols)))
     result = ExamResultGraph(g, full[rows, cols])
     target = full.mean(axis=1)
-    return {
-        name: float(((rule(result).values - target) ** 2).mean())
-        for name, rule in rules.items()
-    }
+    return [((rule(result).values - target) ** 2).mean() for rule in rules.values()]
+
+
+def _cv_results(d1, d2_values, rules, trial: Trial, repetitions, seed) -> list[CvResult]:
+    """One CvResult per d2 over the repetitions of `trial` that succeeded;
+    each returns its (len(d2_values), len(rules)) block of MSEs."""
+    mse, failed = _replicate(trial, repetitions, seed)
+    # a 1-D mean per contiguous column sums in the same order as a mean of a list
+    columns = np.ascontiguousarray(mse.transpose(1, 2, 0))
+    return [
+        CvResult(d1, int(d2), {name: float(np.mean(col)) for name, col in zip(rules, cols)},
+                 len(mse), failed)
+        for d2, cols in zip(d2_values, columns)
+    ]
 
 
 def cv_threshold_table(results: Sequence[CvResult]) -> dict[int, int | None]:
@@ -432,30 +438,21 @@ def simulated_cross_validate(
 ) -> list[CvResult]:
     """Synthetic counterpart of `cross_validate`: merits are drawn from the
     priors, a complete exam is generated, and the `RULES` are scored against
-    the realized full-row accuracy."""
+    the realized full-row accuracy. Every d2 is scored on the same exams, so
+    a repetition that fails at any d2 is left out of all of them."""
     if not all(1 <= d2 <= n_questions for d2 in d2_values):
         raise ParameterOutOfRangeError(f"need 1 <= d2 <= {n_questions}, got {list(d2_values)}")
-    _require_positive(repetitions=repetitions)
+    _require_positive(d2_values=len(d2_values), repetitions=repetitions)
     roster = Roster.index_based(n, n_questions)
     complete = TaskAssignmentGraph(roster, np.indices((n, n_questions)).reshape(2, -1).T)
 
-    def one(r: int):
-        rng = substream(seed, r)
+    def trial(rng: np.random.Generator):
         abilities = rng.normal(prior.student_mean, prior.student_std, n)
         difficulties = rng.normal(prior.question_mean, prior.question_std, n_questions)
         if not (np.isfinite(abilities).all() and np.isfinite(difficulties).all()):
             raise ParameterOutOfRangeError(f"{prior} draws merits too large for a float")
         u = MeritVector.for_roster(roster, abilities, difficulties)
-        probs = edge_probabilities(complete, u)
-        w = (rng.random(complete.n_edges) < probs).astype(np.uint8)
-        full = w.reshape(n, n_questions)  # the complete graph's edges are row-major
-        return {d2: _hold_out(full, d2, rng, RULES) for d2 in d2_values}
+        full = sample_exam_result(complete, u, rng).w.reshape(n, n_questions)  # row-major edges
+        return np.array([_hold_out(full, d2, rng, RULES) for d2 in d2_values])
 
-    reps = [one(r) for r in range(repetitions)]
-    results = []
-    for d2 in d2_values:
-        mse = {
-            name: float(np.mean([r[d2][name] for r in reps])) for name in RULES
-        }
-        results.append(CvResult(d1=n, d2=int(d2), mse_per_rule=mse, repetitions=repetitions))
-    return results
+    return _cv_results(n, d2_values, RULES, trial, repetitions, seed)

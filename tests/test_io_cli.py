@@ -614,6 +614,7 @@ class TestCli:
         summary = json.loads((out / "summary.json").read_text())
         full = next(p for p in summary["points"] if p["d2"] == 5)
         assert full["mse"]["ours"] == pytest.approx(0.0, abs=1e-12)
+        assert [p["failed_repetitions"] for p in summary["points"]] == [0, 0]
 
     def test_cv_threshold_table_reads_the_points(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(0)
@@ -651,6 +652,22 @@ class TestCli:
                        "--outdir", str(out)) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert [p["d2"] for p in summary["points"]] == [2, 5]
+        assert [p["failed_repetitions"] for p in summary["points"]] == [0, 0]
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate-bias", "--students", "4", "--questions", "5", "--m", "5", "--d", "2",
+         "--reps", "3", "--rules", "ours"],
+        ["cv-sim", "--students", "4", "--questions", "5", "--d2", "2,5", "--reps", "3"],
+    ], ids=["simulate-bias", "cv-sim"])
+    def test_every_draw_failing_exits_4(self, tmp_path, monkeypatch, capsys, argv):
+        def stalled(res):
+            raise model.NonConvergenceError("stalled", None)
+
+        monkeypatch.setitem(sim.RULES, "ours", stalled)
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--seed", "1", "--outdir", str(out)) == 4
+        assert "every replication failed" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
 
     def test_entry_point_installed(self, exam_file, tmp_path):
         proc = subprocess.run(

@@ -7,6 +7,7 @@ from fairgrade import (
     GradeVector,
     InstanceTooLargeError,
     MeritVector,
+    NonConvergenceError,
     ParameterOutOfRangeError,
     Roster,
     TaskAssignmentGraph,
@@ -21,6 +22,7 @@ from fairgrade import (
     sweep_question_sample_size,
     verify_ex_ante_fairness,
 )
+from fairgrade import simulation as sim
 from fairgrade.model import PriorSpec
 from fairgrade.simulation import (
     EXACT_ENUMERATION,
@@ -250,16 +252,19 @@ class TestSweeps:
 
 
 class TestEmptyWork:
-    """An estimate over no graphs, draws or repetitions raises, naming the
-    count, instead of averaging nothing into NaN."""
+    """An estimate over no graphs, draws, repetitions or sweep values raises,
+    naming the count, instead of averaging nothing into NaN."""
 
     @pytest.mark.parametrize("call, count", [
         ("estimate_ex_post_bias", "replications"),
         ("decompose_error", "graphs"),
         ("sweep_degree", "graphs_per_d"),
+        ("sweep_degree", "d_values"),
         ("sweep_question_sample_size", "graphs_per_m"),
+        ("sweep_question_sample_size", "m_values"),
         ("cross_validate", "repetitions"),
         ("simulated_cross_validate", "repetitions"),
+        ("simulated_cross_validate", "d2_values"),
     ])
     def test_raises_naming_the_count(self, small_population, call, count):
         roster, u = small_population
@@ -267,17 +272,24 @@ class TestEmptyWork:
         sampler = uniform_difficulty_sampler()
         answers = np.random.default_rng(5).integers(0, 2, (4, 3))
         calls = {
-            "estimate_ex_post_bias": lambda: estimate_ex_post_bias(grade, g, u, 0, 1),
-            "decompose_error": lambda: decompose_error(grade, [], u, 5, 1),
-            "sweep_degree": lambda: sweep_degree(roster, u, 3, [2], 0, 5, 1),
-            "sweep_question_sample_size": lambda: sweep_question_sample_size(
+            ("estimate_ex_post_bias", "replications"):
+                lambda: estimate_ex_post_bias(grade, g, u, 0, 1),
+            ("decompose_error", "graphs"): lambda: decompose_error(grade, [], u, 5, 1),
+            ("sweep_degree", "graphs_per_d"): lambda: sweep_degree(roster, u, 3, [2], 0, 5, 1),
+            ("sweep_degree", "d_values"): lambda: sweep_degree(roster, u, 3, [], 2, 5, 1),
+            ("sweep_question_sample_size", "graphs_per_m"): lambda: sweep_question_sample_size(
                 [0.0, 0.5], sampler, [3], 2, 0, 5, 1),
-            "cross_validate": lambda: cross_validate(answers, 3, 2, repetitions=0),
-            "simulated_cross_validate": lambda: simulated_cross_validate(
-                PriorSpec(), 6, [2], 0, 1),
+            ("sweep_question_sample_size", "m_values"): lambda: sweep_question_sample_size(
+                [0.0, 0.5], sampler, [], 2, 2, 5, 1),
+            ("cross_validate", "repetitions"):
+                lambda: cross_validate(answers, 3, 2, repetitions=0),
+            ("simulated_cross_validate", "repetitions"):
+                lambda: simulated_cross_validate(PriorSpec(), 6, [2], 0, 1),
+            ("simulated_cross_validate", "d2_values"):
+                lambda: simulated_cross_validate(PriorSpec(), 6, [], 5, 1),
         }
         with pytest.raises(ParameterOutOfRangeError, match=f"^{count} must be >= 1, got 0$"):
-            calls[call]()
+            calls[call, count]()
 
 
 class TestCrossValidation:
@@ -304,6 +316,57 @@ class TestCrossValidation:
         a = cross_validate(answers, 5, 3, 15, seed=14)
         b = cross_validate(answers, 5, 3, 15, seed=14)
         assert a.mse_per_rule == b.mse_per_rule
+
+    def test_pinned_mse(self):
+        """Exact MSEs of both harnesses on two seeds: a change in the draws,
+        their order or the averaging moves a last bit and fails here."""
+        answers = np.random.default_rng(3).integers(0, 2, (8, 6))
+        assert cross_validate(answers, 5, 3, 6, seed=1).mse_per_rule == {
+            "ours": 0.07239963188084769, "avg": 0.05648148148148149}
+        assert cross_validate(answers, 5, 3, 6, seed=2).mse_per_rule == {
+            "ours": 0.06683542737899173, "avg": 0.04814814814814814}
+        pinned = {
+            1: [{"ours": 0.051388888888888894, "avg": 0.05277777777777778},
+                {"ours": 0.02276388888888889, "avg": 0.02361111111111111}],
+            2: [{"ours": 0.04027777777777778, "avg": 0.03333333333333334},
+                {"ours": 0.08318055555555555, "avg": 0.08055555555555555}],
+        }
+        for seed, mse in pinned.items():
+            results = simulated_cross_validate(PriorSpec(), 5, [2, 3], 4, seed, n_questions=6)
+            assert [r.mse_per_rule for r in results] == mse
+
+    @staticmethod
+    def fails_on_call(k):
+        """`simple_average`, except that its k-th call raises NonConvergenceError."""
+        calls = []
+
+        def flaky(res):
+            calls.append(None)
+            if len(calls) == k:
+                raise NonConvergenceError("stalled", None)
+            return simple_average(res)
+
+        return flaky
+
+    def test_failed_hold_out_is_counted(self):
+        answers = np.random.default_rng(3).integers(0, 2, (8, 6))
+        rules = {"avg": simple_average, "flaky": self.fails_on_call(3)}
+        res = cross_validate(answers, 5, 3, 6, rules, seed=1)
+        assert (res.repetitions, res.failed_repetitions) == (5, 1)
+        # avg's hold-out succeeded in the failed repetition, but is left out
+        # with it: every rule's MSE is over the same five repetitions
+        assert res.mse_per_rule["avg"] == res.mse_per_rule["flaky"]
+        all_six = cross_validate(answers, 5, 3, 6, seed=1).mse_per_rule["avg"]
+        assert res.mse_per_rule["avg"] != all_six
+
+    def test_failed_simulated_hold_out_is_counted(self, monkeypatch):
+        # "ours" fails on the second d2 of the second repetition, after
+        # "avg" has scored that repetition's first d2
+        monkeypatch.setitem(sim.RULES, "ours", self.fails_on_call(4))
+        results = simulated_cross_validate(PriorSpec(), 5, [2, 3], 4, 1, n_questions=6)
+        for res in results:
+            assert (res.repetitions, res.failed_repetitions) == (3, 1)
+            assert res.mse_per_rule["ours"] == res.mse_per_rule["avg"]
 
     def test_threshold_table_shape(self):
         rng = np.random.default_rng(4)
