@@ -1,9 +1,11 @@
 """Command-line entry point.
 
-One subcommand per experiment. Every randomized command requires an explicit
---seed; outputs land in --outdir (or $FAIRGRADE_OUTDIR) together with a
-manifest.json echoing the full configuration, so any run can be reproduced
-bit-exactly.
+One subcommand per experiment; every randomized command requires --seed.
+Each command returns its report.csv rows (None for grade, fit and verify) and
+its summary; `run` writes report.csv, summary.json and a manifest.json echoing
+the full configuration to --outdir (or $FAIRGRADE_OUTDIR), so any run can be
+reproduced bit-exactly. grade also writes grades.csv, plus predictions.csv
+and cases.csv under --rule ours; fit writes merits.csv.
 
 A --config file holds the same options as `key=value` lines, keyed by flag
 name without the dashes; a switch is a bare key. Its lines are parsed as
@@ -106,14 +108,14 @@ POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
 # PriorSpec rejects a std whose precision std**-2 overflows; this check names the flag
 STD = _checked(float, lambda v: 0 < v < math.inf and v**-2 >= 0,
                "a number of at least about 1e-154")
-COUNTS = _checked(parse_int_list, lambda v: v and min(v) >= 1,
-                  "integers >= 1, such as 3, 1,2,5 or 1..22")
+COUNTS = _checked(parse_int_list, lambda v: v and min(v) >= 1 and len(set(v)) == len(v),
+                  "distinct integers >= 1, such as 3, 1,2,5 or 1..22")
 FLOATS = _checked(_floats, lambda v: all(map(math.isfinite, v)), "comma-separated finite numbers")
 RANGE = _checked(_floats, lambda v: len(v) == 2 and 0 <= v[1] - v[0] < math.inf,
                  "low,high: two finite numbers with low <= high")
 RULE_NAMES = _checked(lambda text: [tok.strip() for tok in text.split(",")],
-                      lambda v: set(v) <= sim.RULES.keys(),
-                      f"comma-separated rule names from {sorted(sim.RULES)}")
+                      lambda v: set(v) <= sim.RULES.keys() and len(set(v)) == len(v),
+                      f"distinct comma-separated rule names from {sorted(sim.RULES)}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,10 +239,10 @@ def _prior_from(args) -> PriorSpec:
     return PriorSpec(args.student_mean, args.student_std, args.question_mean, args.question_std)
 
 
-def _row(parameter, value, rule, statistic, estimate, se=None) -> dict:
-    """One report.csv row; floats are written with repr, so they round-trip."""
-    return {"parameter": parameter, "value": value, "rule": rule, "statistic": statistic,
-            "estimate": repr(float(estimate)), "se": "" if se is None else repr(float(se))}
+def _row(parameter, value, rule, statistic, estimate, se=None) -> tuple:
+    """One report.csv row in column order; floats are written with repr, so they round-trip."""
+    return (parameter, value, rule, statistic, repr(float(estimate)),
+            "" if se is None else repr(float(se)))
 
 
 def _ingest(args) -> ExamResultGraph:
@@ -250,27 +252,18 @@ def _ingest(args) -> ExamResultGraph:
     return fio.ingest(args.input, fmt)
 
 
-def _merits_file(path, roster: Roster) -> MeritVector:
-    """The merit of every roster vertex, from a merit CSV."""
-    u = fio.read_merits(path, roster)
-    if not u.covered.all():
-        missing = roster.vertex_label(int(np.argmin(u.covered)))
-        raise fio.DimensionMismatchError(f"{path}: no merit for vertex {missing!r}")
-    return u
-
-
 def _population(args, seed_key: int):
     """Roster plus true merits for the synthetic experiments."""
     roster = Roster.index_based(args.students, args.questions)
     if args.merits:
-        return roster, _merits_file(args.merits, roster)
+        return roster, fio.read_merits(args.merits, roster)
     rng = substream(args.seed, seed_key)
     abilities = rng.uniform(*ABILITY_RANGE, args.students)
     difficulties = rng.uniform(*sim.DEFAULT_DIFFICULTY_RANGE, args.questions)
     return roster, MeritVector.for_roster(roster, abilities, difficulties)
 
 
-def cmd_grade(args, outdir: Path) -> None:
+def cmd_grade(args, outdir: Path) -> tuple[list | None, dict]:
     g = _ingest(args)
     if args.rule == "ours":
         pm = predict_matrix(g, tol=args.tol, max_iter=args.max_iter)
@@ -281,12 +274,10 @@ def cmd_grade(args, outdir: Path) -> None:
     else:
         grades = make_map_rule(_prior_from(args), tol=args.tol, max_iter=args.max_iter)(g)
     fio.write_grades(grades, outdir / "grades.csv")
-    fio.write_json_summary(
-        {"rule": grades.rule_name, "grades": grades.as_dict()}, outdir / "summary.json"
-    )
+    return None, {"rule": grades.rule_name, "grades": grades.as_dict()}
 
 
-def cmd_fit(args, outdir: Path) -> None:
+def cmd_fit(args, outdir: Path) -> tuple[list | None, dict]:
     g = _ingest(args)
     if args.method == "mle":
         try:  # mle_fit's own check is the one Tarjan pass
@@ -297,12 +288,11 @@ def cmd_fit(args, outdir: Path) -> None:
     else:
         fit = map_fit(g, _prior_from(args), tol=args.tol, max_iter=args.max_iter)
     fio.write_merits(fit.merits, g.roster, outdir / "merits.csv")
-    summary = {"method": args.method, "iterations": fit.iterations,
-               "residual": fit.residual, "converged": fit.converged}
-    fio.write_json_summary(summary, outdir / "summary.json")
+    return None, {"method": args.method, "iterations": fit.iterations,
+                  "residual": fit.residual, "converged": fit.converged}
 
 
-def cmd_simulate_bias(args, outdir: Path) -> None:
+def cmd_simulate_bias(args, outdir: Path) -> tuple[list | None, dict]:
     roster, u = _population(args, 0)
     g = generate_assignment(roster, args.m, args.d, substream(args.seed, 1))
     rows, summary = [], {}
@@ -317,11 +307,10 @@ def cmd_simulate_bias(args, outdir: Path) -> None:
         summary[name] = {"max_bias": report.max_bias, "avg_bias": report.avg_bias,
                          "replications": report.replications,
                          "failed_replications": report.failed_replications}
-    fio.write_tidy_report(rows, outdir / "report.csv")
-    fio.write_json_summary(summary, outdir / "summary.json")
+    return rows, summary
 
 
-def cmd_decompose(args, outdir: Path) -> None:
+def cmd_decompose(args, outdir: Path) -> tuple[list | None, dict]:
     roster, u = _population(args, 0)
     populations = {
         "spread-merits": u,
@@ -341,11 +330,10 @@ def cmd_decompose(args, outdir: Path) -> None:
             for stat in ("bias", "variance", "error"):
                 rows.append(_row("merits", label, name, stat, getattr(dec, stat)))
             summary[label][name] = dataclasses.asdict(dec)
-    fio.write_tidy_report(rows, outdir / "report.csv")
-    fio.write_json_summary(summary, outdir / "summary.json")
+    return rows, summary
 
 
-def _sweep_to_outputs(result, outdir: Path) -> None:
+def _sweep_to_outputs(result) -> tuple[list, dict]:
     rows, summary = [], []
     for point in result.points:
         entry = {"value": point.value, "graphs": point.graphs,
@@ -357,20 +345,19 @@ def _sweep_to_outputs(result, outdir: Path) -> None:
                              stats.avg_bias, stats.avg_bias_se))
             entry["rules"][name] = dataclasses.asdict(stats)
         summary.append(entry)
-    fio.write_tidy_report(rows, outdir / "report.csv")
-    fio.write_json_summary({"axis": result.axis, "points": summary}, outdir / "summary.json")
+    return rows, {"axis": result.axis, "points": summary}
 
 
-def cmd_sweep_degree(args, outdir: Path) -> None:
+def cmd_sweep_degree(args, outdir: Path) -> tuple[list | None, dict]:
     roster, u = _population(args, 0)
     result = sim.sweep_degree(
         roster, u, args.m, args.d_values, args.graphs, args.reps,
         sim._scalar_seed(args.seed, 1), rules={name: sim.RULES[name] for name in args.rules},
     )
-    _sweep_to_outputs(result, outdir)
+    return _sweep_to_outputs(result)
 
 
-def cmd_sweep_bank(args, outdir: Path) -> None:
+def cmd_sweep_bank(args, outdir: Path) -> tuple[list | None, dict]:
     if args.abilities and len(args.abilities) != args.students:
         raise ConfigError("--abilities length must equal --students")
     result = sim.sweep_question_sample_size(
@@ -379,7 +366,7 @@ def cmd_sweep_bank(args, outdir: Path) -> None:
         args.d, args.graphs, args.reps, sim._scalar_seed(args.seed, 1),
         rules={name: sim.RULES[name] for name in args.rules},
     )
-    _sweep_to_outputs(result, outdir)
+    return _sweep_to_outputs(result)
 
 
 def _dense_complete_matrix(path) -> np.ndarray:
@@ -390,7 +377,7 @@ def _dense_complete_matrix(path) -> np.ndarray:
     return g.w.reshape(n, q)  # edges are sorted, so a complete graph's bits are row-major
 
 
-def cmd_cv(args, outdir: Path) -> None:
+def cmd_cv(args, outdir: Path) -> tuple[list | None, dict]:
     answers = _dense_complete_matrix(args.input)
     rules = {name: sim.RULES[name] for name in args.rules}
     if args.threshold_table and not {"ours", "avg"} <= rules.keys():
@@ -410,11 +397,10 @@ def cmd_cv(args, outdir: Path) -> None:
     if args.threshold_table:
         table = sim.cv_threshold_table(results)
         out["threshold_table"] = {str(k): v for k, v in table.items()}
-    fio.write_tidy_report(rows, outdir / "report.csv")
-    fio.write_json_summary(out, outdir / "summary.json")
+    return rows, out
 
 
-def cmd_cv_sim(args, outdir: Path) -> None:
+def cmd_cv_sim(args, outdir: Path) -> tuple[list | None, dict]:
     results = sim.simulated_cross_validate(
         _prior_from(args), args.students, args.d2_values,
         args.reps, args.seed, n_questions=args.questions,
@@ -424,23 +410,16 @@ def cmd_cv_sim(args, outdir: Path) -> None:
         for res in results
         for name, mse in sorted(res.mse_per_rule.items())
     ]
-    fio.write_tidy_report(rows, outdir / "report.csv")
-    fio.write_json_summary(
-        {"points": [{"d2": r.d2, "mse": r.mse_per_rule, "failed_repetitions": r.failed_repetitions}
-                    for r in results]},
-        outdir / "summary.json",
-    )
+    return rows, {"points": [{"d2": r.d2, "mse": r.mse_per_rule,
+                              "failed_repetitions": r.failed_repetitions} for r in results]}
 
 
-def cmd_verify(args, outdir: Path) -> None:
+def cmd_verify(args, outdir: Path) -> tuple[list | None, dict]:
     roster = Roster.index_based(args.students, args.questions)
     zero = MeritVector(np.zeros(roster.n_vertices))
-    u = _merits_file(args.merits, roster) if args.merits else zero
+    u = fio.read_merits(args.merits, roster) if args.merits else zero
     fair = sim.verify_ex_ante_fairness(roster, args.m, args.d, u)
-    fio.write_json_summary(
-        {"rule": "avg", "ex_ante_fair": fair, "m": args.m, "d": args.d},
-        outdir / "summary.json",
-    )
+    return None, {"rule": "avg", "ex_ante_fair": fair, "m": args.m, "d": args.d}
 
 
 COMMANDS = {
@@ -490,7 +469,10 @@ def run(argv=None) -> int:
             "seed": getattr(args, "seed", None),
             "version": __version__,
         }
-        COMMANDS[args.command](args, outdir)
+        rows, summary = COMMANDS[args.command](args, outdir)
+        if rows is not None:
+            fio.write_tidy_report(rows, outdir / "report.csv")
+        fio.write_json_summary(summary, outdir / "summary.json")
         fio.write_json_summary(manifest, outdir / "manifest.json")
         return 0
     except (*DATA_ERRORS, OSError) as exc:

@@ -19,7 +19,7 @@ import csv
 import json
 from collections import deque
 from contextlib import contextmanager
-from itertools import islice
+from itertools import islice, repeat
 from operator import attrgetter
 from types import SimpleNamespace
 from typing import Iterable, NoReturn
@@ -201,14 +201,19 @@ def read_dense_matrix(path) -> ExamResultGraph:
     return _result_graph(students, questions, s_idx, q_idx, codes[s_idx, q_idx])
 
 
-def write_edge_list(g: ExamResultGraph, path) -> None:
-    roster = g.roster
+def _write_csv(path, header, rows: Iterable) -> None:
+    """A header row, then `rows`, through one `csv.writer`."""
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh, lineterminator="\n")
-        out.writerow(_EDGE_HEADER)
-        s_idx, q_idx = g.assignment.edge_arrays
-        out.writerows(zip(map(roster.students.__getitem__, s_idx.tolist()),
-                          map(roster.questions.__getitem__, q_idx.tolist()), g.w.tolist()))
+        out.writerow(header)
+        out.writerows(rows)
+
+
+def write_edge_list(g: ExamResultGraph, path) -> None:
+    roster, (s_idx, q_idx) = g.roster, g.assignment.edge_arrays
+    _write_csv(path, _EDGE_HEADER, zip(map(roster.students.__getitem__, s_idx.tolist()),
+                                       map(roster.questions.__getitem__, q_idx.tolist()),
+                                       g.w.tolist()))
 
 
 def write_dense_matrix(g: ExamResultGraph, path) -> None:
@@ -218,15 +223,14 @@ def write_dense_matrix(g: ExamResultGraph, path) -> None:
 
 
 def write_merits(u: MeritVector, roster: Roster, path) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(["vertex", "kind", "merit"])
-        for v, merit in zip(np.flatnonzero(u.covered).tolist(), u.values[u.covered].tolist()):
-            kind = "student" if roster.is_student_vertex(v) else "question"
-            out.writerow([roster.vertex_label(v), kind, repr(merit)])
+    _write_csv(path, ["vertex", "kind", "merit"], (
+        (roster.vertex_label(v), "student" if roster.is_student_vertex(v) else "question",
+         repr(merit))
+        for v, merit in zip(np.flatnonzero(u.covered).tolist(), u.values[u.covered].tolist())))
 
 
 def read_merits(path, roster: Roster) -> MeritVector:
+    """The merit of every roster vertex; leaving one out is a DimensionMismatchError."""
     label_to_vertex = {label: v for v, label in enumerate(roster.students + roster.questions)}
     values = np.zeros(roster.n_vertices)
     covered = np.zeros(roster.n_vertices, dtype=bool)
@@ -254,15 +258,16 @@ def read_merits(path, roster: Roster) -> MeritVector:
             if not np.isfinite(values[v]):
                 _fail(rows, MalformedRowError(line, f"merit must be finite, got {tok!r}"))
             covered[v] = True
-    return MeritVector(values, covered)
+    if not covered.all():
+        missing = roster.vertex_label(int(np.argmin(covered)))
+        raise DimensionMismatchError(f"{path}: no merit for vertex {missing!r}")
+    return MeritVector(values)
 
 
 def write_grades(grades: GradeVector, path) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(["student", "grade", "rule"])
-        for sid, v in zip(grades.roster.students, grades.values):
-            out.writerow([sid, repr(float(v)), grades.rule_name])
+    _write_csv(path, ["student", "grade", "rule"],
+               zip(grades.roster.students, map(repr, grades.values.tolist()),
+                   repeat(grades.rule_name)))
 
 
 def _csv_fields(ids) -> list[str]:
@@ -288,15 +293,9 @@ def write_predictions(pm: PredictionMatrix, entries_path, tags_path) -> None:
     _write_matrix(tags_path, pm.roster, pm.case_tags, attrgetter("_name_"))
 
 
-def write_tidy_report(rows: Iterable[dict], path) -> None:
+def write_tidy_report(rows: Iterable[tuple], path) -> None:
     """Plot-ready long format: one row per (parameter, rule, statistic)."""
-    rows = list(rows)
-    fields = ["parameter", "value", "rule", "statistic", "estimate", "se"]
-    with open(path, "w", newline="") as fh:
-        out = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
-        out.writeheader()
-        for row in rows:
-            out.writerow({k: row.get(k, "") for k in fields})
+    _write_csv(path, ["parameter", "value", "rule", "statistic", "estimate", "se"], rows)
 
 
 def write_json_summary(summary: dict, path) -> None:

@@ -1,8 +1,11 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -280,6 +283,12 @@ class TestMeritsAndGrades:
             fio.read_merits(p, r)
         assert exc.value.line == line
 
+    def test_merit_file_must_cover_the_roster(self, tmp_path):
+        r = Roster.index_based(2, 1)
+        p = write(tmp_path / "u.csv", "vertex,kind,merit\ns0,student,0.1\nq0,question,0.0\n")
+        with pytest.raises(fio.DimensionMismatchError, match="no merit for vertex 's1'"):
+            fio.read_merits(p, r)
+
     def test_grade_csv_format(self, tmp_path, running_example):
         grades = simple_average(running_example)
         path = tmp_path / "grades.csv"
@@ -297,6 +306,17 @@ class TestMeritsAndGrades:
 
 
 class TestCliHelpers:
+    def test_readme_commands_parse(self):
+        """Every `fairgrade` line of README's sh blocks parses, so the docs
+        name no flag or value the parser rejects."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```sh\n(.*?)```", readme, re.DOTALL)
+        lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()
+                 if line.startswith("fairgrade ")]
+        assert lines
+        for line in lines:
+            cli._parse(shlex.split(line)[1:])
+
     def test_parse_int_list(self):
         assert parse_int_list("3") == [3]
         assert parse_int_list("1,4, 6") == [1, 4, 6]
@@ -345,6 +365,8 @@ class TestConfigFile:
         ("simulate-bias", "students=0"),
         ("sweep-bank", "difficulty-range=nan,1"),
         ("grade", "question-std=1e-160"),  # its inverse square overflows
+        ("simulate-bias", "rules=ours,ours"),  # a repeated entry
+        ("sweep-degree", "d=2,2"),
     ])
     def test_bad_values_exit_2(self, tmp_path, exam_file, capsys, command, line):
         base = {
@@ -668,6 +690,36 @@ class TestCli:
         assert run_cli(*argv, "--seed", "1", "--outdir", str(out)) == 4
         assert "every replication failed" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("argv, written", [
+        (["grade", "--input", "{exam}", "--rule", "ours"],
+         {"grades.csv", "predictions.csv", "cases.csv"}),
+        (["grade", "--input", "{exam}", "--rule", "avg"], {"grades.csv"}),
+        (["grade", "--input", "{exam}", "--rule", "map"], {"grades.csv"}),
+        (["fit", "--input", "{cycle}", "--method", "mle"], {"merits.csv"}),
+        (["fit", "--input", "{exam}", "--method", "map"], {"merits.csv"}),
+        (["simulate-bias", "--students", "3", "--questions", "4", "--m", "4", "--d", "2",
+          "--reps", "2", "--seed", "1"], {"report.csv"}),
+        (["decompose", "--students", "3", "--questions", "4", "--m", "4", "--d", "2",
+          "--graphs", "1", "--reps", "2", "--seed", "1"], {"report.csv"}),
+        (["sweep-degree", "--students", "3", "--questions", "4", "--m", "4", "--d", "1,2",
+          "--graphs", "1", "--reps", "2", "--seed", "1"], {"report.csv"}),
+        (["sweep-bank", "--students", "3", "--m", "2,3", "--d", "2", "--graphs", "1",
+          "--reps", "2", "--seed", "1"], {"report.csv"}),
+        (["cv", "--input", "{complete}", "--d1", "4", "--d2", "3", "--reps", "2",
+          "--seed", "1"], {"report.csv"}),
+        (["cv-sim", "--students", "3", "--questions", "4", "--d2", "2", "--reps", "2",
+          "--seed", "1"], {"report.csv"}),
+        (["verify", "--students", "2", "--questions", "3", "--m", "3", "--d", "2"], set()),
+    ], ids=["grade-ours", "grade-avg", "grade-map", "fit-mle", "fit-map", "simulate-bias",
+            "decompose", "sweep-degree", "sweep-bank", "cv", "cv-sim", "verify"])
+    def test_files_each_command_writes(self, tmp_path, exam_file, complete_file, argv, written):
+        cycle = write(tmp_path / "cycle.csv",
+                      "student,question,correct\nA,X,1\nA,Y,0\nB,X,0\nB,Y,1\n")
+        argv = [a.format(exam=exam_file, cycle=cycle, complete=complete_file) for a in argv]
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--outdir", str(out)) == 0
+        assert {p.name for p in out.iterdir()} == written | {"summary.json", "manifest.json"}
 
     def test_entry_point_installed(self, exam_file, tmp_path):
         proc = subprocess.run(
