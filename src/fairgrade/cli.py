@@ -60,7 +60,7 @@ def parse_int_list(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
         return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    return [int(tok) for tok in text.split(",")]
 
 
 def load_config_file(path: str) -> dict[str, str | None]:

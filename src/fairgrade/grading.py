@@ -17,8 +17,8 @@ from functools import cached_property
 import numpy as np
 
 from .graph import ExamResultGraph, PairCase, Roster, _pair_cases, strongly_connected_components
-from .model import (FitReport, MeritVector, NonConvergenceError, PriorSpec, check_fit_limits,
-                    logistic, map_fit, mle_fit)
+from .model import (FitReport, MeritVector, NonConvergenceError, PriorSpec, _bank_chances,
+                    check_fit_limits, logistic, map_fit, mle_fit)
 
 
 _CASE_TAGS = np.array([None, *PairCase], dtype=object)  # indexed by `PairCase` value
@@ -70,9 +70,10 @@ class PredictionMatrix:
 
 def simple_average(g: ExamResultGraph) -> GradeVector:
     """Fraction of assigned questions each student answered correctly."""
+    s_idx, _ = g.assignment.edge_arrays
     degrees = g.assignment.student_degrees
     _require_positive_degrees(g.roster, degrees)
-    return GradeVector(g.roster, g.student_out_degrees / degrees, "avg")
+    return GradeVector(g.roster, np.bincount(s_idx, g.w, len(degrees)) / degrees, "avg")
 
 
 def _require_positive_degrees(roster: Roster, degrees: np.ndarray) -> None:
@@ -104,22 +105,21 @@ def predict_matrix(
     same = codes == PairCase.SAME_COMPONENT.value
     # the SCCs to fit are those whose students have SAME_COMPONENT cells
     fitted = np.flatnonzero(np.bincount(comp[:n], same.any(axis=1), components.n_components))
-    if fitted.size:
-        tail, head = g.directed_edges
-        u = np.zeros(roster.n_vertices)
-        for cid in fitted:
-            inside = (comp[tail] == cid) & (comp[head] == cid)  # the SCC's edges, in edge order
-            vertices = np.flatnonzero(comp == cid)
-            try:
-                fit = mle_fit(g, vertices, tol=tol, max_iter=max_iter,
-                              _edges=(tail[inside], head[inside]))
-            except NonConvergenceError as exc:
-                raise NonConvergenceError(
-                    f"merit fit for component {cid} failed: {exc}", exc.report
-                ) from exc
-            u[vertices] = fit.merits.values[vertices]
-        i, j = np.nonzero(same)
-        h[i, j] = logistic(u[i] - u[n + j])
+    tail, head = g.directed_edges
+    u = np.zeros(roster.n_vertices)
+    for cid in fitted:
+        inside = (comp[tail] == cid) & (comp[head] == cid)  # the SCC's edges, in edge order
+        vertices = np.flatnonzero(comp == cid)
+        try:
+            fit = mle_fit(g, vertices, tol=tol, max_iter=max_iter,
+                          _edges=(tail[inside], head[inside]))
+        except NonConvergenceError as exc:
+            raise NonConvergenceError(
+                f"merit fit for component {cid} failed: {exc}", exc.report
+            ) from exc
+        u[vertices] = fit.merits.values[vertices]
+    i, j = np.nonzero(same)
+    h[i, j] = logistic(u[i] - u[n + j])
     # incomparable cells take the row mean over the cells the other cases filled
     incomparable = codes == PairCase.INCOMPARABLE.value
     row_means = h.sum(axis=1) / (~incomparable).sum(axis=1)
@@ -147,8 +147,7 @@ def make_map_rule(prior: PriorSpec, tol: float = 1e-8, max_iter: int = 100):
         roster = g.roster
         _require_positive_degrees(roster, g.assignment.student_degrees)
         fit = map_fit(g, prior, tol=tol, max_iter=max_iter)
-        u = fit.merits.array_for(roster)
-        h = logistic(u[: roster.n_students, None] - u[None, roster.n_students :])
+        h = _bank_chances(fit.merits.array_for(roster), roster.n_students)
         h[g.assignment.edge_arrays] = g.w
         return GradeVector(roster, h.mean(axis=1), "map")
 

@@ -206,12 +206,6 @@ class ExamResultGraph:
         return dict(zip(map(tuple, self.assignment.edges.tolist()), self.w.tolist()))
 
     @cached_property
-    def student_out_degrees(self) -> np.ndarray:
-        """Correct answers per student (outgoing edges in the digraph)."""
-        s_idx, _ = self.assignment.edge_arrays
-        return np.bincount(s_idx, weights=self.w, minlength=self.roster.n_students).astype(np.intp)
-
-    @cached_property
     def directed_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """(tail, head) vertex arrays in edge order: each comparison's winner and loser."""
         s_idx, q_idx = self.assignment.edge_arrays
@@ -267,9 +261,9 @@ class ComponentStructure:
 
 def strongly_connected_components(g: ExamResultGraph) -> ComponentStructure:
     """Tarjan SCCs of the result digraph plus condensation reachability."""
-    comp_of, comps = _tarjan(g.directed_adjacency())
-    component_of = np.asarray(comp_of, dtype=np.intp)
     tail, head = g.directed_edges
+    comp_of, comps = _tarjan(g.roster.n_vertices, tail, head)
+    component_of = np.asarray(comp_of, dtype=np.intp)
     reach = np.eye(len(comps), dtype=bool)
     reach[component_of[tail], component_of[head]] = True
     # Tarjan finishes SCCs in reverse topological order: every successor SCC
@@ -282,8 +276,9 @@ def strongly_connected_components(g: ExamResultGraph) -> ComponentStructure:
     return ComponentStructure(component_of, tuple(frozenset(c) for c in comps), reach)
 
 
-def _tarjan(adj: list[list[int]]) -> tuple[list[int], list[list[int]]]:
-    n = len(adj)
+def _tarjan(n: int, tail: np.ndarray, head: np.ndarray) -> tuple[list[int], list[list[int]]]:
+    """Each of n vertices' SCC id under the edges tail -> head, and each SCC's vertices."""
+    adj = _successor_lists(n, tail, head)
     UNSEEN = -1
     index = [UNSEEN] * n
     lowlink = [0] * n
@@ -327,7 +322,7 @@ def _tarjan(adj: list[list[int]]) -> tuple[list[int], list[list[int]]]:
 
 def is_strongly_connected(g: ExamResultGraph) -> bool:
     """Whether the whole result digraph (full bank included) is one SCC."""
-    return strongly_connected_components(g).n_components == 1
+    return len(_tarjan(g.roster.n_vertices, *g.directed_edges)[1]) == 1
 
 
 # `_pair_cases`' case of a non-edge by 2 * (student SCC reaches question SCC) + converse

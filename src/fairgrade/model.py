@@ -2,18 +2,20 @@
 
 Merits live on one shared scale: a student's entry is an ability, a
 question's a difficulty, and the chance of a correct answer is
-logistic(ability - difficulty). Within a strongly connected piece of the
-result graph the merits are recovered by maximum likelihood; a
-Gaussian-prior variant gives a penalized fit that needs no connectivity at
-all. Both fits run one damped Newton solver over the edge arrays, which
-differ only in the quadratic penalty (a gauge pin or the prior) and in the
-step taken when backtracking fails: the maximum likelihood fit falls back
-to a minorization-maximization update. Each line-search trial takes one
-exp per edge, for the objective and for the upset chances that the
-accepted trial hands to the next gradient and Hessian. Each Newton step
-eliminates one side of the bipartite Hessian (its student and question
-blocks are both diagonal) and solves the other side's Schur complement,
-in a side layout and dense work arrays that each fit sets up once.
+logistic(ability - difficulty), which `_bank_chances` takes for every
+student against every bank question. Within a strongly connected piece of
+the result graph the merits are recovered by maximum likelihood and
+reported mean-zero over the piece; a Gaussian-prior variant gives a
+penalized fit that needs no connectivity at all. Both fits run one damped
+Newton solver over the edge arrays, which differ only in the quadratic
+penalty (a gauge pin or the prior) and in the step taken when backtracking
+fails: the maximum likelihood fit falls back to a minorization-maximization
+update. Each line-search trial takes one exp per edge, for the objective and
+for the upset chances that the accepted trial hands to the next gradient
+and Hessian. Each Newton step eliminates one side of the bipartite Hessian
+(its student and question blocks are both diagonal) and solves the other
+side's Schur complement, in a side layout and dense work arrays that each
+fit sets up once.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .graph import (
     Roster,
     TaskAssignmentGraph,
     _as_indices,
-    _successor_lists,
     _tarjan,
 )
 from .rng import as_generator
@@ -59,8 +60,8 @@ class MeritVector:
     `values[v]` is vertex v's merit where the boolean mask `covered[v]` is
     set (all vertices when `covered` is None); uncovered entries are ignored.
     Both arrays are read-only copies. The model is invariant to adding a
-    constant; `mean_zero` picks the vector that sums to 0 over its covered
-    vertices, as the maximum likelihood fit reports it.
+    constant; the maximum likelihood fit reports the vector that sums to 0
+    over its covered vertices.
     """
 
     values: np.ndarray
@@ -90,16 +91,6 @@ class MeritVector:
             raise ValueError("one difficulty per question required")
         return cls(np.concatenate((abilities, difficulties)))
 
-    @classmethod
-    def mean_zero(cls, values, covered) -> "MeritVector":
-        """`values` shifted to sum to 0 over `covered`: subtract the mean, then
-        the mean of what is left, each a sequential sum in vertex order."""
-        values = np.array(values, dtype=float)
-        covered = np.asarray(covered, dtype=bool)
-        for _ in range(2):
-            values[covered] -= np.cumsum(values[covered])[-1] / covered.sum()
-        return cls(values, covered)
-
     def at(self, vertices) -> np.ndarray:
         """Values of the vertex or vertex array `vertices`, all of which must be covered."""
         vertices = _as_indices(vertices)
@@ -120,13 +111,12 @@ class MeritVector:
 
 def logistic(x):
     """1 / (1 + exp(-x)), stable for large |x|; accepts scalars or arrays."""
-    arr = np.asarray(x, dtype=float)
-    e = np.exp(-np.abs(np.atleast_1d(arr)))  # never overflows
-    denom = e + 1.0
-    np.divide(e, denom, out=e)  # exp(x) / (1 + exp(x)) for x < 0
-    np.divide(1.0, denom, out=denom)  # 1 / (1 + exp(-x)) for x >= 0
-    np.copyto(e, denom, where=arr >= 0)
-    return float(e[0]) if arr.ndim == 0 else e
+    x = np.asarray(x, dtype=float)
+    e = np.exp(-np.abs(x))  # never overflows
+    p = np.where(x >= 0, 1.0, e)
+    e += 1.0  # in place, so a call holds no more arrays than x, e and p
+    p /= e
+    return float(p) if x.ndim == 0 else p
 
 
 def sample_exam_result(g: TaskAssignmentGraph, u: MeritVector, seed) -> ExamResultGraph:
@@ -148,11 +138,14 @@ def benchmark(u: MeritVector, roster: Roster):
     """Each student's expected accuracy on a uniform bank question."""
     from .grading import GradeVector
 
-    merits = u.array_for(roster)
-    abilities = merits[: roster.n_students]
-    difficulties = merits[roster.n_students :]
-    grades = logistic(abilities[:, None] - difficulties[None, :]).mean(axis=1)
-    return GradeVector(roster, grades, "benchmark")
+    chances = _bank_chances(u.array_for(roster), roster.n_students)
+    return GradeVector(roster, chances.mean(axis=1), "benchmark")
+
+
+def _bank_chances(merits: np.ndarray, n: int) -> np.ndarray:
+    """Students x bank matrix of win chances logistic(ability - difficulty),
+    from the merits of all roster vertices, the n students first."""
+    return logistic(merits[:n, None] - merits[None, n:])
 
 
 @dataclass(frozen=True)
@@ -176,12 +169,12 @@ class PriorSpec:
 
     def __post_init__(self):
         for name in ("student_std", "question_std"):
-            try:  # map_fit's precision std**-2 must be finite
-                if (std := getattr(self, name)) > 0 and float(std) ** -2 < np.inf:
+            try:  # map_fit's precision std**-2 must be finite and positive
+                if 0 < (std := getattr(self, name)) < np.inf and float(std) ** -2 < np.inf:
                     continue
             except OverflowError:
                 pass
-            raise ParameterOutOfRangeError(f"{name} must be at least about 1e-154, got {std}")
+            raise ParameterOutOfRangeError(f"{name} must be finite and >= about 1e-154, got {std}")
 
 
 def mm_step(gamma: np.ndarray, winner: np.ndarray, loser: np.ndarray) -> np.ndarray:
@@ -354,7 +347,7 @@ def mle_fit(
     if _edges is None:  # keep the edges inside the set, which must be strongly connected
         inside = (winner >= 0) & (loser >= 0)
         winner, loser = winner[inside], loser[inside]
-        if k < 2 or len(_tarjan(_successor_lists(k, winner, loser))[1]) > 1:
+        if k < 2 or len(_tarjan(k, winner, loser)[1]) > 1:
             raise NotStronglyConnectedError(
                 f"vertex set {vertices} is not strongly connected in the result graph"
             )
@@ -367,24 +360,20 @@ def mle_fit(
     u, iterations, residual, converged = _newton(
         winner, loser, n_first, None, np.zeros(k), True, mm_update, tol, max_iter)
     merits = np.zeros(g.roster.n_vertices)
-    merits[vertices] = u
-    return _report(MeritVector.mean_zero(merits, pos >= 0), iterations, residual, converged, tol)
+    merits[vertices] = u - u.mean()
+    return _report(MeritVector(merits, pos >= 0), iterations, residual, converged, tol)
 
 
 def likelihood_equation_residual(u: MeritVector, g: ExamResultGraph) -> float:
-    """Independent recomputation of the stationarity defect for `u`'s vertices."""
-    n = g.roster.n_students
-    covered = set(np.flatnonzero(u.covered).tolist())
-    defect: dict[int, float] = {v: 0.0 for v in covered}
+    """Independent recomputation of the stationarity defect for `u`'s vertices: the sup
+    norm of observed minus expected wins over the edges whose two ends are covered."""
     s_idx, q_idx = g.assignment.edge_arrays
-    for i, j, bit in zip(s_idx, q_idx, g.w):
-        a, b = int(i), int(j) + n
-        if a not in covered or b not in covered:
-            continue
-        p = logistic(u[a] - u[b])
-        defect[a] += bit - p
-        defect[b] += (1 - bit) - (1 - p)
-    return max((abs(v) for v in defect.values()), default=0.0)
+    q_vertex = q_idx + g.roster.n_students
+    inside = u.covered[s_idx] & u.covered[q_vertex]
+    a, b = s_idx[inside], q_vertex[inside]
+    surprise = g.w[inside] - logistic(u.values[a] - u.values[b])
+    k = len(u.values)
+    return float(np.abs(np.bincount(a, surprise, k) - np.bincount(b, surprise, k)).max())
 
 
 def map_fit(

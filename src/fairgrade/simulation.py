@@ -48,13 +48,11 @@ class BiasReport:
     """Per-student deviation of expected grade from the benchmark, on one graph."""
 
     per_student_deviation: np.ndarray  # E_w[alg_i] - opt_i
-    per_student_bias: np.ndarray  # squared deviation
     per_student_se: np.ndarray  # standard error of the deviation estimate
     max_bias: float
     avg_bias: float
     replications: int
     failed_replications: int
-    estimator: str
 
 
 @dataclass(frozen=True)
@@ -156,9 +154,9 @@ def estimate_ex_post_bias(
     se = mat.std(axis=0, ddof=1) / np.sqrt(ok) if ok > 1 else np.zeros_like(mean)
     bias = deviation**2
     return BiasReport(
-        per_student_deviation=deviation, per_student_bias=bias, per_student_se=se,
+        per_student_deviation=deviation, per_student_se=se,
         max_bias=float(bias.max()), avg_bias=float(bias.mean()),
-        replications=ok, failed_replications=failed, estimator=MONTE_CARLO,
+        replications=ok, failed_replications=failed,
     )
 
 

@@ -252,7 +252,7 @@ class TestMapRule:
 
 class TestErrorBound:
     def test_bound_formula(self):
-        fit_merits = MeritVector.mean_zero([0.5, -0.5, 0.0], [True, True, False])
+        fit_merits = MeritVector(np.array([0.5, -0.5, 0.0]), np.array([True, True, False]))
         truth = MeritVector(np.array([0.9, -0.9, 0.0]), np.array([True, True, False]))
         from fairgrade import FitReport
 

@@ -114,7 +114,7 @@ class TestTarjanKernel:
         k, tail, head = drawn
         adj = _successor_lists(k, tail, head)
         assert adj == reference_successor_lists(k, tail, head)
-        assert _tarjan(adj) == reference_tarjan(adj)
+        assert _tarjan(k, tail, head) == reference_tarjan(adj)
 
 
 def reference_pair_cases(c, edge, ci, cj):
@@ -297,7 +297,7 @@ class TestExamResultGraph:
         g = TaskAssignmentGraph(r, ((0, 0), (1, 1), (0, 1)))
         res = ExamResultGraph.from_outcomes(g, {(0, 0): 1, (0, 1): 0, (1, 1): 1})
         assert res.outcomes == {(0, 0): 1, (0, 1): 0, (1, 1): 1}
-        assert res.student_out_degrees.tolist() == [1, 1]
+        assert res.w.tolist() == [1, 0, 1]  # in the sorted edge order
 
     def test_rejects_wrong_key_set_and_values(self):
         r = Roster.index_based(1, 2)
@@ -354,6 +354,14 @@ class TestStronglyConnectedComponents:
         reach = brute_force_reachability(g.directed_adjacency())
         expected = all(all(row) for row in reach)
         assert is_strongly_connected(g) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(result_graphs(), st.integers(0, 3))
+    def test_is_strongly_connected_counts_one_component(self, g, unassigned):
+        # extra bank questions that no student was assigned are isolated vertices
+        roster = Roster.index_based(g.roster.n_students, g.roster.n_questions + unassigned)
+        g = ExamResultGraph(TaskAssignmentGraph(roster, g.assignment.edges), g.w)
+        assert is_strongly_connected(g) == (strongly_connected_components(g).n_components == 1)
 
     def test_isolated_bank_question_is_own_component(self):
         r = Roster.index_based(1, 2)

@@ -367,6 +367,8 @@ class TestConfigFile:
         ("grade", "question-std=1e-160"),  # its inverse square overflows
         ("simulate-bias", "rules=ours,ours"),  # a repeated entry
         ("sweep-degree", "d=2,2"),
+        ("sweep-degree", "d=3,,1"),  # an empty list entry
+        ("sweep-degree", "d=3,"),
     ])
     def test_bad_values_exit_2(self, tmp_path, exam_file, capsys, command, line):
         base = {
@@ -514,9 +516,9 @@ class TestCli:
     def test_fit_mle_runs_tarjan_once(self, tmp_path, monkeypatch, capsys):
         calls = []
 
-        def counted(adj, original=graph._tarjan):
-            calls.append(len(adj))
-            return original(adj)
+        def counted(n, tail, head, original=graph._tarjan):
+            calls.append(n)
+            return original(n, tail, head)
 
         monkeypatch.setattr(graph, "_tarjan", counted)
         monkeypatch.setattr(model, "_tarjan", counted)

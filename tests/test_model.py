@@ -82,11 +82,6 @@ def connected_instance(seed, n=3, q=3, d=None):
     raise AssertionError("no connected sample found")
 
 
-def merit_span(u: MeritVector) -> float:
-    """Largest pairwise merit difference over the covered vertices."""
-    return float(np.ptp(u.values[u.covered]))
-
-
 def log_logistic(x):
     """log(logistic(x)) in its `np.logaddexp` form: the reference for the
     objective term of `_log_likelihood`."""
@@ -114,6 +109,19 @@ def reference_logistic(x):
     return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out.reshape(np.shape(x))
 
 
+def in_place_logistic(x):
+    """Both quotients written into the buffers of e = exp(-|x|) and 1 + e, then
+    a masked copy: a reference for `logistic` that, unlike the masked formula,
+    also gives its NaN bit pattern (the sign that -|x| sets)."""
+    arr = np.asarray(x, dtype=float)
+    e = np.exp(-np.abs(np.atleast_1d(arr)))
+    denom = e + 1.0
+    np.divide(e, denom, out=e)
+    np.divide(1.0, denom, out=denom)
+    np.copyto(e, denom, where=arr >= 0)
+    return float(e[0]) if arr.ndim == 0 else e
+
+
 LOGISTIC_INPUTS = st.one_of(st.floats(-800, 800), st.floats(allow_nan=False),
                             st.sampled_from([0.0, -0.0, np.inf, -np.inf, 745.0, -745.0]))
 
@@ -133,6 +141,16 @@ class TestLogistic:
         out = logistic(x)
         assert type(out) is float
         assert np.float64(out).tobytes() == np.float64(reference_logistic(x)).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(float, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0),
+                      elements=st.one_of(LOGISTIC_INPUTS, st.floats(allow_nan=True),
+                                         st.sampled_from([np.nan, 5e-324, -5e-324,
+                                                          2.2e-308, -2.2e-308]))))
+    def test_matches_the_in_place_form_bit_for_bit(self, x):
+        out, reference = logistic(x), in_place_logistic(x)
+        assert type(out) is type(reference)
+        assert np.asarray(out).tobytes() == np.asarray(reference).tobytes()
 
     @given(st.floats(-700, 700))
     def test_complement_identity(self, x):
@@ -155,12 +173,6 @@ class TestLogistic:
 
 
 class TestMeritVector:
-    def test_mean_zero_centering(self):
-        covered = np.array([True, True, False, False, False, True])
-        u = MeritVector.mean_zero([1.0, 2.0, 0.0, 0.0, 0.0, 6.0], covered)
-        assert abs(u.values[covered].sum()) <= 1e-12
-        assert merit_span(u) == pytest.approx(5.0)
-
     def test_mean_zero_invariant_enforced(self):
         with pytest.raises(ValueError):
             MeritVector(np.array([0.0, np.nan]))
@@ -200,13 +212,6 @@ class TestMeritVector:
             else:
                 with pytest.raises(MissingMeritError):
                     u.array_for(roster)
-        assume(covered.any())
-        centered = MeritVector.mean_zero(values, covered)
-        assert abs(centered.values[covered].sum()) <= 1e-12
-        assert centered.covered.tolist() == covered.tolist()
-        assert not centered.values.flags.writeable
-        assert centered.values[covered] - values[covered] == pytest.approx(
-            np.full(covered.sum(), -values[covered].mean()), abs=1e-12)
 
     def test_for_roster_layout(self):
         r = Roster.index_based(2, 2)
@@ -276,6 +281,39 @@ class TestLogLikelihood:
         )
 
 
+def loop_residual(u: MeritVector, g: ExamResultGraph) -> float:
+    """One pass over the edges, accumulating each covered vertex's defect in a
+    dict: the reference for `likelihood_equation_residual`."""
+    n = g.roster.n_students
+    covered = set(np.flatnonzero(u.covered).tolist())
+    defect = {v: 0.0 for v in covered}
+    s_idx, q_idx = g.assignment.edge_arrays
+    for i, j, bit in zip(s_idx, q_idx, g.w):
+        a, b = int(i), int(j) + n
+        if a not in covered or b not in covered:
+            continue
+        p = logistic(u[a] - u[b])
+        defect[a] += bit - p
+        defect[b] += (1 - bit) - (1 - p)
+    return max((abs(v) for v in defect.values()), default=0.0)
+
+
+class TestLikelihoodEquationResidual:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_matches_the_per_edge_loop(self, n, q, seed):
+        rng = np.random.default_rng(seed)
+        res = random_result_graph(rng, n, q)
+        values = rng.normal(0, 2, n + q)
+        for covered in (np.ones(n + q, bool), rng.random(n + q) < 0.6):
+            u = MeritVector(values, covered)
+            fast = likelihood_equation_residual(u, res)
+            assert type(fast) is float
+            assert abs(fast - loop_residual(u, res)) <= 1e-15
+        empty = MeritVector(values, np.zeros(n + q, bool))
+        assert likelihood_equation_residual(empty, res) == 0.0 == loop_residual(empty, res)
+
+
 class TestMleFit:
     def test_matches_oracle(self):
         res, _ = connected_instance(2)
@@ -307,6 +345,22 @@ class TestMleFit:
         fit = mle_fit(res, range(res.roster.n_vertices))
         assert fit.merits.covered.all()
         assert abs(fit.merits.values.sum()) <= 1e-9
+
+    def test_sub_component_merits_sum_to_zero(self):
+        # proper SCCs of random result graphs: the fit centres the merits over
+        # the component alone and covers nothing else
+        spans = []
+        for seed in range(40):
+            res = random_result_graph(np.random.default_rng(seed), 5, 5)
+            for comp in strongly_connected_components(res).components:
+                if len(comp) < 2 or len(comp) == res.roster.n_vertices:
+                    continue
+                fit = mle_fit(res, comp)
+                assert np.flatnonzero(fit.merits.covered).tolist() == sorted(comp)
+                merits = fit.merits.values[fit.merits.covered]
+                assert abs(merits.sum()) <= 1e-12
+                spans.append(np.ptp(merits))
+        assert len(spans) >= 10 and max(spans) > 1
 
     def test_rejects_disconnected(self, running_example):
         r = Roster.index_based(1, 1)
@@ -416,6 +470,13 @@ class TestMapFit:
         with pytest.raises(ValueError, match=field):
             PriorSpec(**{field: 0.0})
         assert PriorSpec(**{field: 1e-150}) is not None
+
+    @pytest.mark.parametrize("field", ["student_std", "question_std"])
+    @pytest.mark.parametrize("std", [np.inf, np.nan])
+    def test_non_finite_prior_std_is_rejected(self, field, std):
+        # an infinite std is a zero precision, which leaves map_fit's Hessian singular
+        with pytest.raises(ParameterOutOfRangeError, match=field):
+            PriorSpec(**{field: std})
 
     def test_prior_pull(self):
         # with a huge prior variance the fit tracks data; tiny variance pins means
