@@ -113,6 +113,7 @@ COUNTS = _checked(parse_int_list, lambda v: v and min(v) >= 1 and len(set(v)) ==
 FLOATS = _checked(_floats, lambda v: all(map(math.isfinite, v)), "comma-separated finite numbers")
 RANGE = _checked(_floats, lambda v: len(v) == 2 and 0 <= v[1] - v[0] < math.inf,
                  "low,high: two finite numbers with low <= high")
+EXISTING = _checked(str, os.path.exists, "an existing file")
 RULE_NAMES = _checked(lambda text: [tok.strip() for tok in text.split(",")],
                       lambda v: set(v) <= sim.RULES.keys() and len(set(v)) == len(v),
                       f"distinct comma-separated rule names from {sorted(sim.RULES)}")
@@ -178,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", type=RULE_NAMES, default="ours,avg")
 
     p = add("cv", "hold-out evaluation on a complete answer matrix")
-    p.add_argument("--input", required=True, help="dense 0/1 matrix, no NA cells")
+    p.add_argument("--input", type=EXISTING, required=True, help="dense 0/1 matrix, no NA cells")
     p.add_argument("--d1", type=COUNTS, required=True,
                    help="student sample size(s), e.g. 35 or 5..35")
     p.add_argument("--d2", dest="d2_values", type=COUNTS, required=True,
@@ -200,12 +201,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--questions", type=COUNT, required=True)
     p.add_argument("--m", type=COUNT, required=True)
     p.add_argument("--d", type=COUNT, required=True)
-    p.add_argument("--merits", help="merit CSV (default: all zero)")
+    p.add_argument("--merits", type=EXISTING, help="merit CSV (default: all zero)")
     return parser
 
 
 def _fit_flags(p):
-    p.add_argument("--input", required=True, help="exam result file")
+    p.add_argument("--input", type=EXISTING, required=True, help="exam result file")
     p.add_argument("--format", choices=[fio.EDGE_LIST, fio.DENSE_CSV, "auto"], default="auto")
     p.add_argument("--tol", type=POSITIVE, default=1e-8)
     p.add_argument("--max-iter", type=COUNT, default=10000)
@@ -222,7 +223,7 @@ def _prior_flags(p):
 def _population_flags(p):
     p.add_argument("--students", type=COUNT, required=True)
     p.add_argument("--questions", type=COUNT, required=True)
-    p.add_argument("--merits", help="merit CSV; default draws uniformly from the "
+    p.add_argument("--merits", type=EXISTING, help="merit CSV; default draws uniformly from the "
                    "published ability/difficulty ranges")
 
 
@@ -246,8 +247,6 @@ def _row(parameter, value, rule, statistic, estimate, se=None) -> tuple:
 
 
 def _ingest(args) -> ExamResultGraph:
-    if not os.path.exists(args.input):
-        raise ConfigError(f"input file {args.input!r} does not exist")
     fmt = args.format if args.format != "auto" else fio.detect_format(args.input)
     return fio.ingest(args.input, fmt)
 

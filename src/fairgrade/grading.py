@@ -105,14 +105,11 @@ def predict_matrix(
     same = codes == PairCase.SAME_COMPONENT.value
     # the SCCs to fit are those whose students have SAME_COMPONENT cells
     fitted = np.flatnonzero(np.bincount(comp[:n], same.any(axis=1), components.n_components))
-    tail, head = g.directed_edges
     u = np.zeros(roster.n_vertices)
     for cid in fitted:
-        inside = (comp[tail] == cid) & (comp[head] == cid)  # the SCC's edges, in edge order
         vertices = np.flatnonzero(comp == cid)
         try:
-            fit = mle_fit(g, vertices, tol=tol, max_iter=max_iter,
-                          _edges=(tail[inside], head[inside]))
+            fit = mle_fit(g, vertices, tol=tol, max_iter=max_iter, _scc=True)
         except NonConvergenceError as exc:
             raise NonConvergenceError(
                 f"merit fit for component {cid} failed: {exc}", exc.report

@@ -213,10 +213,6 @@ class ExamResultGraph:
         correct = self.w == 1
         return np.where(correct, s_idx, q_vertex), np.where(correct, q_vertex, s_idx)
 
-    def directed_adjacency(self) -> list[list[int]]:
-        """Successor lists over all roster vertices, isolated ones included."""
-        return _successor_lists(self.roster.n_vertices, *self.directed_edges)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ExamResultGraph)

@@ -7,10 +7,11 @@ student against every bank question. Within a strongly connected piece of
 the result graph the merits are recovered by maximum likelihood and
 reported mean-zero over the piece; a Gaussian-prior variant gives a
 penalized fit that needs no connectivity at all. Both fits run one damped
-Newton solver over the edge arrays, which differ only in the quadratic
-penalty (a gauge pin or the prior) and in the step taken when backtracking
-fails: the maximum likelihood fit falls back to a minorization-maximization
-update. Each line-search trial takes one exp per edge, for the objective and
+Newton solver over the edge arrays, and differ only in its quadratic
+penalty: no precision is the gauge pin, a precision array is the prior. The
+penalty alone also picks the step taken when backtracking fails: the gauge
+falls back to a minorization-maximization update, the prior to the smallest
+step. Each line-search trial takes one exp per edge, for the objective and
 for the upset chances that the accepted trial hands to the next gradient
 and Hessian. Each Newton step eliminates one side of the bipartite Hessian
 (its student and question blocks are both diagonal) and solves the other
@@ -199,20 +200,19 @@ def _schur_layout(winner, loser, n_first, k):
     return elim, e_end, kept, r_end, np.zeros(shape), np.empty(shape)
 
 
-def _newton_step(winner, loser, weight, precision, gauge, grad, layout):
+def _newton_step(winner, loser, weight, precision, grad, layout):
     """Newton step x with H x = grad, in the fit's `_schur_layout`.
 
     Eliminates the larger side e (Wright & Panchapakesan 1969): solves the
     smaller side r's Schur complement S = D_r - F' D_e^-1 F, then x_e =
-    D_e^-1 (g_e + F x_r). The gauge's J/k becomes J/|r| in S and a mean-zero
-    step: the same step when grad sums to 0, as the likelihood gradient does.
-    With the gauge there is no prior, so `precision` is not read. Each step
-    overwrites the layout's workspace.
+    D_e^-1 (g_e + F x_r). `precision` None is the gauge: its J/k becomes J/|r|
+    in S and a mean-zero step, the same step when grad sums to 0, as the
+    likelihood gradient does. Each step overwrites the layout's workspace.
     """
     k = len(grad)
     elim, e_end, kept, r_end, f, scaled = layout
     diag = np.bincount(winner, weight, k) + np.bincount(loser, weight, k)
-    if not gauge:
+    if precision is not None:
         diag += precision
     d_e, d_r = diag[elim], diag[kept]
     if not (d_e > 0).all():
@@ -222,13 +222,13 @@ def _newton_step(winner, loser, weight, precision, gauge, grad, layout):
     schur = f.T @ scaled
     np.negative(schur, out=schur)
     schur.ravel()[::len(d_r) + 1] += d_r
-    if gauge:
+    if precision is None:
         schur += 1.0 / len(d_r)
     x_r = np.linalg.solve(schur, grad[kept] + scaled.T @ grad[elim])
     step = np.empty(k)
     step[kept] = x_r
     step[elim] = (grad[elim] + f @ x_r) / d_e
-    return step - step.sum() / k if gauge else step
+    return step - step.sum() / k if precision is None else step
 
 
 def _log_likelihood(u, winner, loser):
@@ -246,13 +246,15 @@ def check_fit_limits(tol, max_iter) -> None:
         raise ParameterOutOfRangeError(f"tol={tol} must be > 0 and max_iter={max_iter} >= 0")
 
 
-def _newton(winner, loser, n_first, precision, center, gauge, fallback, tol, max_iter):
+def _newton(winner, loser, n_first, precision, center, tol, max_iter):
     """Damped Newton ascent on sum(log f(u[winner] - u[loser])) minus a
-    penalty: k * mean(u)^2/2 with the gauge, else sum(precision * (u - c)^2)/2.
+    penalty: the gauge k * mean(u)^2/2 when `precision` is None, else the
+    prior sum(precision * (u - c)^2)/2.
 
     Starts from u = c. Each `_newton_step` is taken under a backtracking line
-    search; when no trial length passes (or the Hessian is singular, `step`
-    None) the caller's `fallback(u, step)` gives the next iterate. The
+    search. When no trial length passes, or the Hessian is singular, the gauge
+    takes one globally convergent MM update (Hunter 2004); the prior takes the
+    smallest step, or raises LinAlgError when there is no step to shorten. The
     objective is evaluated, by one `_log_likelihood` call, once per trial, at
     the start and after a fallback; that is the loop's one exp per edge. The
     accepted trial's upset chances carry over to the next gradient and
@@ -263,13 +265,21 @@ def _newton(winner, loser, n_first, precision, center, gauge, fallback, tol, max
     Returns (u, steps taken, sup-norm of the gradient, converged).
     """
     check_fit_limits(tol, max_iter)
-    k = len(center)
+    k, gauge = len(center), precision is None
     layout = _schur_layout(winner, loser, n_first, k)
 
     def evaluate(u):
         f, upset = _log_likelihood(u, winner, loser)
         penalty = u.sum() ** 2 / k if gauge else (precision * (u - center) ** 2).sum()
         return float(f - 0.5 * penalty), upset
+
+    def fallback(u, step):  # `step` is None when the Hessian is singular
+        if gauge:
+            u = np.log(mm_step(np.exp(u), winner, loser))
+            return u - u.mean()
+        if step is None:
+            raise np.linalg.LinAlgError("singular Hessian")
+        return u + _MIN_STEP * step
 
     u, at_u = center.copy(), None
     for it in range(max_iter + 1):
@@ -280,8 +290,7 @@ def _newton(winner, loser, n_first, precision, center, gauge, fallback, tol, max
         if residual <= tol or it == max_iter:
             return u, it, residual, residual <= tol
         try:
-            step = _newton_step(winner, loser, upset * (1.0 - upset), precision, gauge, grad,
-                                layout)
+            step = _newton_step(winner, loser, upset * (1.0 - upset), precision, grad, layout)
         except np.linalg.LinAlgError:
             u, at_u = fallback(u, None), None
             continue
@@ -314,7 +323,7 @@ def mle_fit(
     tol: float = 1e-8,
     max_iter: int = 10000,
     *,
-    _edges: tuple[np.ndarray, np.ndarray] | None = None,
+    _scc: bool = False,
 ) -> FitReport:
     """Maximum likelihood merits on one strongly connected vertex set.
 
@@ -327,11 +336,11 @@ def mle_fit(
     component.
 
     A vertex that repeats, lies outside the roster or is not an integer raises
-    ParameterOutOfRangeError. `_edges` is for `predict_matrix` alone. It
-    passes an SCC it found as its sorted vertex array and `_edges` as the
-    (tail, head) vertices of the edges inside it, which skips both checks.
+    ParameterOutOfRangeError. `_scc=True` is for `predict_matrix` alone: it
+    passes an SCC it found as its sorted vertex array, which skips that check
+    and the connectivity check.
     """
-    if _edges is None:  # the first bad vertex in `component`'s order is named
+    if not _scc:  # the first bad vertex in `component`'s order is named
         size, seen = g.roster.n_vertices, set()
         for v in component:
             if not isinstance(v, (int, np.integer)) or not 0 <= v < size or v in seen:
@@ -342,23 +351,17 @@ def mle_fit(
     k = len(vertices)
     pos = np.full(g.roster.n_vertices, -1, dtype=np.intp)
     pos[vertices] = np.arange(k)
-    tail, head = g.directed_edges if _edges is None else _edges
+    tail, head = g.directed_edges
     winner, loser = pos[tail], pos[head]
-    if _edges is None:  # keep the edges inside the set, which must be strongly connected
-        inside = (winner >= 0) & (loser >= 0)
-        winner, loser = winner[inside], loser[inside]
-        if k < 2 or len(_tarjan(k, winner, loser)[1]) > 1:
-            raise NotStronglyConnectedError(
-                f"vertex set {vertices} is not strongly connected in the result graph"
-            )
-
-    def mm_update(u, step):
-        u = np.log(mm_step(np.exp(u), winner, loser))
-        return u - u.mean()
-
+    inside = (winner >= 0) & (loser >= 0)  # the edges inside the set, in edge order
+    winner, loser = winner[inside], loser[inside]
+    if not _scc and (k < 2 or len(_tarjan(k, winner, loser)[1]) > 1):
+        raise NotStronglyConnectedError(
+            f"vertex set {vertices} is not strongly connected in the result graph"
+        )
     n_first = int(np.searchsorted(vertices, g.roster.n_students))
     u, iterations, residual, converged = _newton(
-        winner, loser, n_first, None, np.zeros(k), True, mm_update, tol, max_iter)
+        winner, loser, n_first, None, np.zeros(k), tol, max_iter)
     merits = np.zeros(g.roster.n_vertices)
     merits[vertices] = u - u.mean()
     return _report(MeritVector(merits, pos >= 0), iterations, residual, converged, tol)
@@ -392,13 +395,6 @@ def map_fit(
     n, q = roster.n_students, roster.n_questions
     mean = np.repeat([prior.student_mean, prior.question_mean], [n, q])
     inv_var = np.repeat([prior.student_std**-2, prior.question_std**-2], [n, q])
-    winner, loser = g.directed_edges
-
-    def smallest_step(u, step):
-        if step is None:  # a singular Hessian leaves no Newton step to shorten
-            raise np.linalg.LinAlgError("singular Hessian")
-        return u + _MIN_STEP * step
-
     u, iterations, residual, converged = _newton(
-        winner, loser, n, inv_var, mean, False, smallest_step, tol, max_iter)
+        *g.directed_edges, n, inv_var, mean, tol, max_iter)
     return _report(MeritVector(u), iterations, residual, converged, tol)

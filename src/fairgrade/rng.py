@@ -2,23 +2,25 @@
 
 Every randomized routine takes an explicit seed. Monte-Carlo work units are
 keyed by (master seed, index path) through `substream`, so replications are
-independent, reproducible, and safe to execute in any order.
+independent, reproducible, and safe to execute in any order. A seed is an
+integer (`operator.index` accepts it): a float, a string or None raises
+TypeError instead of being truncated or drawing OS entropy.
 """
 
 from __future__ import annotations
+
+from operator import index
 
 import numpy as np
 
 
 def as_generator(seed) -> np.random.Generator:
-    """Coerce an int, SeedSequence, or Generator into a Generator."""
+    """Coerce an integer seed into a Generator; a Generator passes through."""
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
-    return np.random.default_rng(np.random.SeedSequence(int(seed)))
+    return np.random.default_rng(np.random.SeedSequence(index(seed)))
 
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:
     """Independent generator for the work unit identified by `key`."""
-    return np.random.default_rng(np.random.SeedSequence(int(master_seed), spawn_key=tuple(key)))
+    return np.random.default_rng(np.random.SeedSequence(index(master_seed), spawn_key=tuple(key)))

@@ -135,12 +135,10 @@ def test_criterion_03_connectivity_equivalence():
         edges = tuple(p for p, k in zip(pairs, keep) if k) or (pairs[0],)
         g = TaskAssignmentGraph(roster, edges)
         res = ExamResultGraph(g, rng.integers(0, 2, g.n_edges).astype(np.uint8))
-        adj = res.directed_adjacency()
         nv = roster.n_vertices
         reach = [[a == b for b in range(nv)] for a in range(nv)]
-        for a in range(nv):
-            for b in adj[a]:
-                reach[a][b] = True
+        for a, b in zip(*res.directed_edges):
+            reach[a][b] = True
         for k in range(nv):
             for a in range(nv):
                 if reach[a][k]:

@@ -24,6 +24,7 @@ from fairgrade import (
     strongly_connected_components,
 )
 from fairgrade import grading
+from fairgrade.graph import _successor_lists
 
 from conftest import brute_force_reachability, random_result_graph
 
@@ -120,7 +121,7 @@ class TestPredictMatrix:
         g = random_result_graph(rng, int(rng.integers(1, 7)), int(rng.integers(1, 7)))
         pm = predict_matrix(g)
         h, tags = pm.entries, pm.case_tags
-        reach = brute_force_reachability(g.directed_adjacency())
+        reach = brute_force_reachability(_successor_lists(g.roster.n_vertices, *g.directed_edges))
         n, edges = g.roster.n_students, g.outcomes
         for i, j in np.ndindex(h.shape):
             down, up = reach[i][n + j], reach[n + j][i]

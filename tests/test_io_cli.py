@@ -306,16 +306,22 @@ class TestMeritsAndGrades:
 
 
 class TestCliHelpers:
-    def test_readme_commands_parse(self):
+    def test_readme_commands_parse(self, tmp_path, monkeypatch):
         """Every `fairgrade` line of README's sh blocks parses, so the docs
-        name no flag or value the parser rejects."""
+        name no flag or value the parser rejects. The parser checks that an
+        input file exists, so the files the lines name are made, empty."""
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         blocks = re.findall(r"```sh\n(.*?)```", readme, re.DOTALL)
         lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()
                  if line.startswith("fairgrade ")]
         assert lines
+        monkeypatch.chdir(tmp_path)
         for line in lines:
-            cli._parse(shlex.split(line)[1:])
+            argv = shlex.split(line)[1:]
+            for flag, value in zip(argv, argv[1:]):
+                if flag in ("--input", "--merits"):
+                    Path(value).touch()
+            cli._parse(argv)
 
     def test_parse_int_list(self):
         assert parse_int_list("3") == [3]
@@ -469,9 +475,18 @@ class TestCli:
         assert merits[0] == "vertex,kind,merit"
         assert len(merits) == 1 + 9
 
-    def test_missing_input_is_config_error(self, tmp_path):
-        assert run_cli("grade", "--input", str(tmp_path / "nope.csv"),
-                       "--outdir", str(tmp_path)) == 2
+    def test_missing_input_is_config_error(self, tmp_path, capsys):
+        nope = str(tmp_path / "nope.csv")
+        population = ("--students", "3", "--questions", "3", "--m", "3", "--d", "2")
+        for argv in [("grade", "--input", nope),
+                     ("cv", "--input", nope, "--d1", "2", "--d2", "2", "--seed", "1"),
+                     ("simulate-bias", *population, "--merits", nope, "--seed", "1"),
+                     ("verify", *population, "--merits", nope),
+                     ("grade", "--config", write(tmp_path / "run.cfg", f"input={nope}\n"))]:
+            assert run_cli(*argv, "--outdir", str(tmp_path)) == 2, argv
+            assert "expected an existing file" in capsys.readouterr().err
+        # a path that exists but cannot be read as a file is a data error
+        assert run_cli("grade", "--input", str(tmp_path), "--outdir", str(tmp_path)) == 3
 
     def test_bad_data_is_data_error(self, tmp_path):
         p = write(tmp_path / "bad.csv", "student,question,correct\nS1,Q1,7\n")

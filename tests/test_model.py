@@ -569,6 +569,35 @@ class TestObjectiveEvaluations:
         assert at_iterate == 1 + fallbacks
         assert trials >= 28 + fit.iterations - 2  # the downhill step tried every length
 
+    def test_map_fallbacks_raise_or_take_the_smallest_step(self, monkeypatch):
+        events = _objective_evaluations(monkeypatch)
+        res = random_result_graph(np.random.default_rng(3), 6, 5)
+        prior = PriorSpec(0.3, 1.0, -0.2, 1.0)
+        start = np.repeat([0.3, -0.2], [6, 5])
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(model, "_newton_step", singular)
+        with pytest.raises(np.linalg.LinAlgError):
+            map_fit(res, prior, tol=1e-12)
+        events.clear()
+        steps = []
+
+        def newton_step(*args):
+            steps.append(_newton_step(*args))
+            if len(steps) == 1:  # downhill: every trial fails
+                steps[0] = -steps[0]
+            return steps[-1]
+
+        monkeypatch.setattr(model, "_newton_step", newton_step)
+        fit = map_fit(res, prior, tol=1e-12)
+        points = [u for name, u in events if name == "objective"]
+        for i in range(28):  # after the start, one trial per length down to 2**-27
+            assert np.array_equal(points[1 + i], start + 2.0**-i * steps[0])
+        assert np.array_equal(points[29], start + 2**-27 * steps[0])
+        assert fit.converged and len(steps) >= 2
+
 
 EDGE_MARGINS = st.one_of(st.floats(-800, 800),
                          st.sampled_from([0.0, -0.0, 745.0, -745.0, 1e-300, -1e-300]))
@@ -709,7 +738,7 @@ class TestNewtonStep:
         precision = np.repeat(rng.uniform(0.1, 4.0, 2), [n, k - n])
         grad = rng.normal(0, 1, k)
         layout = _schur_layout(winner, loser, n, k)
-        step = _newton_step(winner, loser, weight, precision, False, grad, layout)
+        step = _newton_step(winner, loser, weight, precision, grad, layout)
         reference = np.linalg.solve(
             dense_hessian(k, winner, loser, weight, precision, False), grad)
         assert _relative_gap(step, reference) <= 1e-12
@@ -731,7 +760,7 @@ class TestNewtonStep:
         weight = upset * (1 - upset)
         grad = np.bincount(winner, upset, k) - np.bincount(loser, upset, k)
         layout = _schur_layout(winner, loser, n_first, k)
-        step = _newton_step(winner, loser, weight, 0.0, True, grad, layout)
+        step = _newton_step(winner, loser, weight, None, grad, layout)
         reference = np.linalg.solve(dense_hessian(k, winner, loser, weight, 0.0, True), grad)
         assert _relative_gap(step, reference) <= 1e-12
 

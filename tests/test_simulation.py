@@ -16,6 +16,7 @@ from fairgrade import (
     estimate_ex_post_bias,
     generate_assignment,
     grade,
+    sample_exam_result,
     simple_average,
     simulated_cross_validate,
     sweep_degree,
@@ -24,6 +25,7 @@ from fairgrade import (
 )
 from fairgrade import simulation as sim
 from fairgrade.model import PriorSpec
+from fairgrade.rng import substream
 from fairgrade.simulation import (
     EXACT_ENUMERATION,
     MONTE_CARLO,
@@ -57,6 +59,30 @@ def tiny_instance(small_population):
     roster, u = small_population
     g = generate_assignment(roster, 3, 2, 0)
     return g, u
+
+
+class TestSeeds:
+    """A seed is an integer: floats, strings and None are rejected, not truncated."""
+
+    @pytest.mark.parametrize("seed", [1.9, 2.0, "1", None])
+    def test_non_integer_seeds_raise(self, tiny_instance, seed):
+        g, u = tiny_instance
+        with pytest.raises(TypeError):
+            generate_assignment(g.roster, 3, 2, seed)
+        with pytest.raises(TypeError):
+            sample_exam_result(g, u, seed)
+        with pytest.raises(TypeError):
+            substream(seed, 0)
+        with pytest.raises(TypeError):
+            estimate_ex_post_bias(simple_average, g, u, 10, seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(1), np.uint8(1), True])
+    def test_integer_seeds_give_the_int_streams(self, tiny_instance, seed):
+        g, u = tiny_instance
+        assert generate_assignment(g.roster, 3, 2, seed) == generate_assignment(g.roster, 3, 2, 1)
+        assert sample_exam_result(g, u, seed) == sample_exam_result(g, u, 1)
+        assert substream(seed, 4).random() == substream(1, 4).random()
+        assert sim._scalar_seed(seed, 2) == sim._scalar_seed(1, 2)
 
 
 class TestExactExpectedGrade:
