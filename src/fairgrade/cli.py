@@ -279,7 +279,7 @@ def cmd_grade(args, outdir: Path) -> tuple[list | None, dict]:
 def cmd_fit(args, outdir: Path) -> tuple[list | None, dict]:
     g = _ingest(args)
     if args.method == "mle":
-        try:  # mle_fit's own check is the one Tarjan pass
+        try:  # mle_fit's own check is the one reachability pass
             fit = mle_fit(g, range(g.roster.n_vertices), tol=args.tol, max_iter=args.max_iter)
         except NotStronglyConnectedError:
             msg = "result graph is not strongly connected; use --method map"

@@ -97,7 +97,7 @@ def predict_matrix(
     edge = np.zeros((n, roster.n_questions), dtype=bool)
     edge[s_idx, q_idx] = True
     comp = components.component_of
-    codes = _pair_cases(components, edge, comp[:n, None], comp[None, n:])
+    codes = _pair_cases(components, edge)
 
     h = np.zeros(edge.shape)
     h[s_idx, q_idx] = g.w

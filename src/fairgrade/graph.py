@@ -5,7 +5,9 @@ Students and questions share one vertex numbering: students take indices
 graph orients each assigned edge student->question for a correct answer and
 question->student for an incorrect one. Bank questions that were never
 assigned stay in both graphs as isolated vertices, so grade aggregation can
-run over the full bank.
+run over the full bank. Which student reaches which question, and back, comes
+from one closure of two-hop reach on the smaller side; mutual reach gives the
+strongly connected components (SCCs).
 """
 
 from __future__ import annotations
@@ -221,13 +223,6 @@ class ExamResultGraph:
         )
 
 
-def _successor_lists(k: int, tail: np.ndarray, head: np.ndarray) -> list[list[int]]:
-    """Successors of each of k vertices under the edges tail -> head, in edge order."""
-    heads = head[np.argsort(tail, kind="stable")].tolist()
-    ends = np.cumsum(np.bincount(tail, minlength=k)).tolist()
-    return [heads[a:b] for a, b in zip([0, *ends], ends)]
-
-
 class PairCase(Enum):
     """Provenance of one prediction cell."""
 
@@ -240,99 +235,82 @@ class PairCase(Enum):
 
 @dataclass(frozen=True, eq=False)
 class ComponentStructure:
-    """SCC partition plus materialized condensation reachability.
+    """SCC partition plus reachability between students and questions.
 
-    `component_of` maps each roster vertex to its SCC id. The boolean matrix
-    `reach[a, b]` says whether SCC `a` reaches SCC `b` (itself included).
+    `component_of` maps each roster vertex to its SCC id, in no topological
+    order. In the students x bank boolean matrices, `forward[i, j]` says
+    student i reaches question j and `backward[i, j]` the converse.
     """
 
     component_of: np.ndarray
-    components: tuple[frozenset[int], ...]
-    reach: np.ndarray = field(repr=False)
+    forward: np.ndarray = field(repr=False)
+    backward: np.ndarray = field(repr=False)
 
     @property
     def n_components(self) -> int:
-        return len(self.components)
+        return int(self.component_of.max()) + 1
+
+    @cached_property
+    def components(self) -> tuple[frozenset[int], ...]:
+        """Each SCC's vertices, indexed by SCC id."""
+        return tuple(frozenset(np.flatnonzero(self.component_of == c).tolist())
+                     for c in range(self.n_components))
+
+
+def _reach(n: int, q: int, s_idx, q_idx, w) -> tuple[np.ndarray, np.ndarray]:
+    """(forward, backward) of `ComponentStructure` for n students and q questions
+    under the answers `w` (0/1 or bool) to the pairs (s_idx, q_idx).
+
+    A path alternates sides, so two-hop reach within the smaller side, closed
+    by repeated squaring (Fischer & Meyer 1971), and one product per side give
+    all of it in O(n * q * min(n, q)).
+    """
+    win, lose = np.zeros((n, q), dtype=np.float32), np.zeros((q, n), dtype=np.float32)
+    win[s_idx, q_idx], lose[q_idx, s_idx] = w, w == 0
+    # Every product sums 0/1 terms, so an entry is positive exactly when a
+    # path exists. Clipping to 1 keeps the closure's entries exact small
+    # integers, at most min(n, q), which float32 holds while min(n, q) < 2**24.
+    hops = np.minimum(lose @ win if q <= n else win @ lose, 1)
+    np.fill_diagonal(hops, 1)
+    for _ in range((len(hops) - 1).bit_length()):  # ceil(log2(len(hops))) squarings
+        hops = np.minimum(hops @ hops, 1)
+    if q <= n:  # hops[j, j']: question j reaches question j'
+        return win @ hops > 0, (hops @ lose).T > 0
+    # hops[i, i']: student i reaches student i'
+    return hops @ win > 0, (lose @ hops).T > 0
 
 
 def strongly_connected_components(g: ExamResultGraph) -> ComponentStructure:
-    """Tarjan SCCs of the result digraph plus condensation reachability."""
-    tail, head = g.directed_edges
-    comp_of, comps = _tarjan(g.roster.n_vertices, tail, head)
-    component_of = np.asarray(comp_of, dtype=np.intp)
-    reach = np.eye(len(comps), dtype=bool)
-    reach[component_of[tail], component_of[head]] = True
-    # Tarjan finishes SCCs in reverse topological order: every successor SCC
-    # of c has a smaller id and is already closed when c's turn comes, so one
-    # ascending pass closes reachability.
-    for c in range(len(comps)):
-        reach[c] = reach[reach[c]].any(axis=0)
-    component_of.setflags(write=False)
-    reach.setflags(write=False)
-    return ComponentStructure(component_of, tuple(frozenset(c) for c in comps), reach)
-
-
-def _tarjan(n: int, tail: np.ndarray, head: np.ndarray) -> tuple[list[int], list[list[int]]]:
-    """Each of n vertices' SCC id under the edges tail -> head, and each SCC's vertices."""
-    adj = _successor_lists(n, tail, head)
-    UNSEEN = -1
-    index = [UNSEEN] * n
-    lowlink = [0] * n
-    comp_of = [UNSEEN] * n  # a seen vertex stays on `stack` until its SCC gets an id
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-
-    for root in range(n):
-        if index[root] != UNSEEN:
-            continue
-        # iterative DFS, one frame per open vertex: (vertex, its successor
-        # iterator, which a return to the vertex resumes, its place on `stack`)
-        index[root] = lowlink[root] = counter
-        counter += 1
-        work = [(root, iter(adj[root]), len(stack))]
-        stack.append(root)
-        while work:
-            v, succ, pos = work[-1]
-            for u in succ:
-                if index[u] == UNSEEN:
-                    index[u] = lowlink[u] = counter
-                    counter += 1
-                    work.append((u, iter(adj[u]), len(stack)))
-                    stack.append(u)
-                    break
-                if comp_of[u] == UNSEEN and index[u] < lowlink[v]:
-                    lowlink[v] = index[u]
-            else:
-                work.pop()
-                if lowlink[v] == index[v]:
-                    comp = stack[pos:][::-1]  # listed from the top of the stack down
-                    del stack[pos:]
-                    for u in comp:
-                        comp_of[u] = len(comps)
-                    comps.append(comp)
-                elif lowlink[v] < lowlink[work[-1][0]]:
-                    lowlink[work[-1][0]] = lowlink[v]
-    return comp_of, comps
+    """SCCs of the result digraph plus reachability between the two sides."""
+    n, q = g.roster.n_students, g.roster.n_questions
+    forward, backward = _reach(n, q, *g.assignment.edge_arrays, g.w)
+    # A nontrivial SCC holds students and questions and is named by its first
+    # student; every other vertex is a singleton named by itself.
+    mutual = forward & backward
+    name_q = np.where(mutual.any(axis=0), mutual.argmax(axis=0), n + np.arange(q))
+    name_s = np.where(mutual.any(axis=1), name_q[mutual.argmax(axis=1)], np.arange(n))
+    component_of = np.unique(np.concatenate((name_s, name_q)), return_inverse=True)[1]
+    for array in (component_of, forward, backward):
+        array.setflags(write=False)
+    return ComponentStructure(component_of, forward, backward)
 
 
 def is_strongly_connected(g: ExamResultGraph) -> bool:
     """Whether the whole result digraph (full bank included) is one SCC."""
-    return len(_tarjan(g.roster.n_vertices, *g.directed_edges)[1]) == 1
+    forward, backward = _reach(g.roster.n_students, g.roster.n_questions,
+                               *g.assignment.edge_arrays, g.w)
+    return bool(forward.all() and backward.all())
 
 
-# `_pair_cases`' case of a non-edge by 2 * (student SCC reaches question SCC) + converse
+# `_pair_cases`' case of a non-edge by 2 * (student reaches question) + converse
 _REACH_CASES = np.array([PairCase.INCOMPARABLE.value, PairCase.QUESTION_ABOVE.value,
                          PairCase.STUDENT_ABOVE.value, PairCase.SAME_COMPONENT.value],
                         dtype=np.int8)
 
 
-def _pair_cases(c: ComponentStructure, edge, ci, cj) -> np.ndarray:
-    """`PairCase` values (int8) of student SCCs `ci` against question SCCs `cj`.
-
-    `edge` marks the assigned pairs; the three arguments broadcast. Since the
-    condensation is acyclic, mutual reach means one shared SCC.
-    """
-    reach = np.left_shift(c.reach[ci, cj], 1, dtype=np.int8)
-    reach |= c.reach[cj, ci]
+def _pair_cases(c: ComponentStructure, edge: np.ndarray) -> np.ndarray:
+    """`PairCase` values (int8) of every student against every bank question,
+    where `edge` marks the assigned pairs."""
+    reach = np.left_shift(c.forward, 1, dtype=np.int8)
+    reach |= c.backward
     return np.where(edge, np.int8(PairCase.EXISTING_EDGE.value), _REACH_CASES[reach])

@@ -32,7 +32,7 @@ from .graph import (
     Roster,
     TaskAssignmentGraph,
     _as_indices,
-    _tarjan,
+    _reach,
 )
 from .rng import as_generator
 
@@ -253,15 +253,16 @@ def _newton(winner, loser, n_first, precision, center, tol, max_iter):
 
     Starts from u = c. Each `_newton_step` is taken under a backtracking line
     search. When no trial length passes, or the Hessian is singular, the gauge
-    takes one globally convergent MM update (Hunter 2004); the prior takes the
-    smallest step, or raises LinAlgError when there is no step to shorten. The
-    objective is evaluated, by one `_log_likelihood` call, once per trial, at
-    the start and after a fallback; that is the loop's one exp per edge. The
-    accepted trial's upset chances carry over to the next gradient and
-    Hessian. As IEEE subtraction is antisymmetric, they are `logistic(u[loser]
-    - u[winner])` bit for bit, so the steps and iterates are those of a loop
-    that recomputes it. The objective only feeds the Armijo comparisons: its
-    rounding could move an iterate only where one lands within rounding.
+    takes one globally convergent MM update (Hunter 2004); the prior keeps the
+    smallest trial and its objective, or raises LinAlgError when there is no
+    step to shorten. The objective is evaluated, by one `_log_likelihood`
+    call, once per trial, at the start and after a fallback; that is the
+    loop's one exp per edge. The accepted trial's upset chances carry over to
+    the next gradient and Hessian. As IEEE subtraction is antisymmetric, they
+    are `logistic(u[loser] - u[winner])` bit for bit, so the steps and
+    iterates are those of a loop that recomputes it. The objective only feeds
+    the Armijo comparisons: its rounding could move an iterate only where one
+    lands within rounding.
     Returns (u, steps taken, sup-norm of the gradient, converged).
     """
     check_fit_limits(tol, max_iter)
@@ -273,13 +274,11 @@ def _newton(winner, loser, n_first, precision, center, tol, max_iter):
         penalty = u.sum() ** 2 / k if gauge else (precision * (u - center) ** 2).sum()
         return float(f - 0.5 * penalty), upset
 
-    def fallback(u, step):  # `step` is None when the Hessian is singular
-        if gauge:
-            u = np.log(mm_step(np.exp(u), winner, loser))
-            return u - u.mean()
-        if step is None:
+    def fallback(u):  # the prior falls back only when the Hessian is singular
+        if not gauge:
             raise np.linalg.LinAlgError("singular Hessian")
-        return u + _MIN_STEP * step
+        u = np.log(mm_step(np.exp(u), winner, loser))
+        return u - u.mean()
 
     u, at_u = center.copy(), None
     for it in range(max_iter + 1):
@@ -292,7 +291,7 @@ def _newton(winner, loser, n_first, precision, center, tol, max_iter):
         try:
             step = _newton_step(winner, loser, upset * (1.0 - upset), precision, grad, layout)
         except np.linalg.LinAlgError:
-            u, at_u = fallback(u, None), None
+            u, at_u = fallback(u), None
             continue
         slope, t = float(grad @ step), 1.0
         # near the optimum a full step changes the objective by less than its
@@ -302,7 +301,7 @@ def _newton(winner, loser, n_first, precision, center, tol, max_iter):
             t *= 0.5
             if t < _MIN_STEP:
                 break
-        u, at_u = (trial, at_t) if t >= _MIN_STEP else (fallback(u, step), None)
+        u, at_u = (trial, at_t) if t >= _MIN_STEP or not gauge else (fallback(u), None)
 
 
 def _report(merits: MeritVector, iterations, residual, converged, tol) -> FitReport:
@@ -355,11 +354,13 @@ def mle_fit(
     winner, loser = pos[tail], pos[head]
     inside = (winner >= 0) & (loser >= 0)  # the edges inside the set, in edge order
     winner, loser = winner[inside], loser[inside]
-    if not _scc and (k < 2 or len(_tarjan(k, winner, loser)[1]) > 1):
-        raise NotStronglyConnectedError(
-            f"vertex set {vertices} is not strongly connected in the result graph"
-        )
     n_first = int(np.searchsorted(vertices, g.roster.n_students))
+    if not _scc:  # the set's students come first, so each edge's student is its smaller end
+        forward, backward = _reach(n_first, k - n_first, np.minimum(winner, loser),
+                                   np.maximum(winner, loser) - n_first, winner < loser)
+        if not (0 < n_first < k and forward.all() and backward.all()):
+            raise NotStronglyConnectedError(
+                f"vertex set {vertices} is not strongly connected in the result graph")
     u, iterations, residual, converged = _newton(
         winner, loser, n_first, None, np.zeros(k), tol, max_iter)
     merits = np.zeros(g.roster.n_vertices)

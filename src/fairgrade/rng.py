@@ -2,9 +2,9 @@
 
 Every randomized routine takes an explicit seed. Monte-Carlo work units are
 keyed by (master seed, index path) through `substream`, so replications are
-independent, reproducible, and safe to execute in any order. A seed is an
-integer (`operator.index` accepts it): a float, a string or None raises
-TypeError instead of being truncated or drawing OS entropy.
+independent, reproducible, and safe to execute in any order. A seed and each
+key element are integers (`operator.index` accepts them): a float, a string
+or None raises TypeError, never truncated, parsed or drawing OS entropy.
 """
 
 from __future__ import annotations
@@ -23,4 +23,5 @@ def as_generator(seed) -> np.random.Generator:
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:
     """Independent generator for the work unit identified by `key`."""
-    return np.random.default_rng(np.random.SeedSequence(index(master_seed), spawn_key=tuple(key)))
+    key = tuple(map(index, key))
+    return np.random.default_rng(np.random.SeedSequence(index(master_seed), spawn_key=key))

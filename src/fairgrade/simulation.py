@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import index
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -312,7 +311,7 @@ def _se(xs) -> float:
 
 def _scalar_seed(seed: int, *key: int) -> int:
     """Stable derived integer seed for APIs that take a master seed."""
-    return int(np.random.SeedSequence(index(seed), spawn_key=tuple(key)).generate_state(1)[0])
+    return int(substream(seed, *key).bit_generator.seed_seq.generate_state(1)[0])
 
 
 def uniform_difficulty_sampler(

@@ -39,19 +39,17 @@ def random_result_graph(rng: np.random.Generator, n: int, q: int) -> ExamResultG
     return ExamResultGraph(g, rng.integers(0, 2, g.n_edges).astype(np.uint8))
 
 
-def brute_force_reachability(adj):
-    """Floyd-Warshall style closure; independent of the SCC code."""
-    n = len(adj)
-    reach = [[a == b for b in range(n)] for a in range(n)]
-    for a in range(n):
-        for b in adj[a]:
-            reach[a][b] = True
-    for k in range(n):
-        for a in range(n):
-            if reach[a][k]:
-                for b in range(n):
-                    if reach[k][b]:
-                        reach[a][b] = True
+def brute_force_reachability(g: ExamResultGraph) -> np.ndarray:
+    """reach[a, b]: roster vertex a reaches vertex b (itself included) in g's
+    result graph. Warshall's closure of the arcs read off the edge arrays and
+    outcome bits; independent of the library's reachability code."""
+    n = g.roster.n_students
+    s_idx, q_idx = g.assignment.edge_arrays
+    reach = np.eye(g.roster.n_vertices, dtype=bool)
+    reach[s_idx, n + q_idx] = g.w == 1  # a correct answer: student -> question
+    reach[n + q_idx, s_idx] = g.w == 0
+    for v in range(len(reach)):
+        reach |= reach[:, v, None] & reach[v]
     return reach
 
 

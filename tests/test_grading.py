@@ -24,7 +24,6 @@ from fairgrade import (
     strongly_connected_components,
 )
 from fairgrade import grading
-from fairgrade.graph import _successor_lists
 
 from conftest import brute_force_reachability, random_result_graph
 
@@ -121,10 +120,10 @@ class TestPredictMatrix:
         g = random_result_graph(rng, int(rng.integers(1, 7)), int(rng.integers(1, 7)))
         pm = predict_matrix(g)
         h, tags = pm.entries, pm.case_tags
-        reach = brute_force_reachability(_successor_lists(g.roster.n_vertices, *g.directed_edges))
+        reach = brute_force_reachability(g)
         n, edges = g.roster.n_students, g.outcomes
         for i, j in np.ndindex(h.shape):
-            down, up = reach[i][n + j], reach[n + j][i]
+            down, up = reach[i, n + j], reach[n + j, i]
             expected = (PairCase.EXISTING_EDGE if (i, j) in edges
                         else PairCase.SAME_COMPONENT if down and up
                         else PairCase.STUDENT_ABOVE if down

@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from fairgrade import (
     ExamResultGraph,
+    MeritVector,
     PairCase,
     ParameterOutOfRangeError,
     Roster,
@@ -15,11 +16,13 @@ from fairgrade import (
     generate_assignment,
     is_strongly_connected,
     predict_matrix,
+    sample_exam_result,
     strongly_connected_components,
 )
-from fairgrade.graph import ComponentStructure, _pair_cases, _successor_lists, _tarjan
+from fairgrade.graph import ComponentStructure, _pair_cases
+from fairgrade.rng import substream
 
-from conftest import brute_force_reachability, random_result_graph
+from conftest import brute_force_reachability
 
 
 @st.composite
@@ -34,93 +37,9 @@ def result_graphs(draw, max_students=4, max_questions=4):
     return ExamResultGraph.from_outcomes(g, outcomes)
 
 
-def reference_successor_lists(k, tail, head):
-    """One `np.split` piece per vertex: the reference for `_successor_lists`."""
-    order = np.argsort(tail, kind="stable")
-    bounds = np.cumsum(np.bincount(tail, minlength=k))[:-1]
-    return [succ.tolist() for succ in np.split(head[order], bounds)]
-
-
-def reference_tarjan(adj):
-    """Tarjan with a (vertex, next successor position) work stack, which rescans
-    a vertex's successors from that position on every return to it: the
-    reference for `_tarjan`'s component ids and order."""
-    n = len(adj)
-    index, lowlink, on_stack, comp_of = [-1] * n, [0] * n, [False] * n, [-1] * n
-    stack, comps, counter = [], [], 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for k in range(pi, len(adj[v])):
-                u = adj[v][k]
-                if index[u] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((u, 0))
-                    advanced = True
-                    break
-                if on_stack[u]:
-                    lowlink[v] = min(lowlink[v], index[u])
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    u = stack.pop()
-                    on_stack[u] = False
-                    comp_of[u] = len(comps)
-                    comp.append(u)
-                    if u == v:
-                        break
-                comps.append(comp)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-    return comp_of, comps
-
-
-@st.composite
-def digraphs(draw):
-    """(k, tail, head): result graphs from 1x1 up, dense random digraphs with
-    self-loops and repeated edges, and deep 1200-vertex paths with a few
-    extra edges, each in a random vertex numbering and edge order."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["result", "random", "path"]))
-    if kind == "result":
-        g = random_result_graph(rng, draw(st.integers(1, 8)), draw(st.integers(1, 8)))
-        return g.roster.n_vertices, *g.directed_edges
-    k = draw(st.integers(1, 40)) if kind == "random" else 1200
-    extra = rng.integers(0, k, (2, rng.integers(0, 3 * k if kind == "random" else 30)))
-    path = rng.permutation(k)
-    tail = np.concatenate((path[:-1], extra[0])) if kind == "path" else extra[0]
-    head = np.concatenate((path[1:], extra[1])) if kind == "path" else extra[1]
-    order = rng.permutation(len(tail))
-    return k, tail[order], head[order]
-
-
-class TestTarjanKernel:
-    @settings(max_examples=200, deadline=None)
-    @given(digraphs())
-    def test_matches_the_rescanning_reference(self, drawn):
-        k, tail, head = drawn
-        adj = _successor_lists(k, tail, head)
-        assert adj == reference_successor_lists(k, tail, head)
-        assert _tarjan(k, tail, head) == reference_tarjan(adj)
-
-
-def reference_pair_cases(c, edge, ci, cj):
+def reference_pair_cases(forward, backward, edge):
     """`np.select` over the four conditions in priority order: the reference
     for `_pair_cases`."""
-    forward, backward = c.reach[ci, cj], c.reach[cj, ci]
     return np.select(
         [edge, forward & backward, forward, backward],
         [PairCase.EXISTING_EDGE.value, PairCase.SAME_COMPONENT.value,
@@ -130,32 +49,66 @@ def reference_pair_cases(c, edge, ci, cj):
 
 
 @st.composite
-def condensations(draw):
-    """(structure, edge mask, student SCC ids, question SCC ids): the reach
-    matrix of a random DAG on 1-12 SCCs in topological order, closed as
-    `strongly_connected_components` closes it, and random SCC ids and edges."""
-    c = draw(st.integers(1, 12))
+def reach_matrices(draw):
+    """(structure, edge mask): random forward reach, backward reach (as the
+    transpose `strongly_connected_components` stores) and edges of 1-8
+    students against 1-8 questions."""
     n, q = draw(st.integers(1, 8)), draw(st.integers(1, 8))
-    arcs = draw(hnp.arrays(bool, (c, c)))
-    reach = np.triu(arcs, 1)[::-1, ::-1] | np.eye(c, dtype=bool)  # arcs to lower ids only
-    for a in range(c):
-        reach[a] = reach[reach[a]].any(axis=0)
-    ids = draw(hnp.arrays(np.intp, n + q, elements=st.integers(0, c - 1)))
-    structure = ComponentStructure(ids, tuple(frozenset() for _ in range(c)), reach)
-    return structure, draw(hnp.arrays(bool, (n, q))), ids[:n], ids[n:]
+    forward, edge = draw(hnp.arrays(bool, (n, q))), draw(hnp.arrays(bool, (n, q)))
+    backward = draw(hnp.arrays(bool, (q, n))).T
+    return ComponentStructure(np.zeros(n + q, dtype=np.intp), forward, backward), edge
 
 
 class TestPairCasesKernel:
     @settings(max_examples=300, deadline=None)
-    @given(condensations())
+    @given(reach_matrices())
     def test_matches_the_select_reference(self, drawn):
-        c, edge, ci, cj = drawn
-        codes = _pair_cases(c, edge, ci[:, None], cj[None, :])
-        reference = reference_pair_cases(c, edge, ci[:, None], cj[None, :])
+        c, edge = drawn
+        codes = _pair_cases(c, edge)
         assert codes.dtype == np.int8 and codes.shape == edge.shape
-        assert codes.tobytes() == reference.tobytes()
-        i, j = len(ci) - 1, len(cj) - 1  # one pair: scalar arguments broadcast too
-        assert int(_pair_cases(c, edge[i, j], ci[i], cj[j])) == reference[i, j]
+        assert codes.tobytes() == reference_pair_cases(c.forward, c.backward, edge).tobytes()
+
+
+@st.composite
+def exams(draw, sides):
+    """Result graphs with fewer, as many or more students than bank
+    questions (`sides` "<", "=" or ">"), up to 8 of each. Only m <= |Q| bank
+    questions are assigned; each student answers a random subset of them
+    (possibly none), all right, all wrong or mixed."""
+    small = draw(st.integers(1, 7))
+    large = small if sides == "=" else draw(st.integers(small + 1, 8))
+    n, q = (small, large) if sides == "<" else (large, small)
+    bank = draw(st.permutations(range(q)))[:draw(st.integers(1, q))]
+    edges, w = [], []
+    for i in range(n):
+        asked = draw(st.lists(st.sampled_from(bank), unique=True))
+        kind = draw(st.sampled_from(["right", "wrong", "mixed"]))
+        edges += [(i, j) for j in asked]
+        w += ([1] * len(asked) if kind == "right" else [0] * len(asked) if kind == "wrong"
+              else draw(st.lists(st.integers(0, 1), min_size=len(asked), max_size=len(asked))))
+    g = TaskAssignmentGraph(Roster.index_based(n, q), np.array(edges, dtype=np.intp).reshape(-1, 2))
+    return ExamResultGraph(g, np.array(w, dtype=np.uint8))
+
+
+def check_structure(g):
+    """Reach, SCC partition, `components`, `_pair_cases` codes and
+    `is_strongly_connected` against `brute_force_reachability`."""
+    reach = brute_force_reachability(g)
+    n = g.roster.n_students
+    c = strongly_connected_components(g)
+    assert np.array_equal(c.forward, reach[:n, n:])
+    assert np.array_equal(c.backward, reach[n:, :n].T)
+    comp = c.component_of
+    assert np.array_equal(comp[:, None] == comp[None, :], reach & reach.T)
+    assert c.n_components == len(c.components) == len(np.unique(comp))
+    for cid, vertices in enumerate(c.components):
+        assert sorted(vertices) == np.flatnonzero(comp == cid).tolist()
+    s_idx, q_idx = g.assignment.edge_arrays
+    edge = np.zeros((n, g.roster.n_questions), dtype=bool)
+    edge[s_idx, q_idx] = True
+    expected = reference_pair_cases(reach[:n, n:], reach[n:, :n].T, edge)
+    assert _pair_cases(c, edge).tobytes() == expected.tobytes()
+    assert is_strongly_connected(g) == reach.all()
 
 
 class TestRoster:
@@ -322,9 +275,8 @@ class TestExamResultGraph:
         r = Roster.index_based(1, 2)
         g = TaskAssignmentGraph(r, ((0, 0), (0, 1)))
         res = ExamResultGraph.from_outcomes(g, {(0, 0): 1, (0, 1): 0})
-        adj = _successor_lists(r.n_vertices, *res.directed_edges)
-        assert adj[0] == [1]  # s0 -> q0 (correct)
-        assert adj[2] == [0]  # q1 -> s0 (incorrect)
+        tail, head = res.directed_edges
+        assert list(zip(tail.tolist(), head.tolist())) == [(0, 1), (2, 0)]  # s0 -> q0, q1 -> s0
 
 
 class TestStronglyConnectedComponents:
@@ -339,21 +291,44 @@ class TestStronglyConnectedComponents:
     @settings(max_examples=150, deadline=None)
     @given(result_graphs())
     def test_matches_brute_force_reachability(self, g):
-        c = strongly_connected_components(g)
-        reach = brute_force_reachability(_successor_lists(g.roster.n_vertices, *g.directed_edges))
-        nv = g.roster.n_vertices
-        for a in range(nv):
-            for b in range(nv):
-                same = reach[a][b] and reach[b][a]
-                assert (c.component_of[a] == c.component_of[b]) == same
-                assert c.reach[c.component_of[a], c.component_of[b]] == reach[a][b]
+        check_structure(g)
+
+    @pytest.mark.parametrize("sides", ["<", "=", ">"])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_structure_matches_the_reference(self, sides, data):
+        check_structure(data.draw(exams(sides)))
+
+    def test_paper_scale_draws_match_the_reference(self):
+        """1,200 draws of 35 students x 22 questions at four (m, d) settings."""
+        roster = Roster.index_based(35, 22)
+        for k in range(1200):
+            rng = substream(20, k)
+            u = MeritVector.for_roster(roster, rng.uniform(-1.5, 3.0, 35),
+                                       rng.uniform(-3.09, 1.5, 22))
+            m, d = [(22, 10), (22, 3), (15, 5), (22, 22)][k % 4]
+            check_structure(sample_exam_result(generate_assignment(roster, m, d, rng), u, rng))
+
+    def test_paths_through_every_vertex_are_closed(self):
+        """One alternating path through all vertices, |n - |Q|| <= 1, in a
+        random numbering: the longest paths, which need every squaring."""
+        rng = np.random.default_rng(4)
+        for k in range(1, 18):
+            for n, q in ((k, k), (k + 1, k), (k, k + 1)):
+                students, questions = rng.permutation(n), n + rng.permutation(q)
+                lead, follow = (students, questions) if n >= q else (questions, students)
+                path = np.empty(n + q, dtype=np.intp)
+                path[0::2], path[1::2] = lead, follow
+                path = path.tolist()
+                outcomes = {(min(a, b), max(a, b) - n): int(a < n) for a, b in zip(path, path[1:])}
+                roster = Roster.index_based(n, q)
+                check_structure(ExamResultGraph.from_outcomes(
+                    TaskAssignmentGraph(roster, tuple(outcomes)), outcomes))
 
     @settings(max_examples=100, deadline=None)
     @given(result_graphs())
     def test_is_strongly_connected_agrees(self, g):
-        reach = brute_force_reachability(_successor_lists(g.roster.n_vertices, *g.directed_edges))
-        expected = all(all(row) for row in reach)
-        assert is_strongly_connected(g) == expected
+        assert is_strongly_connected(g) == brute_force_reachability(g).all()
 
     @settings(max_examples=200, deadline=None)
     @given(result_graphs(), st.integers(0, 3))
@@ -402,12 +377,9 @@ class TestClassifyPair:
     @given(result_graphs())
     def test_total_and_exclusive(self, g):
         # a drawn student may have no question, which `predict_matrix` rejects
-        c = strongly_connected_components(g)
-        comp = c.component_of
-        edges = g.assignment.edges.tolist()
-        for i in range(g.roster.n_students):
-            for j in range(g.roster.n_questions):
-                edge = [i, j] in edges
-                case = PairCase(int(_pair_cases(c, edge, comp[i], comp[g.roster.n_students + j])))
-                if edge:
-                    assert case is PairCase.EXISTING_EDGE
+        s_idx, q_idx = g.assignment.edge_arrays
+        edge = np.zeros((g.roster.n_students, g.roster.n_questions), dtype=bool)
+        edge[s_idx, q_idx] = True
+        codes = _pair_cases(strongly_connected_components(g), edge)
+        assert set(codes.ravel().tolist()) <= {case.value for case in PairCase}
+        assert np.array_equal(codes == PairCase.EXISTING_EDGE.value, edge)

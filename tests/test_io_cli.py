@@ -528,23 +528,23 @@ class TestCli:
                        "--outdir", str(tmp_path)) == 0
         assert seen == [500]
 
-    def test_fit_mle_runs_tarjan_once(self, tmp_path, monkeypatch, capsys):
+    def test_fit_mle_runs_reach_once(self, tmp_path, monkeypatch, capsys):
         calls = []
 
-        def counted(n, tail, head, original=graph._tarjan):
-            calls.append(n)
-            return original(n, tail, head)
+        def counted(n, q, *args, original=graph._reach):
+            calls.append((n, q))
+            return original(n, q, *args)
 
-        monkeypatch.setattr(graph, "_tarjan", counted)
-        monkeypatch.setattr(model, "_tarjan", counted)
+        monkeypatch.setattr(graph, "_reach", counted)
+        monkeypatch.setattr(model, "_reach", counted)
         cycle = write(tmp_path / "cycle.csv",
                       "student,question,correct\nA,X,1\nA,Y,0\nB,X,0\nB,Y,1\n")
         assert run_cli("fit", "--input", cycle, "--outdir", str(tmp_path / "a")) == 0
-        assert calls == [4]
+        assert calls == [(2, 2)]
         split = write(tmp_path / "split.csv", "student,question,correct\nA,X,1\nB,X,1\n")
         assert run_cli("fit", "--input", split, "--outdir", str(tmp_path / "b")) == 4
         assert "not strongly connected; use --method map" in capsys.readouterr().err
-        assert calls == [4, 3]
+        assert calls == [(2, 2), (2, 1)]
 
     def test_seed_required(self, tmp_path):
         assert run_cli("simulate-bias", "--students", "3", "--questions", "4",

@@ -595,7 +595,8 @@ class TestObjectiveEvaluations:
         points = [u for name, u in events if name == "objective"]
         for i in range(28):  # after the start, one trial per length down to 2**-27
             assert np.array_equal(points[1 + i], start + 2.0**-i * steps[0])
-        assert np.array_equal(points[29], start + 2**-27 * steps[0])
+        # the smallest trial is kept with its objective: the next point is a new trial
+        assert np.array_equal(points[29], start + 2**-27 * steps[0] + steps[1])
         assert fit.converged and len(steps) >= 2
 
 

@@ -84,6 +84,18 @@ class TestSeeds:
         assert substream(seed, 4).random() == substream(1, 4).random()
         assert sim._scalar_seed(seed, 2) == sim._scalar_seed(1, 2)
 
+    @pytest.mark.parametrize("key", ["1", 1.0, 1.5, None])
+    def test_non_integer_key_elements_raise(self, key):
+        with pytest.raises(TypeError):
+            substream(1, 0, key)
+        with pytest.raises(TypeError):
+            sim._scalar_seed(1, key)
+
+    @pytest.mark.parametrize("key", [np.int64(3), np.uint8(3), np.intp(3)])
+    def test_integer_key_elements_give_the_int_streams(self, key):
+        assert substream(1, key, 2).random() == substream(1, 3, 2).random()
+        assert sim._scalar_seed(1, 2, key) == sim._scalar_seed(1, 2, 3)
+
 
 class TestExactExpectedGrade:
     def test_single_edge_equal_merits(self):
