@@ -263,21 +263,20 @@ def _reach(n: int, q: int, s_idx, q_idx, w) -> tuple[np.ndarray, np.ndarray]:
 
     A path alternates sides, so two-hop reach within the smaller side, closed
     by repeated squaring (Fischer & Meyer 1971), and one product per side give
-    all of it in O(n * q * min(n, q)).
+    all of it in O(n * q * min(n, q) * log(min(n, q))).
     """
     win, lose = np.zeros((n, q), dtype=np.float32), np.zeros((q, n), dtype=np.float32)
     win[s_idx, q_idx], lose[q_idx, s_idx] = w, w == 0
-    # Every product sums 0/1 terms, so an entry is positive exactly when a
-    # path exists. Clipping to 1 keeps the closure's entries exact small
-    # integers, at most min(n, q), which float32 holds while min(n, q) < 2**24.
+    # A product sums nonnegative terms, so it is positive exactly when a path
+    # exists, however it rounds; clipping to 1 keeps the operands 0/1. Squaring
+    # stops when it changes nothing, after at most ceil(log2(min(n, q))) + 1.
     hops = np.minimum(lose @ win if q <= n else win @ lose, 1)
     np.fill_diagonal(hops, 1)
-    for _ in range((len(hops) - 1).bit_length()):  # ceil(log2(len(hops))) squarings
-        hops = np.minimum(hops @ hops, 1)
+    while not np.array_equal(closed := np.minimum(hops @ hops, 1), hops):
+        hops = closed
     if q <= n:  # hops[j, j']: question j reaches question j'
         return win @ hops > 0, (hops @ lose).T > 0
-    # hops[i, i']: student i reaches student i'
-    return hops @ win > 0, (lose @ hops).T > 0
+    return hops @ win > 0, (lose @ hops).T > 0  # hops[i, i']: student i reaches student i'
 
 
 def strongly_connected_components(g: ExamResultGraph) -> ComponentStructure:

@@ -254,15 +254,14 @@ def _newton(winner, loser, n_first, precision, center, tol, max_iter):
     Starts from u = c. Each `_newton_step` is taken under a backtracking line
     search. When no trial length passes, or the Hessian is singular, the gauge
     takes one globally convergent MM update (Hunter 2004); the prior keeps the
-    smallest trial and its objective, or raises LinAlgError when there is no
-    step to shorten. The objective is evaluated, by one `_log_likelihood`
-    call, once per trial, at the start and after a fallback; that is the
-    loop's one exp per edge. The accepted trial's upset chances carry over to
-    the next gradient and Hessian. As IEEE subtraction is antisymmetric, they
-    are `logistic(u[loser] - u[winner])` bit for bit, so the steps and
-    iterates are those of a loop that recomputes it. The objective only feeds
-    the Armijo comparisons: its rounding could move an iterate only where one
-    lands within rounding.
+    smallest trial, or raises LinAlgError when there is no step to shorten.
+    The objective is evaluated, by one `_log_likelihood` call, once per trial,
+    at the start and after a fallback; that is the loop's one exp per edge.
+    The accepted trial's upset chances carry over to the next gradient and
+    Hessian. As IEEE subtraction is antisymmetric, they are `logistic(u[loser]
+    - u[winner])` bit for bit, so the steps and iterates are those of a loop
+    that recomputes it. The objective only feeds the Armijo comparisons: its
+    rounding could move an iterate only where one lands within rounding.
     Returns (u, steps taken, sup-norm of the gradient, converged).
     """
     check_fit_limits(tol, max_iter)

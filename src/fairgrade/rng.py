@@ -23,5 +23,8 @@ def as_generator(seed) -> np.random.Generator:
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:
     """Independent generator for the work unit identified by `key`."""
-    key = tuple(map(index, key))
-    return np.random.default_rng(np.random.SeedSequence(index(master_seed), spawn_key=key))
+    return np.random.default_rng(_seed_sequence(master_seed, *key))
+
+
+def _seed_sequence(master_seed: int, *key: int) -> np.random.SeedSequence:
+    return np.random.SeedSequence(index(master_seed), spawn_key=tuple(map(index, key)))

@@ -21,7 +21,7 @@ from .graph import (ExamResultGraph, ParameterOutOfRangeError, Roster, TaskAssig
 from .grading import GradeVector, grade, simple_average
 from .model import (MeritVector, NonConvergenceError, benchmark, edge_probabilities,
                     sample_exam_result)
-from .rng import substream
+from .rng import _seed_sequence, substream
 
 GradingRule = Callable[[ExamResultGraph], GradeVector]
 Trial = Callable[[np.random.Generator], np.ndarray]  # one Monte-Carlo draw from its substream
@@ -311,7 +311,7 @@ def _se(xs) -> float:
 
 def _scalar_seed(seed: int, *key: int) -> int:
     """Stable derived integer seed for APIs that take a master seed."""
-    return int(substream(seed, *key).bit_generator.seed_seq.generate_state(1)[0])
+    return int(_seed_sequence(seed, *key).generate_state(1)[0])
 
 
 def uniform_difficulty_sampler(
