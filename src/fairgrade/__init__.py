@@ -24,6 +24,7 @@ from .grading import (
     GradeVector,
     PredictionMatrix,
     ZeroDegreeStudentError,
+    benchmark,
     grade,
     make_map_rule,
     per_student_error_bound,
@@ -37,7 +38,6 @@ from .model import (
     NonConvergenceError,
     NotStronglyConnectedError,
     PriorSpec,
-    benchmark,
     edge_probabilities,
     likelihood_equation_residual,
     logistic,

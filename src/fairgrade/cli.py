@@ -1,11 +1,13 @@
 """Command-line entry point.
 
-One subcommand per experiment; every randomized command requires --seed.
-Each command returns its report.csv rows (None for grade, fit and verify) and
-its summary; `run` writes report.csv, summary.json and a manifest.json echoing
-the full configuration to --outdir (or $FAIRGRADE_OUTDIR), so any run can be
-reproduced bit-exactly. grade also writes grades.csv, plus predictions.csv
-and cases.csv under --rule ours; fit writes merits.csv.
+One subcommand per experiment, each parser naming its handler; every
+randomized command requires --seed. Each command returns its report.csv rows
+(None for grade, fit and verify) and its summary; `run` writes report.csv,
+summary.json and a manifest.json echoing the full configuration to --outdir
+(or $FAIRGRADE_OUTDIR). grade also writes grades.csv, plus predictions.csv and
+cases.csv under --rule ours; fit writes merits.csv. Outputs are bit-identical
+for the same inputs, seed, numpy, BLAS and thread count; across thread counts,
+cases.csv is byte-identical and grades, predictions and merits agree to 1e-12.
 
 A --config file holds the same options as `key=value` lines, keyed by flag
 name without the dashes; a switch is a bare key. Its lines are parsed as
@@ -38,7 +40,7 @@ from .model import (MeritVector, NonConvergenceError, NotStronglyConnectedError,
                     map_fit, mle_fit)
 from . import io as fio
 from . import simulation as sim
-from .rng import substream
+from .rng import scalar_seed, substream
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -128,23 +130,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, summary, seeded=True):
+    def add(name, summary, handler, seeded=True):
         p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", help="key=value config file; flags override it")
         p.add_argument("--outdir", help="output directory (default $FAIRGRADE_OUTDIR or .)")
         if seeded:
             p.add_argument("--seed", type=SEED, required=True, help="master seed")
         return p
 
-    p = add("grade", "grade one exam result file", seeded=False)
+    p = add("grade", "grade one exam result file", cmd_grade, seeded=False)
     p.add_argument("--rule", choices=["ours", "avg", "map"], default="ours")
     _fit_flags(p)
 
-    p = add("fit", "fit merits to one exam result file", seeded=False)
+    p = add("fit", "fit merits to one exam result file", cmd_fit, seeded=False)
     p.add_argument("--method", choices=["mle", "map"], default="mle")
     _fit_flags(p)
 
-    p = add("simulate-bias", "expected-grade deviation on one random assignment")
+    p = add("simulate-bias", "expected-grade deviation on one random assignment",
+            cmd_simulate_bias)
     _population_flags(p)
     p.add_argument("--m", type=COUNT, required=True)
     p.add_argument("--d", type=COUNT, required=True)
@@ -152,14 +156,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", type=RULE_NAMES, default="ours,avg")
 
     p = add("decompose", "bias + variance = error per rule, for the given "
-            "merits and for all-equal merits")
+            "merits and for all-equal merits", cmd_decompose)
     _population_flags(p)
     p.add_argument("--m", type=COUNT, required=True)
     p.add_argument("--d", type=COUNT, required=True)
     p.add_argument("--graphs", type=COUNT, default=50)
     p.add_argument("--reps", type=COUNT, default=200)
 
-    p = add("sweep-degree", "bias vs. per-student degree constraint")
+    p = add("sweep-degree", "bias vs. per-student degree constraint", cmd_sweep_degree)
     _population_flags(p)
     p.add_argument("--m", type=COUNT, required=True)
     p.add_argument("--d", dest="d_values", type=COUNTS, required=True, help="e.g. 1..22 or 2,5,10")
@@ -167,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=COUNT, default=100)
     p.add_argument("--rules", type=RULE_NAMES, default="ours,avg")
 
-    p = add("sweep-bank", "bias vs. question sample size, fresh difficulties")
+    p = add("sweep-bank", "bias vs. question sample size, fresh difficulties", cmd_sweep_bank)
     p.add_argument("--students", type=COUNT, required=True)
     p.add_argument("--abilities", type=FLOATS, help="comma-separated student merits (optional)")
     p.add_argument("--difficulty-range", type=RANGE, default=sim.DEFAULT_DIFFICULTY_RANGE,
@@ -178,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=COUNT, default=100)
     p.add_argument("--rules", type=RULE_NAMES, default="ours,avg")
 
-    p = add("cv", "hold-out evaluation on a complete answer matrix")
+    p = add("cv", "hold-out evaluation on a complete answer matrix", cmd_cv)
     p.add_argument("--input", type=EXISTING, required=True, help="dense 0/1 matrix, no NA cells")
     p.add_argument("--d1", type=COUNTS, required=True,
                    help="student sample size(s), e.g. 35 or 5..35")
@@ -189,14 +193,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold-table", action="store_true",
                    help="also report the smallest winning d2 per d1")
 
-    p = add("cv-sim", "the cv protocol on synthetic prior-drawn exams")
+    p = add("cv-sim", "the cv protocol on synthetic prior-drawn exams", cmd_cv_sim)
     p.add_argument("--students", type=COUNT, required=True)
     p.add_argument("--questions", type=COUNT, default=22)
     p.add_argument("--d2", dest="d2_values", type=COUNTS, required=True)
     p.add_argument("--reps", type=COUNT, default=200)
     _prior_flags(p)
 
-    p = add("verify", "exact ex-ante fairness check by enumeration", seeded=False)
+    p = add("verify", "exact ex-ante fairness check by enumeration", cmd_verify, seeded=False)
     p.add_argument("--students", type=COUNT, required=True)
     p.add_argument("--questions", type=COUNT, required=True)
     p.add_argument("--m", type=COUNT, required=True)
@@ -227,9 +231,6 @@ def _population_flags(p):
                    "published ability/difficulty ranges")
 
 
-ABILITY_RANGE = (-1.486, 1.149)
-
-
 def _resolve_outdir(args) -> Path:
     path = Path(args.outdir or os.environ.get("FAIRGRADE_OUTDIR") or ".")
     path.mkdir(parents=True, exist_ok=True)
@@ -257,7 +258,7 @@ def _population(args, seed_key: int):
     if args.merits:
         return roster, fio.read_merits(args.merits, roster)
     rng = substream(args.seed, seed_key)
-    abilities = rng.uniform(*ABILITY_RANGE, args.students)
+    abilities = rng.uniform(*sim.DEFAULT_ABILITY_RANGE, args.students)
     difficulties = rng.uniform(*sim.DEFAULT_DIFFICULTY_RANGE, args.questions)
     return roster, MeritVector.for_roster(roster, abilities, difficulties)
 
@@ -296,9 +297,8 @@ def cmd_simulate_bias(args, outdir: Path) -> tuple[list | None, dict]:
     g = generate_assignment(roster, args.m, args.d, substream(args.seed, 1))
     rows, summary = [], {}
     for name in args.rules:
-        report = sim.estimate_ex_post_bias(
-            sim.RULES[name], g, u, args.reps, sim._scalar_seed(args.seed, 2)
-        )
+        report = sim.estimate_ex_post_bias(sim.RULES[name], g, u, args.reps,
+                                           scalar_seed(args.seed, 2))
         for sid, dev, se in zip(
             roster.students, report.per_student_deviation, report.per_student_se
         ):
@@ -323,9 +323,7 @@ def cmd_decompose(args, outdir: Path) -> tuple[list | None, dict]:
     for label, merits in populations.items():
         summary[label] = {}
         for name, rule in sim.RULES.items():
-            dec = sim.decompose_error(
-                rule, graphs, merits, args.reps, sim._scalar_seed(args.seed, 2)
-            )
+            dec = sim.decompose_error(rule, graphs, merits, args.reps, scalar_seed(args.seed, 2))
             for stat in ("bias", "variance", "error"):
                 rows.append(_row("merits", label, name, stat, getattr(dec, stat)))
             summary[label][name] = dataclasses.asdict(dec)
@@ -351,7 +349,7 @@ def cmd_sweep_degree(args, outdir: Path) -> tuple[list | None, dict]:
     roster, u = _population(args, 0)
     result = sim.sweep_degree(
         roster, u, args.m, args.d_values, args.graphs, args.reps,
-        sim._scalar_seed(args.seed, 1), rules={name: sim.RULES[name] for name in args.rules},
+        scalar_seed(args.seed, 1), rules={name: sim.RULES[name] for name in args.rules},
     )
     return _sweep_to_outputs(result)
 
@@ -360,9 +358,10 @@ def cmd_sweep_bank(args, outdir: Path) -> tuple[list | None, dict]:
     if args.abilities and len(args.abilities) != args.students:
         raise ConfigError("--abilities length must equal --students")
     result = sim.sweep_question_sample_size(
-        args.abilities or substream(args.seed, 0).uniform(*ABILITY_RANGE, args.students).tolist(),
+        args.abilities
+        or substream(args.seed, 0).uniform(*sim.DEFAULT_ABILITY_RANGE, args.students).tolist(),
         sim.uniform_difficulty_sampler(*args.difficulty_range), args.m_values,
-        args.d, args.graphs, args.reps, sim._scalar_seed(args.seed, 1),
+        args.d, args.graphs, args.reps, scalar_seed(args.seed, 1),
         rules={name: sim.RULES[name] for name in args.rules},
     )
     return _sweep_to_outputs(result)
@@ -384,10 +383,8 @@ def cmd_cv(args, outdir: Path) -> tuple[list | None, dict]:
     rows, results = [], []
     for di, d1 in enumerate(args.d1):
         for d2 in args.d2_values:
-            res = sim.cross_validate(
-                answers, d1, d2, args.reps, rules,
-                seed=sim._scalar_seed(args.seed, di, d2),
-            )
+            res = sim.cross_validate(answers, d1, d2, args.reps, rules,
+                                     seed=scalar_seed(args.seed, di, d2))
             for name, mse in sorted(res.mse_per_rule.items()):
                 rows.append(_row(f"d1={d1}:d2", d2, name, "mse", mse))
             results.append(res)
@@ -421,19 +418,6 @@ def cmd_verify(args, outdir: Path) -> tuple[list | None, dict]:
     return None, {"rule": "avg", "ex_ante_fair": fair, "m": args.m, "d": args.d}
 
 
-COMMANDS = {
-    "grade": cmd_grade,
-    "fit": cmd_fit,
-    "simulate-bias": cmd_simulate_bias,
-    "decompose": cmd_decompose,
-    "sweep-degree": cmd_sweep_degree,
-    "sweep-bank": cmd_sweep_bank,
-    "cv": cmd_cv,
-    "cv-sim": cmd_cv_sim,
-    "verify": cmd_verify,
-}
-
-
 def _parse(argv: list[str]) -> argparse.Namespace:
     """Parse argv with a --config file's lines inserted as flags just after
     the subcommand, so that flags given on the command line win."""
@@ -464,11 +448,11 @@ def run(argv=None) -> int:
         outdir = _resolve_outdir(args)
         manifest = {
             "command": args.command,
-            "config": {k: v for k, v in vars(args).items() if k != "command"},
+            "config": {k: v for k, v in vars(args).items() if k not in ("command", "handler")},
             "seed": getattr(args, "seed", None),
             "version": __version__,
         }
-        rows, summary = COMMANDS[args.command](args, outdir)
+        rows, summary = args.handler(args, outdir)
         if rows is not None:
             fio.write_tidy_report(rows, outdir / "report.csv")
         fio.write_json_summary(summary, outdir / "summary.json")

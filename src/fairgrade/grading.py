@@ -1,5 +1,6 @@
-"""Grading rules.
+"""Grading rules, and the benchmark grades they are measured against.
 
+`benchmark` is each student's expected accuracy on a uniform bank question.
 `simple_average` is the classic per-student accuracy on assigned questions.
 `grade` aggregates a full prediction matrix built in four passes: observed
 outcomes are kept verbatim, missing cells inside a strongly connected
@@ -17,8 +18,8 @@ from functools import cached_property
 import numpy as np
 
 from .graph import ExamResultGraph, PairCase, Roster, _pair_cases, strongly_connected_components
-from .model import (FitReport, MeritVector, NonConvergenceError, PriorSpec, _bank_chances,
-                    check_fit_limits, logistic, map_fit, mle_fit)
+from .model import (FitReport, MeritVector, NonConvergenceError, PriorSpec, check_fit_limits,
+                    logistic, map_fit, mle_fit)
 
 
 _CASE_TAGS = np.array([None, *PairCase], dtype=object)  # indexed by `PairCase` value
@@ -37,7 +38,7 @@ class GradeVector:
     rule_name: str
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)  # a private copy: the caller's stays writable
         if values.shape != (self.roster.n_students,):
             raise ValueError("one grade per student required")
         if not np.all((values >= -1e-12) & (values <= 1 + 1e-12)):
@@ -66,6 +67,18 @@ class PredictionMatrix:
     @cached_property
     def grades(self) -> np.ndarray:
         return self.entries.mean(axis=1)
+
+
+def benchmark(u: MeritVector, roster: Roster) -> GradeVector:
+    """Each student's expected accuracy on a uniform bank question."""
+    chances = _bank_chances(u.array_for(roster), roster.n_students)
+    return GradeVector(roster, chances.mean(axis=1), "benchmark")
+
+
+def _bank_chances(merits: np.ndarray, n: int) -> np.ndarray:
+    """Students x bank matrix of win chances logistic(ability - difficulty),
+    from the merits of all roster vertices, the n students first."""
+    return logistic(merits[:n, None] - merits[None, n:])
 
 
 def simple_average(g: ExamResultGraph) -> GradeVector:

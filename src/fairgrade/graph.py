@@ -294,11 +294,15 @@ def strongly_connected_components(g: ExamResultGraph) -> ComponentStructure:
     return ComponentStructure(component_of, forward, backward)
 
 
+def _strongly_connected(n: int, q: int, s_idx, q_idx, w) -> bool:
+    """Whether, given `_reach`'s arguments, both sides are non-empty and reach each other fully."""
+    return n > 0 and q > 0 and all(reach.all() for reach in _reach(n, q, s_idx, q_idx, w))
+
+
 def is_strongly_connected(g: ExamResultGraph) -> bool:
     """Whether the whole result digraph (full bank included) is one SCC."""
-    forward, backward = _reach(g.roster.n_students, g.roster.n_questions,
+    return _strongly_connected(g.roster.n_students, g.roster.n_questions,
                                *g.assignment.edge_arrays, g.w)
-    return bool(forward.all() and backward.all())
 
 
 # `_pair_cases`' case of a non-edge by 2 * (student reaches question) + converse

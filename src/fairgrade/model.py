@@ -2,8 +2,8 @@
 
 Merits live on one shared scale: a student's entry is an ability, a
 question's a difficulty, and the chance of a correct answer is
-logistic(ability - difficulty), which `_bank_chances` takes for every
-student against every bank question. Within a strongly connected piece of
+logistic(ability - difficulty); `grading` turns these chances into grades,
+the benchmark among them. Within a strongly connected piece of
 the result graph the merits are recovered by maximum likelihood and
 reported mean-zero over the piece; a Gaussian-prior variant gives a
 penalized fit that needs no connectivity at all. Both fits run one damped
@@ -32,7 +32,7 @@ from .graph import (
     Roster,
     TaskAssignmentGraph,
     _as_indices,
-    _reach,
+    _strongly_connected,
 )
 from .rng import as_generator
 
@@ -133,20 +133,6 @@ def edge_probabilities(g: TaskAssignmentGraph, u: MeritVector) -> np.ndarray:
     s_idx, q_idx = g.edge_arrays
     merits = u.array_for(g.roster)
     return logistic(merits[s_idx] - merits[q_idx + g.roster.n_students])
-
-
-def benchmark(u: MeritVector, roster: Roster):
-    """Each student's expected accuracy on a uniform bank question."""
-    from .grading import GradeVector
-
-    chances = _bank_chances(u.array_for(roster), roster.n_students)
-    return GradeVector(roster, chances.mean(axis=1), "benchmark")
-
-
-def _bank_chances(merits: np.ndarray, n: int) -> np.ndarray:
-    """Students x bank matrix of win chances logistic(ability - difficulty),
-    from the merits of all roster vertices, the n students first."""
-    return logistic(merits[:n, None] - merits[None, n:])
 
 
 @dataclass(frozen=True)
@@ -354,12 +340,11 @@ def mle_fit(
     inside = (winner >= 0) & (loser >= 0)  # the edges inside the set, in edge order
     winner, loser = winner[inside], loser[inside]
     n_first = int(np.searchsorted(vertices, g.roster.n_students))
-    if not _scc:  # the set's students come first, so each edge's student is its smaller end
-        forward, backward = _reach(n_first, k - n_first, np.minimum(winner, loser),
-                                   np.maximum(winner, loser) - n_first, winner < loser)
-        if not (0 < n_first < k and forward.all() and backward.all()):
-            raise NotStronglyConnectedError(
-                f"vertex set {vertices} is not strongly connected in the result graph")
+    # the set's students come first, so each edge's student is its smaller end
+    if not _scc and not _strongly_connected(n_first, k - n_first, np.minimum(winner, loser),
+                                            np.maximum(winner, loser) - n_first, winner < loser):
+        raise NotStronglyConnectedError(
+            f"vertex set {vertices} is not strongly connected in the result graph")
     u, iterations, residual, converged = _newton(
         winner, loser, n_first, None, np.zeros(k), tol, max_iter)
     merits = np.zeros(g.roster.n_vertices)

@@ -18,10 +18,9 @@ import numpy as np
 
 from .graph import (ExamResultGraph, ParameterOutOfRangeError, Roster, TaskAssignmentGraph,
                     check_assignment_sizes, generate_assignment)
-from .grading import GradeVector, grade, simple_average
-from .model import (MeritVector, NonConvergenceError, benchmark, edge_probabilities,
-                    sample_exam_result)
-from .rng import _seed_sequence, substream
+from .grading import GradeVector, benchmark, grade, simple_average
+from .model import MeritVector, NonConvergenceError, edge_probabilities, sample_exam_result
+from .rng import scalar_seed, substream
 
 GradingRule = Callable[[ExamResultGraph], GradeVector]
 Trial = Callable[[np.random.Generator], np.ndarray]  # one Monte-Carlo draw from its substream
@@ -31,7 +30,9 @@ RULES: dict[str, GradingRule] = {"ours": grade, "avg": simple_average}
 MONTE_CARLO = "monte_carlo"
 EXACT_ENUMERATION = "exact_enumeration"
 
-# the published range of question difficulties: `uniform_difficulty_sampler`'s default
+# the published ranges of student abilities and of question difficulties, the
+# latter `uniform_difficulty_sampler`'s default
+DEFAULT_ABILITY_RANGE = (-1.486, 1.149)
 DEFAULT_DIFFICULTY_RANGE = (-3.090, 2.099)
 
 
@@ -287,7 +288,7 @@ def _sweep_point(value, instances, rules, replications, seed, vi) -> SweepPoint:
     for gi, (g, u) in enumerate(instances):
         for name, rule in rules.items():
             reports[name].append(estimate_ex_post_bias(
-                rule, g, u, replications, _scalar_seed(seed, vi, gi, 1)))
+                rule, g, u, replications, scalar_seed(seed, vi, gi, 1)))
     stats = {}
     for name, rule_reports in reports.items():
         max_bias = [r.max_bias for r in rule_reports]
@@ -307,11 +308,6 @@ def _se(xs) -> float:
     if xs.size < 2:
         return 0.0
     return float(xs.std(ddof=1) / np.sqrt(xs.size))
-
-
-def _scalar_seed(seed: int, *key: int) -> int:
-    """Stable derived integer seed for APIs that take a master seed."""
-    return int(_seed_sequence(seed, *key).generate_state(1)[0])
 
 
 def uniform_difficulty_sampler(

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from fairgrade import (
     ExamResultGraph,
     GradeVector,
     MeritVector,
+    NonConvergenceError,
     PairCase,
     PriorSpec,
     Roster,
@@ -51,6 +52,14 @@ class TestGradeVector:
         for values in ([1.5, 0.5], [np.nan, 0.5]):
             with pytest.raises(ValueError):
                 GradeVector(r, values, "avg")
+
+    def test_keeps_a_private_copy(self):
+        values = np.array([0.25, 0.75])
+        grades = GradeVector(Roster.index_based(2, 1), values, "x")
+        assert values.flags.writeable  # the caller's array is left as it was
+        values[0] = 1.0
+        assert grades.values.tolist() == [0.25, 0.75]
+        assert not grades.values.flags.writeable
 
 
 class TestPredictMatrix:
@@ -230,6 +239,40 @@ class TestGrade:
         pm, relabelled = predict_matrix(g, tol=1e-12), predict_matrix(res, tol=1e-12)
         assert (relabelled.case_tags[np.ix_(students, questions)] == pm.case_tags).all()
         assert relabelled.grades[students] == pytest.approx(pm.grades, abs=1e-9)
+
+
+class TestAnswerFlip:
+    """Flipping every answer reverses every arc of the result graph and
+    mirrors the model: merits negate and every chance p becomes 1 - p."""
+
+    SWAP = {PairCase.STUDENT_ABOVE: PairCase.QUESTION_ABOVE,
+            PairCase.QUESTION_ABOVE: PairCase.STUDENT_ABOVE}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([(35, 22, 10), (60, 15, 5)]), st.integers(0, 2**32 - 1))
+    def test_grades_mirror_cases_swap_and_merits_negate(self, shape, seed):
+        n, q, d = shape
+        rng = np.random.default_rng(seed)
+        roster = Roster.index_based(n, q)
+        u = MeritVector.for_roster(roster, rng.uniform(-1.5, 1.5, n), rng.uniform(-1.5, 1.5, q))
+        g = sample_exam_result(generate_assignment(roster, q, d, rng), u, rng)
+        flipped = ExamResultGraph(g.assignment, 1 - g.w)
+        # both prior means 0: the prior is symmetric under negating the merits
+        map_rule = make_map_rule(PriorSpec(student_std=0.76, question_std=1.5))
+        largest = max(strongly_connected_components(g).components, key=len)
+        try:
+            pm, pm_flipped = predict_matrix(g), predict_matrix(flipped)
+            fits = [mle_fit(h, largest) for h in (g, flipped)] if len(largest) > 1 else []
+            for rule in (grade, simple_average, map_rule):
+                assert np.abs(rule(flipped).values - (1 - rule(g).values)).max() <= 1e-12
+        except NonConvergenceError:
+            reject()
+        assert np.abs(pm_flipped.entries - (1 - pm.entries)).max() <= 1e-12
+        assert [self.SWAP.get(c, c) for c in pm.case_tags.flat] == list(pm_flipped.case_tags.flat)
+        if fits:
+            vertices = sorted(largest)
+            fitted, refitted = (fit.merits.at(vertices) for fit in fits)
+            assert np.abs(refitted + fitted).max() <= 1e-12
 
 
 class TestMapRule:

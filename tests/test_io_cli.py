@@ -1,3 +1,5 @@
+import csv
+import itertools
 import json
 import os
 import re
@@ -15,13 +17,16 @@ from fairgrade import (
     MeritVector,
     Roster,
     TaskAssignmentGraph,
+    generate_assignment,
     predict_matrix,
+    sample_exam_result,
     simple_average,
 )
 from fairgrade import cli, graph, model
 from fairgrade import io as fio
 from fairgrade import simulation as sim
 from fairgrade.cli import parse_int_list, load_config_file, run
+from fairgrade.rng import substream
 
 from conftest import RUNNING_OUTCOMES, random_result_graph
 
@@ -512,7 +517,7 @@ class TestCli:
             def broken(args, outdir, error=error):
                 raise error("a bug, not an input fault")
 
-            monkeypatch.setitem(cli.COMMANDS, "grade", broken)
+            monkeypatch.setattr(cli, "cmd_grade", broken)
             with pytest.raises(error, match="a bug"):
                 run_cli("grade", "--input", exam_file, "--outdir", str(tmp_path))
 
@@ -536,7 +541,6 @@ class TestCli:
             return original(n, q, *args)
 
         monkeypatch.setattr(graph, "_reach", counted)
-        monkeypatch.setattr(model, "_reach", counted)
         cycle = write(tmp_path / "cycle.csv",
                       "student,question,correct\nA,X,1\nA,Y,0\nB,X,0\nB,Y,1\n")
         assert run_cli("fit", "--input", cycle, "--outdir", str(tmp_path / "a")) == 0
@@ -745,3 +749,56 @@ class TestCli:
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
+
+
+# One child process per BLAS thread setting: OpenBLAS reads it once, at load.
+_CHILD = """
+import sys
+from fairgrade.cli import run
+exam, out = sys.argv[1:]
+for name, argv in [("ours", ["grade"]), ("map", ["grade", "--rule", "map"]),
+                   ("fit", ["fit", "--method", "map"])]:
+    assert run([*argv, "--input", exam, "--outdir", f"{out}/{name}"]) == 0
+"""
+
+
+def _csv_cells(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_reproducibility_contract_across_blas_threads(tmp_path):
+    """Outputs are bit-identical at one thread setting. Across thread counts
+    cases.csv is byte-identical and every number of the other CSV files,
+    grades, predictions and merits, agrees within 1e-12."""
+    roster = Roster.index_based(1000, 200)
+    rng = substream(1, 2, 0)
+    u = MeritVector.for_roster(roster, rng.uniform(*sim.DEFAULT_ABILITY_RANGE, 1000),
+                               rng.uniform(*sim.DEFAULT_DIFFICULTY_RANGE, 200))
+    exam = tmp_path / "exam.csv"
+    fio.write_dense_matrix(sample_exam_result(generate_assignment(roster, 200, 3, rng), u, rng),
+                           exam)
+    package_root = str(Path(cli.__file__).parents[1])
+    outs = {}
+    for label, threads in [("one", "1"), ("one-again", "1"), ("two", "2")]:
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [package_root,
+                                                           os.environ.get("PYTHONPATH")]))}
+        outs[label] = tmp_path / label
+        subprocess.run([sys.executable, "-c", _CHILD, str(exam), str(outs[label])],
+                       env=env, check=True)
+    files = sorted(p.relative_to(outs["one"]) for p in outs["one"].rglob("*.*"))
+    assert files == sorted(p.relative_to(outs["two"]) for p in outs["two"].rglob("*.*"))
+    assert len(files) == 11  # ours: grades, predictions, cases, summary, manifest; 3 each else
+    for name in files:
+        again = (outs["one-again"] / name).read_bytes()
+        if name.name == "manifest.json":
+            again = again.replace(b"one-again", b"one")
+        assert again == (outs["one"] / name).read_bytes(), name
+        if name.name == "cases.csv":
+            assert (outs["two"] / name).read_bytes() == (outs["one"] / name).read_bytes()
+        elif name.suffix == ".csv":
+            one, two = (_csv_cells(outs[label] / name) for label in ("one", "two"))
+            assert [len(row) for row in one] == [len(row) for row in two], name
+            for a, b in zip(itertools.chain(*one), itertools.chain(*two)):
+                assert a == b or abs(float(a) - float(b)) <= 1e-12, (name, a, b)

@@ -25,7 +25,7 @@ from fairgrade import (
 )
 from fairgrade import simulation as sim
 from fairgrade.model import PriorSpec
-from fairgrade.rng import substream
+from fairgrade.rng import scalar_seed, substream
 from fairgrade.simulation import (
     EXACT_ENUMERATION,
     MONTE_CARLO,
@@ -82,19 +82,19 @@ class TestSeeds:
         assert generate_assignment(g.roster, 3, 2, seed) == generate_assignment(g.roster, 3, 2, 1)
         assert sample_exam_result(g, u, seed) == sample_exam_result(g, u, 1)
         assert substream(seed, 4).random() == substream(1, 4).random()
-        assert sim._scalar_seed(seed, 2) == sim._scalar_seed(1, 2)
+        assert scalar_seed(seed, 2) == scalar_seed(1, 2)
 
     @pytest.mark.parametrize("key", ["1", 1.0, 1.5, None])
     def test_non_integer_key_elements_raise(self, key):
         with pytest.raises(TypeError):
             substream(1, 0, key)
         with pytest.raises(TypeError):
-            sim._scalar_seed(1, key)
+            scalar_seed(1, key)
 
     @pytest.mark.parametrize("key", [np.int64(3), np.uint8(3), np.intp(3)])
     def test_integer_key_elements_give_the_int_streams(self, key):
         assert substream(1, key, 2).random() == substream(1, 3, 2).random()
-        assert sim._scalar_seed(1, 2, key) == sim._scalar_seed(1, 2, 3)
+        assert scalar_seed(1, 2, key) == scalar_seed(1, 2, 3)
 
 
 class TestExactExpectedGrade:
