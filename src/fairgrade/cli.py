@@ -252,15 +252,19 @@ def _ingest(args) -> ExamResultGraph:
     return fio.ingest(args.input, fmt)
 
 
-def _population(args, seed_key: int):
+def _published_draw(args):
+    """Published-range merits from substream(--seed, 0): abilities, then difficulties if asked."""
+    rng = substream(args.seed, 0)
+    yield rng.uniform(*sim.DEFAULT_ABILITY_RANGE, args.students)
+    yield rng.uniform(*sim.DEFAULT_DIFFICULTY_RANGE, args.questions)
+
+
+def _population(args):
     """Roster plus true merits for the synthetic experiments."""
     roster = Roster.index_based(args.students, args.questions)
     if args.merits:
         return roster, fio.read_merits(args.merits, roster)
-    rng = substream(args.seed, seed_key)
-    abilities = rng.uniform(*sim.DEFAULT_ABILITY_RANGE, args.students)
-    difficulties = rng.uniform(*sim.DEFAULT_DIFFICULTY_RANGE, args.questions)
-    return roster, MeritVector.for_roster(roster, abilities, difficulties)
+    return roster, MeritVector.for_roster(roster, *_published_draw(args))
 
 
 def cmd_grade(args, outdir: Path) -> tuple[list | None, dict]:
@@ -293,7 +297,7 @@ def cmd_fit(args, outdir: Path) -> tuple[list | None, dict]:
 
 
 def cmd_simulate_bias(args, outdir: Path) -> tuple[list | None, dict]:
-    roster, u = _population(args, 0)
+    roster, u = _population(args)
     g = generate_assignment(roster, args.m, args.d, substream(args.seed, 1))
     rows, summary = [], {}
     for name in args.rules:
@@ -310,7 +314,7 @@ def cmd_simulate_bias(args, outdir: Path) -> tuple[list | None, dict]:
 
 
 def cmd_decompose(args, outdir: Path) -> tuple[list | None, dict]:
-    roster, u = _population(args, 0)
+    roster, u = _population(args)
     populations = {
         "spread-merits": u,
         "all-same-merits": MeritVector(np.zeros(roster.n_vertices)),
@@ -346,7 +350,7 @@ def _sweep_to_outputs(result) -> tuple[list, dict]:
 
 
 def cmd_sweep_degree(args, outdir: Path) -> tuple[list | None, dict]:
-    roster, u = _population(args, 0)
+    roster, u = _population(args)
     result = sim.sweep_degree(
         roster, u, args.m, args.d_values, args.graphs, args.reps,
         scalar_seed(args.seed, 1), rules={name: sim.RULES[name] for name in args.rules},
@@ -358,8 +362,7 @@ def cmd_sweep_bank(args, outdir: Path) -> tuple[list | None, dict]:
     if args.abilities and len(args.abilities) != args.students:
         raise ConfigError("--abilities length must equal --students")
     result = sim.sweep_question_sample_size(
-        args.abilities
-        or substream(args.seed, 0).uniform(*sim.DEFAULT_ABILITY_RANGE, args.students).tolist(),
+        args.abilities or next(_published_draw(args)).tolist(),
         sim.uniform_difficulty_sampler(*args.difficulty_range), args.m_values,
         args.d, args.graphs, args.reps, scalar_seed(args.seed, 1),
         rules={name: sim.RULES[name] for name in args.rules},

@@ -63,13 +63,6 @@ class Roster:
     def n_vertices(self) -> int:
         return len(self.students) + len(self.questions)
 
-    def vertex_label(self, v: int) -> str:
-        n = self.n_students
-        return self.students[v] if v < n else self.questions[v - n]
-
-    def is_student_vertex(self, v: int) -> bool:
-        return v < self.n_students
-
 
 def _as_indices(values) -> np.ndarray:
     """`values` as intp; a float or object value the cast changes, such as 0.5, is a ValueError."""
@@ -265,18 +258,19 @@ def _reach(n: int, q: int, s_idx, q_idx, w) -> tuple[np.ndarray, np.ndarray]:
     by repeated squaring (Fischer & Meyer 1971), and one product per side give
     all of it in O(n * q * min(n, q) * log(min(n, q))).
     """
+    if q > n:  # square on the question side: swap the roles and reverse every answer
+        forward, backward = _reach(q, n, q_idx, s_idx, w == 0)
+        return backward.T, forward.T
     win, lose = np.zeros((n, q), dtype=np.float32), np.zeros((q, n), dtype=np.float32)
     win[s_idx, q_idx], lose[q_idx, s_idx] = w, w == 0
     # A product sums nonnegative terms, so it is positive exactly when a path
     # exists, however it rounds; clipping to 1 keeps the operands 0/1. Squaring
     # stops when it changes nothing, after at most ceil(log2(min(n, q))) + 1.
-    hops = np.minimum(lose @ win if q <= n else win @ lose, 1)
+    hops = np.minimum(lose @ win, 1)  # hops[j, j']: question j reaches question j'
     np.fill_diagonal(hops, 1)
     while not np.array_equal(closed := np.minimum(hops @ hops, 1), hops):
         hops = closed
-    if q <= n:  # hops[j, j']: question j reaches question j'
-        return win @ hops > 0, (hops @ lose).T > 0
-    return hops @ win > 0, (lose @ hops).T > 0  # hops[i, i']: student i reaches student i'
+    return win @ hops > 0, (hops @ lose).T > 0
 
 
 def strongly_connected_components(g: ExamResultGraph) -> ComponentStructure:

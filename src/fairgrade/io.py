@@ -7,6 +7,8 @@ never assigned. The readers take rows as `csv.reader` yields them from the
 open file and check each row as it comes, except the edge list: it is checked
 column by column and rescanned only to name its first fault. A fault names the
 line its row ends on; a csv fault or a non-UTF-8 byte anywhere in the file wins.
+A merit file is the header `vertex,kind,merit`, then one row per vertex: its
+id, `student` or `question`, and merit; the reader needs every roster vertex.
 
 Output contract of the writers: floats are written as their shortest
 round-trip `repr`, ids are quoted as `csv.writer` quotes them (only when they
@@ -19,7 +21,7 @@ import csv
 import json
 from collections import deque
 from contextlib import contextmanager
-from itertools import islice, repeat
+from itertools import compress, islice, repeat
 from operator import attrgetter
 from types import SimpleNamespace
 from typing import Iterable, NoReturn
@@ -56,6 +58,7 @@ DENSE_CSV = "dense-csv"
 NA_TOKENS = {"NA", "", "NaN", "nan"}
 _CELL_CODES = {"0": 0, "1": 1, **dict.fromkeys(NA_TOKENS, 2)}  # 2: never assigned
 _EDGE_HEADER = ["student", "question", "correct"]
+_MERIT_HEADER = ["vertex", "kind", "merit"]
 
 
 def read_text(path) -> str:
@@ -222,46 +225,44 @@ def write_dense_matrix(g: ExamResultGraph, path) -> None:
     _write_matrix(path, g.roster, codes, ("0", "1", "NA").__getitem__)
 
 
+def _vertex_kinds(roster: Roster) -> dict[str, str]:
+    """Each roster vertex's kind by its label, in vertex order: a merit row's first two fields."""
+    return dict.fromkeys(roster.students, "student") | dict.fromkeys(roster.questions, "question")
+
+
 def write_merits(u: MeritVector, roster: Roster, path) -> None:
-    _write_csv(path, ["vertex", "kind", "merit"], (
-        (roster.vertex_label(v), "student" if roster.is_student_vertex(v) else "question",
-         repr(merit))
-        for v, merit in zip(np.flatnonzero(u.covered).tolist(), u.values[u.covered].tolist())))
+    rows = zip(_vertex_kinds(roster).items(), map(repr, u.values.tolist()), strict=True)
+    _write_csv(path, _MERIT_HEADER, ((*pair, merit) for pair, merit in compress(rows, u.covered)))
 
 
 def read_merits(path, roster: Roster) -> MeritVector:
     """The merit of every roster vertex; leaving one out is a DimensionMismatchError."""
-    label_to_vertex = {label: v for v, label in enumerate(roster.students + roster.questions)}
-    values = np.zeros(roster.n_vertices)
-    covered = np.zeros(roster.n_vertices, dtype=bool)
+    kinds = _vertex_kinds(roster)
+    merits: dict[str, float] = {}
     with _reader(path) as rows:
-        if [c.strip() for c in next(rows, ())] != ["vertex", "kind", "merit"]:
-            _fail(rows, MalformedRowError(1, "expected header 'vertex,kind,merit'"))
+        if [c.strip() for c in next(rows, ())] != _MERIT_HEADER:
+            _fail(rows, MalformedRowError(1, f"expected header {','.join(_MERIT_HEADER)!r}"))
         for row in filter(None, rows):  # blank rows are skipped
             line = rows.line_num
             if len(row) != 3:
                 _fail(rows, MalformedRowError(line, f"expected 3 fields, got {len(row)}"))
             label, kind, tok = (c.strip() for c in row)
-            if label not in label_to_vertex:
+            if label not in kinds:
                 _fail(rows, MalformedRowError(line, f"unknown vertex {label!r}"))
-            v = label_to_vertex[label]
-            expected = "student" if roster.is_student_vertex(v) else "question"
-            if kind != expected:
+            if kind != kinds[label]:
                 _fail(rows, MalformedRowError(
-                    line, f"vertex {label!r} is a {expected}, got kind {kind!r}"))
-            if covered[v]:
+                    line, f"vertex {label!r} is a {kinds[label]}, got kind {kind!r}"))
+            if label in merits:
                 _fail(rows, MalformedRowError(line, f"vertex {label!r} repeats an earlier row"))
             try:
-                values[v] = float(tok)
+                merits[label] = float(tok)
             except ValueError:
                 _fail(rows, MalformedRowError(line, f"bad merit value {tok!r}"))
-            if not np.isfinite(values[v]):
+            if not np.isfinite(merits[label]):
                 _fail(rows, MalformedRowError(line, f"merit must be finite, got {tok!r}"))
-            covered[v] = True
-    if not covered.all():
-        missing = roster.vertex_label(int(np.argmin(covered)))
-        raise DimensionMismatchError(f"{path}: no merit for vertex {missing!r}")
-    return MeritVector(values)
+    if missing := [label for label in kinds if label not in merits]:
+        raise DimensionMismatchError(f"{path}: no merit for vertex {missing[0]!r}")
+    return MeritVector([merits[label] for label in kinds])
 
 
 def write_grades(grades: GradeVector, path) -> None:

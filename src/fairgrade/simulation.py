@@ -358,7 +358,8 @@ def cross_validate(
     d2: int,
     repetitions: int,
     rules: Mapping[str, GradingRule] | None = None,
-    seed: int = 0,
+    *,
+    seed: int,
 ) -> CvResult:
     """Hold-out evaluation on a complete answer matrix.
 

@@ -269,6 +269,17 @@ class TestMeritsAndGrades:
         for v in range(r.n_vertices):
             assert back[v] == u[v]
 
+    def test_merit_round_trip_of_ids_csv_must_quote(self, tmp_path):
+        r = Roster(("a,b", 'say "hi"'), ("line\nbreak", "q"))
+        u = MeritVector.for_roster(r, [0.1, -2.5], [1e-300, 3.0])
+        path = tmp_path / "merits.csv"
+        fio.write_merits(u, r, path)
+        assert path.read_text() == ('vertex,kind,merit\n"a,b",student,0.1\n'
+                                    '"say ""hi""",student,-2.5\n"line\nbreak",question,1e-300\n'
+                                    'q,question,3.0\n')
+        back = fio.read_merits(path, r)
+        assert back.values.tolist() == u.values.tolist()
+
     def test_merit_unknown_vertex(self, tmp_path):
         r = Roster.index_based(1, 1)
         p = write(tmp_path / "u.csv", "vertex,kind,merit\nnope,student,0.0\n")
@@ -588,6 +599,43 @@ class TestCli:
                        "--d", "1", "--reps", "2", "--seed", "1", "--merits", merits,
                        "--outdir", str(tmp_path)) == 3
         assert f"data error: {merits}: no merit for vertex 's1'" in capsys.readouterr().err
+
+    def test_fit_writes_merits_the_population_commands_read(self, tmp_path):
+        """The merit writer and reader agree: `fit`'s merits.csv for an
+        index-named exam is a valid --merits file for the same roster."""
+        exam = write(tmp_path / "exam.csv", "student,q0,q1,q2\ns0,1,0,1\ns1,0,1,NA\n")
+        assert run_cli("fit", "--input", exam, "--method", "map",
+                       "--outdir", str(tmp_path / "fit")) == 0
+        merits = str(tmp_path / "fit" / "merits.csv")
+        population = ("--students", "2", "--questions", "3", "--m", "3", "--d", "2")
+        assert run_cli("simulate-bias", *population, "--reps", "2", "--seed", "1",
+                       "--merits", merits, "--outdir", str(tmp_path / "bias")) == 0
+        assert run_cli("verify", *population, "--merits", merits,
+                       "--outdir", str(tmp_path / "verify")) == 0
+
+    def test_drawn_merits_are_the_published_draw(self, tmp_path):
+        """Drawn merits come from substream(seed, 0), abilities first, then
+        difficulties: sweep-bank without --abilities and simulate-bias without
+        --merits write the bytes they write when given those merits."""
+        rng = substream(6, 0)
+        abilities = rng.uniform(*sim.DEFAULT_ABILITY_RANGE, 3)
+        difficulties = rng.uniform(*sim.DEFAULT_DIFFICULTY_RANGE, 4)
+        roster = Roster.index_based(3, 4)
+        merits = tmp_path / "u.csv"
+        fio.write_merits(MeritVector.for_roster(roster, abilities, difficulties), roster, merits)
+        runs = [
+            (("sweep-bank", "--students", "3", "--m", "2,3", "--d", "2", "--graphs", "2"),
+             ("--abilities", ",".join(map(repr, abilities.tolist())))),
+            (("simulate-bias", "--students", "3", "--questions", "4", "--m", "4", "--d", "2"),
+             ("--merits", str(merits))),
+        ]
+        for k, (argv, given) in enumerate(runs):
+            argv = (*argv, "--reps", "3", "--seed", "6")
+            assert run_cli(*argv, "--outdir", str(tmp_path / f"drawn{k}")) == 0
+            assert run_cli(*argv, *given, "--outdir", str(tmp_path / f"given{k}")) == 0
+            for name in ("report.csv", "summary.json"):
+                assert ((tmp_path / f"drawn{k}" / name).read_bytes()
+                        == (tmp_path / f"given{k}" / name).read_bytes())
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--students", "2", "--questions", "3", "--m", "5", "--d", "2"],

@@ -320,7 +320,7 @@ class TestEmptyWork:
             ("sweep_question_sample_size", "m_values"): lambda: sweep_question_sample_size(
                 [0.0, 0.5], sampler, [], 2, 2, 5, 1),
             ("cross_validate", "repetitions"):
-                lambda: cross_validate(answers, 3, 2, repetitions=0),
+                lambda: cross_validate(answers, 3, 2, repetitions=0, seed=1),
             ("simulated_cross_validate", "repetitions"):
                 lambda: simulated_cross_validate(PriorSpec(), 6, [2], 0, 1),
             ("simulated_cross_validate", "d2_values"):
@@ -340,13 +340,21 @@ class TestCrossValidation:
 
     def test_rejects_incomplete_or_bad_shape(self):
         with pytest.raises(ValueError):
-            cross_validate(np.array([0, 1, 1]), 1, 1, 1)
+            cross_validate(np.array([0, 1, 1]), 1, 1, 1, seed=1)
         with pytest.raises(ValueError):
-            cross_validate(np.array([[0, 2], [1, 0]]), 1, 1, 1)
+            cross_validate(np.array([[0, 2], [1, 0]]), 1, 1, 1, seed=1)
         with pytest.raises(ParameterOutOfRangeError):
-            cross_validate(np.zeros((2, 2), dtype=int), 3, 1, 1)
+            cross_validate(np.zeros((2, 2), dtype=int), 3, 1, 1, seed=1)
         with pytest.raises(ParameterOutOfRangeError):
-            cross_validate(np.zeros((2, 2), dtype=int), 1, 3, 1)
+            cross_validate(np.zeros((2, 2), dtype=int), 1, 3, 1, seed=1)
+
+    def test_seed_is_required(self):
+        """Every randomized routine takes an explicit seed, passed by name here."""
+        answers = np.zeros((3, 3), dtype=int)
+        with pytest.raises(TypeError, match="seed"):
+            cross_validate(answers, 2, 2, 1)
+        with pytest.raises(TypeError):
+            cross_validate(answers, 2, 2, 1, None, 1)
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
