@@ -5,9 +5,11 @@ randomized command requires --seed. Each command returns its report.csv rows
 (None for grade, fit and verify) and its summary; `run` writes report.csv,
 summary.json and a manifest.json echoing the full configuration to --outdir
 (or $FAIRGRADE_OUTDIR). grade also writes grades.csv, plus predictions.csv and
-cases.csv under --rule ours; fit writes merits.csv. Outputs are bit-identical
-for the same inputs, seed, numpy, BLAS and thread count; across thread counts,
-cases.csv is byte-identical and grades, predictions and merits agree to 1e-12.
+cases.csv under --rule ours; fit writes merits.csv. grade, fit and cv read
+--input through `io.ingest`, which picks the edge-list or dense reader from
+line 1. Outputs are bit-identical for the same inputs, seed, numpy, BLAS and
+thread count; across thread counts, cases.csv is byte-identical and grades,
+predictions and merits agree to 1e-12.
 
 A --config file holds the same options as `key=value` lines, keyed by flag
 name without the dashes; a switch is a bare key. Its lines are parsed as
@@ -33,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .graph import ExamResultGraph, ParameterOutOfRangeError, Roster, generate_assignment
+from .graph import ParameterOutOfRangeError, Roster, generate_assignment
 from .grading import (GradeVector, ZeroDegreeStudentError, make_map_rule, predict_matrix,
                       simple_average)
 from .model import (MeritVector, NonConvergenceError, NotStronglyConnectedError, PriorSpec,
@@ -183,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", type=RULE_NAMES, default="ours,avg")
 
     p = add("cv", "hold-out evaluation on a complete answer matrix", cmd_cv)
-    p.add_argument("--input", type=EXISTING, required=True, help="dense 0/1 matrix, no NA cells")
+    p.add_argument("--input", type=EXISTING, required=True, help="complete 0/1 exam, no NA cells")
     p.add_argument("--d1", type=COUNTS, required=True,
                    help="student sample size(s), e.g. 35 or 5..35")
     p.add_argument("--d2", dest="d2_values", type=COUNTS, required=True,
@@ -211,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _fit_flags(p):
     p.add_argument("--input", type=EXISTING, required=True, help="exam result file")
-    p.add_argument("--format", choices=[fio.EDGE_LIST, fio.DENSE_CSV, "auto"], default="auto")
     p.add_argument("--tol", type=POSITIVE, default=1e-8)
     p.add_argument("--max-iter", type=COUNT, default=10000)
     _prior_flags(p)
@@ -247,11 +248,6 @@ def _row(parameter, value, rule, statistic, estimate, se=None) -> tuple:
             "" if se is None else repr(float(se)))
 
 
-def _ingest(args) -> ExamResultGraph:
-    fmt = args.format if args.format != "auto" else fio.detect_format(args.input)
-    return fio.ingest(args.input, fmt)
-
-
 def _published_draw(args):
     """Published-range merits from substream(--seed, 0): abilities, then difficulties if asked."""
     rng = substream(args.seed, 0)
@@ -268,7 +264,7 @@ def _population(args):
 
 
 def cmd_grade(args, outdir: Path) -> tuple[list | None, dict]:
-    g = _ingest(args)
+    g = fio.ingest(args.input)
     if args.rule == "ours":
         pm = predict_matrix(g, tol=args.tol, max_iter=args.max_iter)
         fio.write_predictions(pm, outdir / "predictions.csv", outdir / "cases.csv")
@@ -282,7 +278,7 @@ def cmd_grade(args, outdir: Path) -> tuple[list | None, dict]:
 
 
 def cmd_fit(args, outdir: Path) -> tuple[list | None, dict]:
-    g = _ingest(args)
+    g = fio.ingest(args.input)
     if args.method == "mle":
         try:  # mle_fit's own check is the one reachability pass
             fit = mle_fit(g, range(g.roster.n_vertices), tol=args.tol, max_iter=args.max_iter)
@@ -370,16 +366,12 @@ def cmd_sweep_bank(args, outdir: Path) -> tuple[list | None, dict]:
     return _sweep_to_outputs(result)
 
 
-def _dense_complete_matrix(path) -> np.ndarray:
-    g = fio.ingest(path, fio.DENSE_CSV)
+def cmd_cv(args, outdir: Path) -> tuple[list | None, dict]:
+    g = fio.ingest(args.input)
     n, q = g.roster.n_students, g.roster.n_questions
     if g.assignment.n_edges != n * q:
         raise fio.DimensionMismatchError("cross-validation needs a complete 0/1 matrix")
-    return g.w.reshape(n, q)  # edges are sorted, so a complete graph's bits are row-major
-
-
-def cmd_cv(args, outdir: Path) -> tuple[list | None, dict]:
-    answers = _dense_complete_matrix(args.input)
+    answers = g.w.reshape(n, q)  # edges are sorted, so a complete graph's bits are row-major
     rules = {name: sim.RULES[name] for name in args.rules}
     if args.threshold_table and not {"ours", "avg"} <= rules.keys():
         raise ConfigError("--threshold-table needs --rules to include 'ours' and 'avg'")

@@ -1,12 +1,13 @@
 """Serialization: exam data, merit vectors, grades, predictions, reports.
 
-Two exam formats are supported. The edge list is one row per assigned pair
-(`student,question,correct`). The dense matrix has one row per student, one
-column per question, and cells in {0, 1, NA} where NA means the pair was
-never assigned. The readers take rows as `csv.reader` yields them from the
-open file and check each row as it comes, except the edge list: it is checked
-column by column and rescanned only to name its first fault. A fault names the
-line its row ends on; a csv fault or a non-UTF-8 byte anywhere in the file wins.
+Two exam formats are supported, and `ingest` picks the reader from line 1.
+The edge list is one row per assigned pair (`student,question,correct`). The
+dense matrix has one row per student, one column per question, and cells in
+{0, 1, NA} where NA means the pair was never assigned. The readers take rows
+as `csv.reader` yields them from the open file and check each row as it comes,
+except the edge list: it is checked column by column and rescanned only to
+name its first fault. A fault names the line its row ends on; a csv fault or a
+non-UTF-8 byte anywhere in the file wins.
 A merit file is the header `vertex,kind,merit`, then one row per vertex: its
 id, `student` or `question`, and merit; the reader needs every roster vertex.
 
@@ -94,13 +95,9 @@ def _fail(rows, fault: ValueError) -> NoReturn:
     raise fault from None
 
 
-def ingest(path, format: str) -> ExamResultGraph:
-    """Load an exam result graph from disk in the named format."""
-    if format == EDGE_LIST:
-        return read_edge_list(path)
-    if format == DENSE_CSV:
-        return read_dense_matrix(path)
-    raise ValueError(f"unknown format {format!r}")
+def ingest(path) -> ExamResultGraph:
+    """Load an exam result graph from disk with the reader `detect_format` picks."""
+    return read_edge_list(path) if detect_format(path) == EDGE_LIST else read_dense_matrix(path)
 
 
 def detect_format(path) -> str:

@@ -1,8 +1,10 @@
+import argparse
 import ast
 import re
 from pathlib import Path
 
 import fairgrade
+from fairgrade import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -29,6 +31,28 @@ def test_every_export_has_a_caller_beyond_the_unit_tests():
     unused = [name for name in sorted({*fairgrade.__all__, *members}) if name not in read_in_src
               and not any(re.search(rf"\b{name}\b", text) for text in texts)]
     assert unused == []
+
+
+def test_every_cli_option_is_set_somewhere():
+    """Each long option of each subcommand is set, as `--name` or as a config
+    line `name=`, by README, the bench or a test; an option that nothing sets
+    is untested, and one that the code can work out for itself is not needed."""
+    texts = [(ROOT / "README.md").read_text(encoding="utf-8")]
+    texts += [path.read_text(encoding="utf-8") for path in (ROOT / "bench").glob("*.py")]
+    texts += [path.read_text(encoding="utf-8") for path in (ROOT / "tests").glob("*.py")
+              if path.name != "test_exports.py"]
+    subcommands = next(action.choices for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    unset = sorted({(command, option)
+                    for command, parser in subcommands.items()
+                    for action in parser._actions
+                    for option in action.option_strings
+                    if option.startswith("--") and option != "--help"
+                    # `name=` counts where a config line can start: at a line, a quote or a `\n`
+                    and not any(re.search(rf"(?<![\w-]){option}(?![\w-])"
+                                          rf"|(?:^|\\n|[\"'`]){option[2:]}=",
+                                          text, re.MULTILINE) for text in texts)})
+    assert unset == []
 
 
 # Each module may import only modules of an earlier layer; io and simulation

@@ -98,6 +98,15 @@ class TestPredictMatrix:
             assert pm.case_tags[i, j] is PairCase.SAME_COMPONENT
             assert pm.entries[i, j] == pytest.approx(expected, abs=1e-9)
 
+    def test_component_fit_failure_names_the_component(self):
+        r = Roster.index_based(3, 3)
+        kept = {(0, 0): 1, (1, 0): 0, (1, 1): 1, (0, 1): 0,
+                (2, 1): 0, (2, 2): 1, (1, 2): 0}
+        res = ExamResultGraph.from_outcomes(TaskAssignmentGraph(r, tuple(kept)), kept)
+        with pytest.raises(NonConvergenceError, match="^merit fit for component") as exc:
+            predict_matrix(res, max_iter=0)
+        assert exc.value.report.iterations == 0
+
     def test_incomparable_uses_frozen_row_mean(self):
         # two disjoint blocks: (s0, q0) and (s1, q1); q2 unassigned
         r = Roster.index_based(2, 3)

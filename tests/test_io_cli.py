@@ -15,9 +15,12 @@ import pytest
 from fairgrade import (
     ExamResultGraph,
     MeritVector,
+    PriorSpec,
     Roster,
     TaskAssignmentGraph,
     generate_assignment,
+    make_map_rule,
+    map_fit,
     predict_matrix,
     sample_exam_result,
     simple_average,
@@ -47,7 +50,7 @@ class TestEdgeList:
         g = random_result_graph(rng, 4, 5)
         path = tmp_path / "exam.csv"
         fio.write_edge_list(g, path)
-        back = fio.ingest(path, fio.EDGE_LIST)
+        back = fio.read_edge_list(path)
         assert back.outcomes == {
             (g.roster.students[i], g.roster.questions[j]): b
             for (i, j), b in g.outcomes.items()
@@ -90,7 +93,7 @@ class TestDenseMatrix:
         res = ExamResultGraph(g, np.array([1, 0, 1]))
         path = tmp_path / "dense.csv"
         fio.write_dense_matrix(res, path)
-        assert fio.ingest(path, fio.DENSE_CSV) == res
+        assert fio.read_dense_matrix(path) == res
 
     def test_na_cells_are_non_edges(self, tmp_path):
         p = write(tmp_path / "m.csv", "student,q1,q2\nA,1,NA\nB,NA,0\n")
@@ -157,7 +160,7 @@ def test_byte_order_mark_is_ignored(tmp_path, writer):
     marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
     fmt = fio.detect_format(plain)
     assert fio.detect_format(marked) == fmt
-    assert fio.ingest(marked, fmt) == fio.ingest(plain, fmt) == g
+    assert fio.ingest(marked) == fio.ingest(plain) == g
 
 
 BIG = b"9" * (128 * 1024 + 1)  # one field over csv.field_size_limit()
@@ -561,6 +564,29 @@ class TestCli:
         assert "not strongly connected; use --method map" in capsys.readouterr().err
         assert calls == [(2, 2), (2, 1)]
 
+    def test_prior_means_set_the_map_prior(self, exam_file, tmp_path):
+        """--student-mean and --question-mean, as flags or as config lines, are
+        the means of the prior that the MAP rule and the MAP fit use."""
+        prior = PriorSpec(0.3, 1.0, -0.2, 1.0)
+        g = fio.ingest(exam_file)
+        fio.write_grades(make_map_rule(prior)(g), tmp_path / "grades.csv")
+        fio.write_merits(map_fit(g, prior).merits, g.roster, tmp_path / "merits.csv")
+        assert run_cli("grade", "--input", exam_file, "--rule", "map", "--student-mean", "0.3",
+                       "--question-mean", "-0.2", "--outdir", str(tmp_path / "grade")) == 0
+        cfg = write(tmp_path / "run.cfg", "student-mean=0.3\nquestion-mean=-0.2\n")
+        assert run_cli("fit", "--input", exam_file, "--method", "map", "--config", cfg,
+                       "--outdir", str(tmp_path / "fit")) == 0
+        for command, name in (("grade", "grades.csv"), ("fit", "merits.csv")):
+            assert (tmp_path / command / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    def test_component_fit_failure_exits_4(self, tmp_path, capsys):
+        # one strongly connected block with holes at (s0, q2) and (s2, q0)
+        block = write(tmp_path / "block.csv", "student,q0,q1,q2\ns0,1,0,NA\ns1,0,1,0\n"
+                      "s2,NA,0,1\n")
+        assert run_cli("grade", "--input", block, "--max-iter", "1", "--tol", "1e-300",
+                       "--outdir", str(tmp_path)) == 4
+        assert "numeric failure: merit fit for component" in capsys.readouterr().err
+
     def test_seed_required(self, tmp_path):
         assert run_cli("simulate-bias", "--students", "3", "--questions", "4",
                        "--m", "4", "--d", "2", "--outdir", str(tmp_path)) == 2
@@ -706,6 +732,32 @@ class TestCli:
         full = next(p for p in summary["points"] if p["d2"] == 5)
         assert full["mse"]["ours"] == pytest.approx(0.0, abs=1e-12)
         assert [p["failed_repetitions"] for p in summary["points"]] == [0, 0]
+
+    def test_cv_reads_either_layout(self, tmp_path, complete_file):
+        """A complete edge list gives the bytes of its dense twin."""
+        edges = tmp_path / "edges.csv"
+        fio.write_edge_list(fio.read_dense_matrix(complete_file), edges)
+        argv = ("--d1", "4", "--d2", "3,5", "--reps", "4", "--seed", "3")
+        for label, path in (("dense", complete_file), ("edges", str(edges))):
+            assert run_cli("cv", "--input", path, *argv, "--outdir", str(tmp_path / label)) == 0
+        for name in ("report.csv", "summary.json"):
+            assert ((tmp_path / "dense" / name).read_bytes()
+                    == (tmp_path / "edges" / name).read_bytes())
+
+    @pytest.mark.parametrize("body", [
+        "student,q0,q1\ns0,1,0\ns1,NA,1\n",
+        "student,question,correct\ns0,q0,1\ns0,q1,0\ns1,q1,1\n",
+    ], ids=["dense-NA-cell", "edge-list-missing-row"])
+    def test_cv_rejects_an_unassigned_pair(self, tmp_path, capsys, body):
+        path = write(tmp_path / "exam.csv", body)
+        assert run_cli("cv", "--input", path, "--d1", "2", "--d2", "1", "--reps", "2",
+                       "--seed", "1", "--outdir", str(tmp_path / "out")) == 3
+        assert "cross-validation needs a complete 0/1 matrix" in capsys.readouterr().err
+
+    def test_sweep_bank_abilities_of_wrong_length_exit_2(self, tmp_path, capsys):
+        assert run_cli("sweep-bank", "--students", "3", "--abilities", "0.1,0.2", "--m", "2,3",
+                       "--d", "2", "--seed", "1", "--outdir", str(tmp_path)) == 2
+        assert "--abilities" in capsys.readouterr().err
 
     def test_cv_threshold_table_reads_the_points(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(0)

@@ -46,7 +46,7 @@ class TestRoundTrip:
             return  # an edge list without rows is rejected, see the fuzz tests
         path = tmp_path_factory.mktemp("rt") / "exam.csv"
         fio.write_edge_list(g, path)
-        back = fio.ingest(path, fio.detect_format(path))
+        back = fio.ingest(path)
         assert labelled(back) == labelled(g)
 
     @settings(max_examples=150, deadline=None)
@@ -54,7 +54,7 @@ class TestRoundTrip:
     def test_dense_matrix(self, tmp_path_factory, g):
         path = tmp_path_factory.mktemp("rt") / "exam.csv"
         fio.write_dense_matrix(g, path)
-        assert fio.ingest(path, fio.DENSE_CSV) == g
+        assert fio.read_dense_matrix(path) == g
 
 
 def cells(line: str) -> list[str]:
@@ -147,7 +147,7 @@ def check_against_oracle(tmp_path_factory, reader, oracle, parts, sniff=False):
     assert g.roster.questions == tuple(questions)
     assert labelled(g) == outcomes
     if sniff:  # auto-detection sends the file to the same reader
-        assert fio.ingest(path, fio.detect_format(path)) == g
+        assert fio.ingest(path) == g
 
 
 # " a" and "a" are one id once stripped; "a" as a question is shared with a student
