@@ -9,7 +9,8 @@ cases.csv under --rule ours; fit writes merits.csv. grade, fit and cv read
 --input through `io.ingest`, which picks the edge-list or dense reader from
 line 1. Outputs are bit-identical for the same inputs, seed, numpy, BLAS and
 thread count; across thread counts, cases.csv is byte-identical and grades,
-predictions and merits agree to 1e-12.
+predictions and merits agree to 1e-12. Every experiment that compares rules
+scores both `simulation.RULES`, ours then avg.
 
 A --config file holds the same options as `key=value` lines, keyed by flag
 name without the dashes; a switch is a bare key. Its lines are parsed as
@@ -48,8 +49,7 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-DATA_ERRORS = (fio.MalformedRowError, fio.DuplicateEdgeError, fio.DimensionMismatchError,
-               ZeroDegreeStudentError)
+DATA_ERRORS = (fio.MalformedRowError, fio.DimensionMismatchError, ZeroDegreeStudentError)
 NUMERIC_ERRORS = (NonConvergenceError, NotStronglyConnectedError, sim.InstanceTooLargeError,
                   sim.AllReplicationsFailedError, np.linalg.LinAlgError)
 
@@ -118,9 +118,6 @@ FLOATS = _checked(_floats, lambda v: all(map(math.isfinite, v)), "comma-separate
 RANGE = _checked(_floats, lambda v: len(v) == 2 and 0 <= v[1] - v[0] < math.inf,
                  "low,high: two finite numbers with low <= high")
 EXISTING = _checked(str, os.path.exists, "an existing file")
-RULE_NAMES = _checked(lambda text: [tok.strip() for tok in text.split(",")],
-                      lambda v: set(v) <= sim.RULES.keys() and len(set(v)) == len(v),
-                      f"distinct comma-separated rule names from {sorted(sim.RULES)}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,7 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=COUNT, required=True)
     p.add_argument("--d", type=COUNT, required=True)
     p.add_argument("--reps", type=COUNT, default=200)
-    p.add_argument("--rules", type=RULE_NAMES, default="ours,avg")
 
     p = add("decompose", "bias + variance = error per rule, for the given "
             "merits and for all-equal merits", cmd_decompose)
@@ -171,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", dest="d_values", type=COUNTS, required=True, help="e.g. 1..22 or 2,5,10")
     p.add_argument("--graphs", type=COUNT, default=20)
     p.add_argument("--reps", type=COUNT, default=100)
-    p.add_argument("--rules", type=RULE_NAMES, default="ours,avg")
 
     p = add("sweep-bank", "bias vs. question sample size, fresh difficulties", cmd_sweep_bank)
     p.add_argument("--students", type=COUNT, required=True)
@@ -182,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=COUNT, required=True)
     p.add_argument("--graphs", type=COUNT, default=20)
     p.add_argument("--reps", type=COUNT, default=100)
-    p.add_argument("--rules", type=RULE_NAMES, default="ours,avg")
 
     p = add("cv", "hold-out evaluation on a complete answer matrix", cmd_cv)
     p.add_argument("--input", type=EXISTING, required=True, help="complete 0/1 exam, no NA cells")
@@ -191,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d2", dest="d2_values", type=COUNTS, required=True,
                    help="degree constraint(s), e.g. 2..22")
     p.add_argument("--reps", type=COUNT, default=200)
-    p.add_argument("--rules", type=RULE_NAMES, default="ours,avg")
     p.add_argument("--threshold-table", action="store_true",
                    help="also report the smallest winning d2 per d1")
 
@@ -296,9 +289,8 @@ def cmd_simulate_bias(args, outdir: Path) -> tuple[list | None, dict]:
     roster, u = _population(args)
     g = generate_assignment(roster, args.m, args.d, substream(args.seed, 1))
     rows, summary = [], {}
-    for name in args.rules:
-        report = sim.estimate_ex_post_bias(sim.RULES[name], g, u, args.reps,
-                                           scalar_seed(args.seed, 2))
+    for name, rule in sim.RULES.items():
+        report = sim.estimate_ex_post_bias(rule, g, u, args.reps, scalar_seed(args.seed, 2))
         for sid, dev, se in zip(
             roster.students, report.per_student_deviation, report.per_student_se
         ):
@@ -349,7 +341,7 @@ def cmd_sweep_degree(args, outdir: Path) -> tuple[list | None, dict]:
     roster, u = _population(args)
     result = sim.sweep_degree(
         roster, u, args.m, args.d_values, args.graphs, args.reps,
-        scalar_seed(args.seed, 1), rules={name: sim.RULES[name] for name in args.rules},
+        scalar_seed(args.seed, 1),
     )
     return _sweep_to_outputs(result)
 
@@ -361,7 +353,6 @@ def cmd_sweep_bank(args, outdir: Path) -> tuple[list | None, dict]:
         args.abilities or next(_published_draw(args)).tolist(),
         sim.uniform_difficulty_sampler(*args.difficulty_range), args.m_values,
         args.d, args.graphs, args.reps, scalar_seed(args.seed, 1),
-        rules={name: sim.RULES[name] for name in args.rules},
     )
     return _sweep_to_outputs(result)
 
@@ -372,13 +363,10 @@ def cmd_cv(args, outdir: Path) -> tuple[list | None, dict]:
     if g.assignment.n_edges != n * q:
         raise fio.DimensionMismatchError("cross-validation needs a complete 0/1 matrix")
     answers = g.w.reshape(n, q)  # edges are sorted, so a complete graph's bits are row-major
-    rules = {name: sim.RULES[name] for name in args.rules}
-    if args.threshold_table and not {"ours", "avg"} <= rules.keys():
-        raise ConfigError("--threshold-table needs --rules to include 'ours' and 'avg'")
     rows, results = [], []
     for di, d1 in enumerate(args.d1):
         for d2 in args.d2_values:
-            res = sim.cross_validate(answers, d1, d2, args.reps, rules,
+            res = sim.cross_validate(answers, d1, d2, args.reps,
                                      seed=scalar_seed(args.seed, di, d2))
             for name, mse in sorted(res.mse_per_rule.items()):
                 rows.append(_row(f"d1={d1}:d2", d2, name, "mse", mse))

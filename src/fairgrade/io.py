@@ -42,12 +42,11 @@ class MalformedRowError(ValueError):
         self.line = line
 
 
-class DuplicateEdgeError(ValueError):
+class DuplicateEdgeError(MalformedRowError):
     """The same (student, question) pair appeared twice."""
 
     def __init__(self, line: int, pair: tuple[str, str]):
-        super().__init__(f"line {line}: duplicate pair {pair}")
-        self.line = line
+        super().__init__(line, f"duplicate pair {pair}")
 
 
 class DimensionMismatchError(ValueError):

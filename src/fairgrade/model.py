@@ -155,6 +155,9 @@ class PriorSpec:
     question_std: float = 1.0
 
     def __post_init__(self):
+        for name in ("student_mean", "question_mean"):
+            if not -np.inf < (mean := getattr(self, name)) < np.inf:
+                raise ParameterOutOfRangeError(f"{name} must be finite, got {mean}")
         for name in ("student_std", "question_std"):
             try:  # map_fit's precision std**-2 must be finite and positive
                 if 0 < (std := getattr(self, name)) < np.inf and float(std) ** -2 < np.inf:

@@ -327,12 +327,10 @@ def sweep_question_sample_size(
     graphs_per_m: int,
     replications: int,
     seed: int,
-    rules: Mapping[str, GradingRule] | None = None,
 ) -> SweepResult:
     """Infinite-bank exam design sweep: for each active-question count m,
     draw fresh difficulties per graph and measure both rules' deviation from
     the realized m-question benchmark."""
-    rules = dict(RULES) if rules is None else dict(rules)
     _require_positive(m_values=len(m_values), graphs_per_m=graphs_per_m, replications=replications)
     if d > min(m_values):
         raise ParameterOutOfRangeError("degree constraint exceeds smallest question sample size")
@@ -346,7 +344,7 @@ def sweep_question_sample_size(
             yield generate_assignment(roster, m, d, rng), u
 
     points = [
-        _sweep_point(m, list(instances(mi, m)), rules, replications, seed, mi)
+        _sweep_point(m, list(instances(mi, m)), RULES, replications, seed, mi)
         for mi, m in enumerate(m_values)
     ]
     return SweepResult("m", tuple(points))

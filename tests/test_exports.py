@@ -35,12 +35,12 @@ def test_every_export_has_a_caller_beyond_the_unit_tests():
 
 def test_every_cli_option_is_set_somewhere():
     """Each long option of each subcommand is set, as `--name` or as a config
-    line `name=`, by README, the bench or a test; an option that nothing sets
-    is untested, and one that the code can work out for itself is not needed."""
-    texts = [(ROOT / "README.md").read_text(encoding="utf-8")]
+    line `name=`, by README, the bench or the acceptance suite; an option
+    that only unit tests set is neither documented nor measured, and one that
+    the code can work out for itself is not needed."""
+    texts = [(ROOT / "README.md").read_text(encoding="utf-8"),
+             (ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")]
     texts += [path.read_text(encoding="utf-8") for path in (ROOT / "bench").glob("*.py")]
-    texts += [path.read_text(encoding="utf-8") for path in (ROOT / "tests").glob("*.py")
-              if path.name != "test_exports.py"]
     subcommands = next(action.choices for action in cli.build_parser()._actions
                        if isinstance(action, argparse._SubParsersAction))
     unset = sorted({(command, option)

@@ -384,13 +384,11 @@ class TestConfigFile:
         ("cv", "threshold_table=yes"),  # a switch is a bare key
         ("grade", "no-such-flag=1"),
         ("sweep-degree", "d=3..2"),  # an empty list
-        ("simulate-bias", "rules=ours,bogus"),
         ("grade", "tol=inf"),
         ("simulate-bias", "seed=-1"),
         ("simulate-bias", "students=0"),
         ("sweep-bank", "difficulty-range=nan,1"),
         ("grade", "question-std=1e-160"),  # its inverse square overflows
-        ("simulate-bias", "rules=ours,ours"),  # a repeated entry
         ("sweep-degree", "d=2,2"),
         ("sweep-degree", "d=3,,1"),  # an empty list entry
         ("sweep-degree", "d=3,"),
@@ -782,12 +780,6 @@ class TestCli:
                     if p["d1"] == d1 and p["mse"]["ours"] < p["mse"]["avg"]]
             assert summary["threshold_table"][str(d1)] == min(wins, default=None)
 
-    def test_cv_threshold_table_needs_both_rules(self, tmp_path, complete_file, capsys):
-        assert run_cli("cv", "--input", complete_file, "--d1", "4", "--d2", "3",
-                       "--reps", "2", "--seed", "3", "--rules", "avg", "--threshold-table",
-                       "--outdir", str(tmp_path)) == 2
-        assert "'ours' and 'avg'" in capsys.readouterr().err
-
     def test_cv_sim_subcommand(self, tmp_path):
         out = tmp_path / "out"
         assert run_cli("cv-sim", "--students", "4", "--questions", "5",
@@ -799,7 +791,7 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         ["simulate-bias", "--students", "4", "--questions", "5", "--m", "5", "--d", "2",
-         "--reps", "3", "--rules", "ours"],
+         "--reps", "3"],
         ["cv-sim", "--students", "4", "--questions", "5", "--d2", "2,5", "--reps", "3"],
     ], ids=["simulate-bias", "cv-sim"])
     def test_every_draw_failing_exits_4(self, tmp_path, monkeypatch, capsys, argv):

@@ -478,6 +478,13 @@ class TestMapFit:
         with pytest.raises(ParameterOutOfRangeError, match=field):
             PriorSpec(**{field: std})
 
+    @pytest.mark.parametrize("field", ["student_mean", "question_mean"])
+    @pytest.mark.parametrize("mean", [np.inf, -np.inf, np.nan])
+    def test_non_finite_prior_mean_is_rejected(self, field, mean):
+        # map_fit would start from and pull toward this mean, and end in a singular Hessian
+        with pytest.raises(ParameterOutOfRangeError, match=field):
+            PriorSpec(**{field: mean})
+
     def test_prior_pull(self):
         # with a huge prior variance the fit tracks data; tiny variance pins means
         r = Roster.index_based(1, 1)
