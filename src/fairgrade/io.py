@@ -3,11 +3,13 @@
 Two exam formats are supported, and `ingest` picks the reader from line 1.
 The edge list is one row per assigned pair (`student,question,correct`). The
 dense matrix has one row per student, one column per question, and cells in
-{0, 1, NA} where NA means the pair was never assigned. The readers take rows
-as `csv.reader` yields them from the open file and check each row as it comes,
-except the edge list: it is checked column by column and rescanned only to
-name its first fault. A fault names the line its row ends on; a csv fault or a
-non-UTF-8 byte anywhere in the file wins.
+{0, 1, NA} where NA means the pair was never assigned. A canonical dense sheet,
+each row an id with no quote or NUL and then unpadded cells, as
+`write_dense_matrix` writes it, is read without csv. Any other file is read as
+`csv.reader` yields its rows, with the same results, and checked row by row;
+an edge list is checked column by column and rescanned to name its first
+fault. A fault names the line its row ends on; a csv fault or a non-UTF-8 byte
+anywhere in the file wins.
 A merit file is the header `vertex,kind,merit`, then one row per vertex: its
 id, `student` or `question`, and merit; the reader needs every roster vertex.
 
@@ -166,6 +168,34 @@ def _result_graph(students, questions, s_idx: np.ndarray, q_idx: np.ndarray, bit
 
 
 def read_dense_matrix(path) -> ExamResultGraph:
+    return _read_canonical(path) or _read_dense_csv(path)  # once the first has freed its buffers
+
+
+def _read_canonical(path) -> ExamResultGraph | None:
+    """The sheet's graph if every row is canonical, else None; `_reader` raises its faults."""
+    with _reader(path) as rows, open(path, encoding="utf-8-sig", newline="") as fh:
+        header = [c.strip() for c in next(rows, ())]
+        sids, cells = [], bytearray()
+        for sid, _, row in (line.partition(",") for line in islice(fh, rows.line_num, None)):
+            sids.append(sid)
+            cells += row.encode()  # a byte past ASCII, or a CR, which ends a line too, fails below
+    students, questions = dict.fromkeys(map(str.strip, sids)), dict.fromkeys(header[1:])
+    if (len(header) < 2 or header[0] not in ("student", "") or len(questions) < len(header) - 1
+            or not sids or len(students) < len(sids) or not students.keys().isdisjoint(questions)
+            or not {'"', "\0"}.isdisjoint("".join(sids))  # csv before Python 3.11 rejects NUL
+            or max(2, *map(len, sids)) > csv.field_size_limit()  # a cell "NA" is 2 long
+            or not cells.count(b"NA") == cells.count(b"N") == cells.count(b"A")):  # no lone N, A
+        return None
+    cells = cells.translate(bytes.maketrans(b"N2", b"2x"), b"A")  # NA -> 2; a 2 is no cell
+    if (len(cells) != 2 * len(sids) * len(questions) or cells[::2].translate(None, b"012")
+            or cells[1::2].count(b"," * (len(questions) - 1) + b"\n") != len(sids)):  # n rows of q
+        return None
+    codes = np.frombuffer(cells, np.uint8)[::2].reshape(len(sids), -1) - ord("0")
+    s_idx, q_idx = np.nonzero(codes < 2)  # row-major: sorted by (student, question)
+    return _result_graph(students, questions, s_idx, q_idx, codes[s_idx, q_idx])
+
+
+def _read_dense_csv(path) -> ExamResultGraph:
     with _reader(path) as rows:
         header = [c.strip() for c in next(rows, ())]
         questions = dict.fromkeys(header[1:])

@@ -156,8 +156,12 @@ class PriorSpec:
 
     def __post_init__(self):
         for name in ("student_mean", "question_mean"):
-            if not -np.inf < (mean := getattr(self, name)) < np.inf:
-                raise ParameterOutOfRangeError(f"{name} must be finite, got {mean}")
+            try:  # as a float, which map_fit computes with: 10**400 overflows
+                if -np.inf < float(mean := getattr(self, name)) < np.inf:
+                    continue
+            except OverflowError:
+                pass
+            raise ParameterOutOfRangeError(f"{name} must be finite, got {mean}")
         for name in ("student_std", "question_std"):
             try:  # map_fit's precision std**-2 must be finite and positive
                 if 0 < (std := getattr(self, name)) < np.inf and float(std) ** -2 < np.inf:

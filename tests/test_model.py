@@ -479,9 +479,11 @@ class TestMapFit:
             PriorSpec(**{field: std})
 
     @pytest.mark.parametrize("field", ["student_mean", "question_mean"])
-    @pytest.mark.parametrize("mean", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("mean", [np.inf, -np.inf, np.nan, pytest.param(10**400, id="10**400"),
+                                      pytest.param(-10**400, id="-10**400")])
     def test_non_finite_prior_mean_is_rejected(self, field, mean):
-        # map_fit would start from and pull toward this mean, and end in a singular Hessian
+        # map_fit would start from and pull toward this mean, and end in a singular Hessian;
+        # an int too large for a float would raise OverflowError there
         with pytest.raises(ParameterOutOfRangeError, match=field):
             PriorSpec(**{field: mean})
 
