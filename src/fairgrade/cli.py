@@ -3,9 +3,8 @@
 One subcommand per experiment, each parser naming its handler; every
 randomized command requires --seed. Each command returns its report.csv rows
 (None for grade, fit and verify) and its summary; `run` writes report.csv,
-summary.json and a manifest.json echoing the full configuration and the
-environment (Python, numpy, BLAS, `*_NUM_THREADS`, cores) to --outdir (or
-$FAIRGRADE_OUTDIR). grade also writes grades.csv, plus predictions.csv and
+summary.json and a manifest.json of its config and `environment()` to --outdir
+(or $FAIRGRADE_OUTDIR). grade also writes grades.csv, plus predictions.csv and
 cases.csv under --rule ours; fit writes merits.csv. grade, fit and cv read
 --input through `io.ingest`, which picks the edge-list or dense reader from
 line 1. Outputs are bit-identical for the same inputs, seed, numpy, BLAS and
@@ -423,6 +422,18 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
+def environment() -> dict:
+    """This run's Python, numpy and BLAS versions, `*_NUM_THREADS` variables and core count."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.25 has no dict form
+        blas = {}
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "threads": {k: v for k, v in sorted(os.environ.items()) if k.endswith("_NUM_THREADS")},
+            "cpu_count": os.cpu_count()}
+
+
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
@@ -431,20 +442,9 @@ def run(argv=None) -> int:
         except SystemExit as exc:  # argparse: --help, --version or a rejected option
             return EXIT_CONFIG if exc.code not in (0, None) else 0
         outdir = _resolve_outdir(args)
-        try:
-            blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        except (TypeError, KeyError):  # numpy < 1.25 has no dict form
-            blas = {}
-        manifest = {
-            "command": args.command,
-            "config": {k: v for k, v in vars(args).items() if k not in ("command", "handler")},
-            "env": {"python": platform.python_version(), "numpy": np.__version__,
-                    "blas": {"name": blas.get("name"), "version": blas.get("version")},
-                    "threads": {k: v for k, v in os.environ.items() if k.endswith("_NUM_THREADS")},
-                    "cpu_count": os.cpu_count()},
-            "seed": getattr(args, "seed", None),
-            "version": __version__,
-        }
+        config = {k: v for k, v in vars(args).items() if k not in ("command", "handler")}
+        manifest = {"command": args.command, "config": config, "env": environment(),
+                    "seed": getattr(args, "seed", None), "version": __version__}
         rows, summary = args.handler(args, outdir)
         if rows is not None:
             fio.write_tidy_report(rows, outdir / "report.csv")

@@ -3,13 +3,11 @@
 Two exam formats are supported, and `ingest` picks the reader from line 1.
 The edge list is one row per assigned pair (`student,question,correct`). The
 dense matrix has one row per student, one column per question, and cells in
-{0, 1, NA} where NA means the pair was never assigned. A canonical dense sheet,
-each row an id with no quote or NUL and then unpadded cells, as
-`write_dense_matrix` writes it, is read without csv. Any other file is read as
-`csv.reader` yields its rows, with the same results, and checked row by row;
-an edge list is checked column by column and rescanned to name its first
-fault. A fault names the line its row ends on; a csv fault or a non-UTF-8 byte
-anywhere in the file wins.
+{0, 1, NA} where NA means the pair was never assigned. A sheet in
+`write_dense_matrix`'s form (no quote or NUL in an id, no padded cell, `\n`
+after every line) is read without csv; at its first other row it is read again
+as `csv.reader` yields rows, like any file, to the same result. A fault names
+the line its row ends on; a csv fault or a non-UTF-8 byte anywhere wins.
 A merit file is the header `vertex,kind,merit`, then one row per vertex: its
 id, `student` or `question`, and merit; the reader needs every roster vertex.
 
@@ -59,6 +57,7 @@ EDGE_LIST = "edge-list"
 DENSE_CSV = "dense-csv"
 NA_TOKENS = {"NA", "", "NaN", "nan"}
 _CELL_CODES = {"0": 0, "1": 1, **dict.fromkeys(NA_TOKENS, 2)}  # 2: never assigned
+_NA_TO_2 = bytes.maketrans(b"N2", b"2x")  # with A deleted: NA -> 2, and a 2 is no cell
 _EDGE_HEADER = ["student", "question", "correct"]
 _MERIT_HEADER = ["vertex", "kind", "merit"]
 
@@ -172,25 +171,26 @@ def read_dense_matrix(path) -> ExamResultGraph:
 
 
 def _read_canonical(path) -> ExamResultGraph | None:
-    """The sheet's graph if every row is canonical, else None; `_reader` raises its faults."""
+    """The sheet's graph if every row is canonical, else None at the first row that is not."""
     with _reader(path) as rows, open(path, encoding="utf-8-sig", newline="") as fh:
         header = [c.strip() for c in next(rows, ())]
-        sids, cells = [], bytearray()
+        width, sids, cells, pairs = 2 * len(header) - 2, [], bytearray(), 0  # width: NA as 1 byte
         for sid, _, row in (line.partition(",") for line in islice(fh, rows.line_num, None)):
+            pairs += (na := row.count("NA"))
+            if '"' in sid or "\0" in sid or len(row) - na != width:  # a CR, pad, quote, nan, ...
+                return None  # ... ends the read here; csv before Python 3.11 rejects NUL
             sids.append(sid)
-            cells += row.encode()  # a byte past ASCII, or a CR, which ends a line too, fails below
+            cells += row.encode().translate(_NA_TO_2, b"A")  # a byte past ASCII fails below
     students, questions = dict.fromkeys(map(str.strip, sids)), dict.fromkeys(header[1:])
     if (len(header) < 2 or header[0] not in ("student", "") or len(questions) < len(header) - 1
             or not sids or len(students) < len(sids) or not students.keys().isdisjoint(questions)
-            or not {'"', "\0"}.isdisjoint("".join(sids))  # csv before Python 3.11 rejects NUL
             or max(2, *map(len, sids)) > csv.field_size_limit()  # a cell "NA" is 2 long
-            or not cells.count(b"NA") == cells.count(b"N") == cells.count(b"A")):  # no lone N, A
+            or len(cells) != len(sids) * width or cells.count(b"2") != pairs):  # no lone N, A
         return None
-    cells = cells.translate(bytes.maketrans(b"N2", b"2x"), b"A")  # NA -> 2; a 2 is no cell
-    if (len(cells) != 2 * len(sids) * len(questions) or cells[::2].translate(None, b"012")
-            or cells[1::2].count(b"," * (len(questions) - 1) + b"\n") != len(sids)):  # n rows of q
+    grid = np.frombuffer(cells, np.uint8).reshape(len(sids), width)
+    codes, seps = grid[:, ::2] - ord("0"), np.frombuffer(b"," * (width // 2 - 1) + b"\n", np.uint8)
+    if codes.max() > 2 or (grid[:, 1::2] != seps).any():  # n rows of q cells 0, 1, 2
         return None
-    codes = np.frombuffer(cells, np.uint8)[::2].reshape(len(sids), -1) - ord("0")
     s_idx, q_idx = np.nonzero(codes < 2)  # row-major: sorted by (student, question)
     return _result_graph(students, questions, s_idx, q_idx, codes[s_idx, q_idx])
 

@@ -21,6 +21,7 @@ fit sets up once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -156,8 +157,8 @@ class PriorSpec:
 
     def __post_init__(self):
         for name in ("student_mean", "question_mean"):
-            try:  # as a float, which map_fit computes with: 10**400 overflows
-                if -np.inf < float(mean := getattr(self, name)) < np.inf:
+            try:  # as a float, which map_fit computes with: 10**400 overflows, "1" raises TypeError
+                if math.isfinite(mean := getattr(self, name)):
                     continue
             except OverflowError:
                 pass

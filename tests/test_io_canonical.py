@@ -149,3 +149,16 @@ def test_written_sheet_never_reaches_csv(tmp_path, monkeypatch):
     assert fio.ingest(path) == g
     with pytest.raises(AssertionError, match="padded.csv was read through csv"):
         fio.read_dense_matrix(padded)
+
+
+@pytest.mark.parametrize("row", ["s0,0,1\r", '"s0",0,1', "s0, 0,1", "s0,0,nan", "s0,0"],
+                         ids=["crlf", "quote", "padded", "nan", "ragged"])
+def test_first_row_in_another_form_ends_the_fast_read(tmp_path, row):
+    """The fast read stops at the first row it cannot take: a byte that is not
+    UTF-8 far below that row is left for the csv reader to name."""
+    path = tmp_path / "exam.csv"
+    body = "".join(f"s{i},1,0\n" for i in range(1, 20000))
+    path.write_bytes(f"student,q0,q1\n{row}\n{body}".encode() + b"s\xff,1,0\n")
+    assert fio._read_canonical(path) is None
+    with pytest.raises(fio.MalformedRowError, match="^line 20002: byte 0xff is not UTF-8"):
+        fio.read_dense_matrix(path)

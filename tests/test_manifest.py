@@ -4,7 +4,8 @@ import platform
 
 import numpy as np
 
-from fairgrade.cli import run
+from fairgrade import cli
+from fairgrade.cli import environment, run
 
 
 def test_manifest_records_the_environment(tmp_path, monkeypatch):
@@ -18,3 +19,13 @@ def test_manifest_records_the_environment(tmp_path, monkeypatch):
     assert (env["python"], env["numpy"], env["cpu_count"]) == (
         platform.python_version(), np.__version__, os.cpu_count())
     assert set(env["blas"]) == {"name", "version"}
+    assert env == environment()
+
+
+def test_environment_without_numpy_config_dicts(monkeypatch):
+    """numpy before 1.25 takes no `mode` argument: the BLAS fields are then None."""
+    def show_config():
+        pass
+
+    monkeypatch.setattr(cli.np, "show_config", show_config)
+    assert environment()["blas"] == {"name": None, "version": None}

@@ -487,6 +487,18 @@ class TestMapFit:
         with pytest.raises(ParameterOutOfRangeError, match=field):
             PriorSpec(**{field: mean})
 
+    @pytest.mark.parametrize("field", ["student_mean", "question_mean"])
+    @pytest.mark.parametrize("mean", ["1", b"1", 1j])
+    def test_prior_mean_that_is_no_real_number_raises_type_error(self, field, mean):
+        # stored, such a mean would fail inside map_fit's arrays, far from the prior
+        with pytest.raises(TypeError):
+            PriorSpec(**{field: mean})
+
+    @pytest.mark.parametrize("mean", [np.finfo(float).max, -int(np.finfo(float).max),
+                                      np.float32(3), 2])
+    def test_finite_prior_mean_is_accepted(self, mean):
+        assert PriorSpec(student_mean=mean, question_mean=mean).student_mean == mean
+
     def test_prior_pull(self):
         # with a huge prior variance the fit tracks data; tiny variance pins means
         r = Roster.index_based(1, 1)
