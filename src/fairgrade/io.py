@@ -101,11 +101,11 @@ def ingest(path) -> ExamResultGraph:
 
 
 def detect_format(path) -> str:
-    """EDGE_LIST if line 1, read as CSV, starts with the edge-list header, else
-    DENSE_CSV; later faults are the reader's."""
+    """EDGE_LIST if line 1, read as CSV, is the edge-list header (exactly its
+    three fields), else DENSE_CSV; later faults are the reader's."""
     with _reader(path) as rows:
         header = [c.strip() for c in next(rows, ())]
-    return EDGE_LIST if header[:3] == _EDGE_HEADER else DENSE_CSV
+    return EDGE_LIST if header == _EDGE_HEADER else DENSE_CSV
 
 
 def read_edge_list(path) -> ExamResultGraph:

@@ -7,16 +7,16 @@ the benchmark among them. Within a strongly connected piece of
 the result graph the merits are recovered by maximum likelihood and
 reported mean-zero over the piece; a Gaussian-prior variant gives a
 penalized fit that needs no connectivity at all. Both fits run one damped
-Newton solver over the edge arrays, and differ only in its quadratic
-penalty: no precision is the gauge pin, a precision array is the prior. The
-penalty alone also picks the step taken when backtracking fails: the gauge
-falls back to a minorization-maximization update, the prior to the smallest
-step. Each line-search trial takes one exp per edge, for the objective and
-for the upset chances that the accepted trial hands to the next gradient
-and Hessian. Each Newton step eliminates one side of the bipartite Hessian
-(its student and question blocks are both diagonal) and solves the other
-side's Schur complement, in a side layout and dense work arrays that each
-fit sets up once.
+Newton solver over the edge arrays with one diagonal quadratic penalty: the
+maximum likelihood fit pins its first vertex at 0, as only merit differences
+matter, and the prior pulls every merit toward its mean. When backtracking
+fails, the pinned fit takes a minorization-maximization update and the prior
+keeps the smallest step. Each line-search trial takes one exp per edge, for
+the objective and for the upset chances that the accepted trial hands to
+the next gradient and Hessian. Each Newton step eliminates one side of the
+bipartite Hessian (its student and question blocks are both diagonal) and
+solves the other side's Schur complement, in a side layout and dense work
+arrays that each fit sets up once.
 """
 
 from __future__ import annotations
@@ -156,20 +156,17 @@ class PriorSpec:
     question_std: float = 1.0
 
     def __post_init__(self):
-        for name in ("student_mean", "question_mean"):
-            try:  # as a float, which map_fit computes with: 10**400 overflows, "1" raises TypeError
-                if math.isfinite(mean := getattr(self, name)):
+        for name in ("student_mean", "question_mean", "student_std", "question_std"):
+            value, is_mean = getattr(self, name), name.endswith("mean")
+            try:  # map_fit computes with the mean and std**-2 as finite floats
+                if (math.isfinite(value) if is_mean
+                        else 0 < value < np.inf and float(value) ** -2 < np.inf):
                     continue
-            except OverflowError:
+            except OverflowError:  # 10**400 as a float; "1" raises TypeError instead
                 pass
-            raise ParameterOutOfRangeError(f"{name} must be finite, got {mean}")
-        for name in ("student_std", "question_std"):
-            try:  # map_fit's precision std**-2 must be finite and positive
-                if 0 < (std := getattr(self, name)) < np.inf and float(std) ** -2 < np.inf:
-                    continue
-            except OverflowError:
-                pass
-            raise ParameterOutOfRangeError(f"{name} must be finite and >= about 1e-154, got {std}")
+            limits = "finite" if is_mean else "finite and >= about 1e-154"
+            raise ParameterOutOfRangeError(  # str() of a huge int raises, so name its type
+                f"{name} must be {limits}, got a value of type {type(value).__name__}")
 
 
 def mm_step(gamma: np.ndarray, winner: np.ndarray, loser: np.ndarray) -> np.ndarray:
@@ -199,15 +196,13 @@ def _newton_step(winner, loser, weight, precision, grad, layout):
 
     Eliminates the larger side e (Wright & Panchapakesan 1969): solves the
     smaller side r's Schur complement S = D_r - F' D_e^-1 F, then x_e =
-    D_e^-1 (g_e + F x_r). `precision` None is the gauge: its J/k becomes J/|r|
-    in S and a mean-zero step, the same step when grad sums to 0, as the
-    likelihood gradient does. Each step overwrites the layout's workspace.
+    D_e^-1 (g_e + F x_r). The diagonal `precision` adds to D_e and D_r. Each
+    step overwrites the layout's workspace.
     """
     k = len(grad)
     elim, e_end, kept, r_end, f, scaled = layout
     diag = np.bincount(winner, weight, k) + np.bincount(loser, weight, k)
-    if precision is not None:
-        diag += precision
+    diag += precision
     d_e, d_r = diag[elim], diag[kept]
     if not (d_e > 0).all():
         raise np.linalg.LinAlgError("zero or NaN pivot")
@@ -216,13 +211,11 @@ def _newton_step(winner, loser, weight, precision, grad, layout):
     schur = f.T @ scaled
     np.negative(schur, out=schur)
     schur.ravel()[::len(d_r) + 1] += d_r
-    if precision is None:
-        schur += 1.0 / len(d_r)
     x_r = np.linalg.solve(schur, grad[kept] + scaled.T @ grad[elim])
     step = np.empty(k)
     step[kept] = x_r
     step[elim] = (grad[elim] + f @ x_r) / d_e
-    return step - step.sum() / k if precision is None else step
+    return step
 
 
 def _log_likelihood(u, winner, loser):
@@ -240,15 +233,14 @@ def check_fit_limits(tol, max_iter) -> None:
         raise ParameterOutOfRangeError(f"tol={tol} must be > 0 and max_iter={max_iter} >= 0")
 
 
-def _newton(winner, loser, n_first, precision, center, tol, max_iter):
-    """Damped Newton ascent on sum(log f(u[winner] - u[loser])) minus a
-    penalty: the gauge k * mean(u)^2/2 when `precision` is None, else the
-    prior sum(precision * (u - c)^2)/2.
+def _newton(winner, loser, n_first, precision, center, tol, max_iter, fallback=None):
+    """Damped Newton ascent on sum(log f(u[winner] - u[loser])) minus the
+    penalty sum(precision * (u - c)^2)/2.
 
     Starts from u = c. Each `_newton_step` is taken under a backtracking line
-    search. When no trial length passes, or the Hessian is singular, the gauge
-    takes one globally convergent MM update (Hunter 2004); the prior keeps the
-    smallest trial, or raises LinAlgError when there is no step to shorten.
+    search. When no trial length passes, or the Hessian is singular, the loop
+    moves to `fallback(u)` if one is given; without one it keeps the smallest
+    trial, or raises LinAlgError when there is no step to shorten.
     The objective is evaluated, by one `_log_likelihood` call, once per trial,
     at the start and after a fallback; that is the loop's one exp per edge.
     The accepted trial's upset chances carry over to the next gradient and
@@ -259,31 +251,26 @@ def _newton(winner, loser, n_first, precision, center, tol, max_iter):
     Returns (u, steps taken, sup-norm of the gradient, converged).
     """
     check_fit_limits(tol, max_iter)
-    k, gauge = len(center), precision is None
+    k = len(center)
     layout = _schur_layout(winner, loser, n_first, k)
 
     def evaluate(u):
         f, upset = _log_likelihood(u, winner, loser)
-        penalty = u.sum() ** 2 / k if gauge else (precision * (u - center) ** 2).sum()
-        return float(f - 0.5 * penalty), upset
-
-    def fallback(u):  # the prior falls back only when the Hessian is singular
-        if not gauge:
-            raise np.linalg.LinAlgError("singular Hessian")
-        u = np.log(mm_step(np.exp(u), winner, loser))
-        return u - u.mean()
+        return float(f - 0.5 * (precision * (u - center) ** 2).sum()), upset
 
     u, at_u = center.copy(), None
     for it in range(max_iter + 1):
         f0, upset = at_u or evaluate(u)  # upset: the chance the loser would have won
         grad = np.bincount(winner, upset, k) - np.bincount(loser, upset, k)
-        grad -= u.sum() / k if gauge else precision * (u - center)
+        grad -= precision * (u - center)
         residual = float(np.abs(grad).max())
         if residual <= tol or it == max_iter:
             return u, it, residual, residual <= tol
         try:
             step = _newton_step(winner, loser, upset * (1.0 - upset), precision, grad, layout)
         except np.linalg.LinAlgError:
+            if fallback is None:
+                raise np.linalg.LinAlgError("singular Hessian")
             u, at_u = fallback(u), None
             continue
         slope, t = float(grad @ step), 1.0
@@ -294,7 +281,7 @@ def _newton(winner, loser, n_first, precision, center, tol, max_iter):
             t *= 0.5
             if t < _MIN_STEP:
                 break
-        u, at_u = (trial, at_t) if t >= _MIN_STEP or not gauge else (fallback(u), None)
+        u, at_u = (trial, at_t) if t >= _MIN_STEP or fallback is None else (fallback(u), None)
 
 
 def _report(merits: MeritVector, iterations, residual, converged, tol) -> FitReport:
@@ -320,12 +307,12 @@ def mle_fit(
     """Maximum likelihood merits on one strongly connected vertex set.
 
     The stationarity target is the likelihood equation: observed win counts
-    equal expected win counts, to within `tol` in the sup norm. The gauge
-    direction is pinned by the penalty mean(u)^2 * k/2, which leaves the
-    mean-zero solution untouched since the likelihood gradient sums to 0.
-    Any step the line search rejects falls back to one globally convergent
-    MM update (Hunter 2004). The result is reported mean-zero over the
-    component.
+    equal expected win counts, to within `tol` in the sup norm. The
+    likelihood cannot see a shift of all merits, so the penalty u[0]^2/2 pins
+    the set's first vertex at 0; a shifted maximizer is still a maximizer, so
+    the pin moves no difference. Any step the line search rejects falls back
+    to one globally convergent MM update (Hunter 2004), shifted back to
+    u[0] = 0. The result is reported mean-zero over the component.
 
     A vertex that repeats, lies outside the roster or is not an integer raises
     ParameterOutOfRangeError. `_scc=True` is for `predict_matrix` alone: it
@@ -353,8 +340,14 @@ def mle_fit(
                                             np.maximum(winner, loser) - n_first, winner < loser):
         raise NotStronglyConnectedError(
             f"vertex set {vertices} is not strongly connected in the result graph")
+
+    def fallback(u):
+        u = np.log(mm_step(np.exp(u), winner, loser))
+        return u - u[0]
+
+    pin = np.eye(1, k)[0]  # precision 1 at the first vertex, 0 elsewhere
     u, iterations, residual, converged = _newton(
-        winner, loser, n_first, None, np.zeros(k), tol, max_iter)
+        winner, loser, n_first, pin, np.zeros(k), tol, max_iter, fallback)
     merits = np.zeros(g.roster.n_vertices)
     merits[vertices] = u - u.mean()
     return _report(MeritVector(merits, pos >= 0), iterations, residual, converged, tol)
@@ -382,7 +375,8 @@ def map_fit(
 
     The prior makes the objective strictly concave, so a damped Newton method
     with backtracking converges from anywhere; no connectivity is needed and
-    no gauge normalization is applied.
+    no vertex is pinned. A singular Hessian raises LinAlgError, and a line
+    search that no trial passes keeps its smallest step.
     """
     roster = g.roster
     n, q = roster.n_students, roster.n_questions

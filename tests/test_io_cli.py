@@ -262,6 +262,16 @@ def test_edge_header_is_read_as_csv(tmp_path, header):
     assert run_cli("grade", "--input", p, "--outdir", str(tmp_path / "out")) == 0
 
 
+def test_wider_header_that_starts_like_an_edge_list_is_dense(tmp_path):
+    # only a line 1 of exactly the three edge-list fields is an edge-list header
+    p = write(tmp_path / "exam.csv", "student,question,correct,q3\ns0,1,0,NA\n")
+    assert fio.detect_format(p) == fio.DENSE_CSV
+    g = fio.ingest(p)
+    assert g.roster == Roster(("s0",), ("question", "correct", "q3"))
+    assert g.assignment.edges.tolist() == [[0, 0], [0, 1]]
+    assert g.w.tolist() == [1, 0]
+
+
 class TestMeritsAndGrades:
     def test_merit_round_trip(self, tmp_path):
         r = Roster.index_based(2, 2)

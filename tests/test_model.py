@@ -487,6 +487,14 @@ class TestMapFit:
         with pytest.raises(ParameterOutOfRangeError, match=field):
             PriorSpec(**{field: mean})
 
+    @pytest.mark.parametrize("field", ["student_mean", "student_std", "question_mean",
+                                       "question_std"])
+    def test_prior_int_too_long_to_print_is_rejected(self, field):
+        # str() of an int of more than 4300 digits raises ValueError: the message
+        # names the field and the type, not the value
+        with pytest.raises(ParameterOutOfRangeError, match=f"^{field} .* type int$"):
+            PriorSpec(**{field: 10**5000})
+
     @pytest.mark.parametrize("field", ["student_mean", "question_mean"])
     @pytest.mark.parametrize("mean", ["1", b"1", 1j])
     def test_prior_mean_that_is_no_real_number_raises_type_error(self, field, mean):
@@ -524,7 +532,7 @@ def _objective_evaluations(monkeypatch):
     def fallback(gamma, *args):
         gamma = mm(gamma, *args)
         u = np.log(gamma)
-        events.append(("fallback", u - u.mean()))
+        events.append(("fallback", u - u[0]))
         return gamma
 
     monkeypatch.setattr(model, "_log_likelihood", evaluation)
@@ -741,6 +749,28 @@ def result_graphs(draw):
     return ExamResultGraph(g, rng.integers(0, 2, g.n_edges)), rng
 
 
+def transposed(g):
+    """The exam with students and questions swapped: a question that a student
+    got wrong is a student who answered that question right."""
+    edges = g.assignment.edges[:, ::-1]
+    order = np.lexsort((edges[:, 1], edges[:, 0]))
+    roster = Roster(g.roster.questions, g.roster.students)
+    return ExamResultGraph(TaskAssignmentGraph(roster, edges[order]), 1 - g.w[order])
+
+
+def _largest_scc_edges(g):
+    """The largest SCC's sorted vertices, its student count and its edges as
+    (winner, loser) positions in that order, as `mle_fit` builds them. A draw
+    whose largest SCC is a single vertex is rejected."""
+    vertices = sorted(max(strongly_connected_components(g).components, key=len))
+    assume(len(vertices) >= 4)  # the smallest strongly connected piece is a 4-cycle
+    pos = {v: k for k, v in enumerate(vertices)}
+    winner, loser = (np.array(side, dtype=np.intp) for side in zip(*(
+        (pos[a], pos[b]) for a, b in zip(*map(np.ndarray.tolist, g.directed_edges))
+        if a in pos and b in pos)))
+    return vertices, sum(v < g.roster.n_students for v in vertices), winner, loser
+
+
 def _relative_gap(step, reference):
     return float(np.abs(step - reference).max() / np.abs(reference).max())
 
@@ -768,23 +798,37 @@ class TestNewtonStep:
     @settings(max_examples=150, deadline=None)
     @given(result_graphs())
     def test_mle_gauge_step(self, drawn):
+        # mle_fit fixes the gauge by pinning its first vertex: precision e_0
         g, rng = drawn
-        vertices = sorted(max(strongly_connected_components(g).components, key=len))
-        assume(len(vertices) >= 4)  # the smallest strongly connected piece is a 4-cycle
-        k, n_first = len(vertices), sum(v < g.roster.n_students for v in vertices)
-        pos = {v: k for k, v in enumerate(vertices)}
-        winner, loser = (np.array(side, dtype=np.intp) for side in zip(*(
-            (pos[a], pos[b]) for a, b in zip(*map(np.ndarray.tolist, g.directed_edges))
-            if a in pos and b in pos)))
+        vertices, n_first, winner, loser = _largest_scc_edges(g)
+        k = len(vertices)
         u = rng.normal(0, 1.5, k)
-        u -= u.mean()
+        u -= u[0]
         upset = logistic(u[loser] - u[winner])
         weight = upset * (1 - upset)
         grad = np.bincount(winner, upset, k) - np.bincount(loser, upset, k)
+        pin = np.eye(1, k)[0]
         layout = _schur_layout(winner, loser, n_first, k)
-        step = _newton_step(winner, loser, weight, None, grad, layout)
-        reference = np.linalg.solve(dense_hessian(k, winner, loser, weight, 0.0, True), grad)
+        step = _newton_step(winner, loser, weight, pin, grad, layout)
+        reference = np.linalg.solve(dense_hessian(k, winner, loser, weight, pin, False), grad)
         assert _relative_gap(step, reference) <= 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(result_graphs())
+    def test_pinned_mle_fit_is_the_mean_zero_maximizer(self, drawn):
+        # the pinned fit, reported mean-zero, is the fit under the J/k gauge; the exam
+        # and its transpose eliminate opposite sides unless the SCC's two are equal
+        g, _ = drawn
+        for exam in (g, transposed(g)):
+            vertices, _, winner, loser = _largest_scc_edges(exam)
+            k = len(vertices)
+            fit = mle_fit(exam, vertices, tol=1e-12)
+            merits = fit.merits.at(vertices)
+            assert abs(merits.sum()) <= 1e-12 * k
+            # the independent recomputation may round up to ~1e-15 above the fit's own
+            assert likelihood_equation_residual(fit.merits, exam) <= 1e-12 + 1e-14
+            reference = dense_newton(winner, loser, 0.0, np.zeros(k), True)
+            assert merits == pytest.approx(reference, abs=1e-11)
 
     def test_fits_with_more_questions_than_students(self):
         # the student side is the smaller one here, so the questions are eliminated
