@@ -123,6 +123,9 @@ def read_edge_list(path) -> ExamResultGraph:
                            for ids in (sids, qids))
     if not fields or not set(toks) <= {"0", "1"} or not students.keys().isdisjoint(questions):
         _edge_list_fault(path)
+    if (questions.keys() <= _CELL_CODES.keys() and len(students) == len(sids)
+            and students.keys().isdisjoint(_EDGE_HEADER[1:])):  # the dense reader accepts it too
+        raise MalformedRowError(1, "reads both as an edge list and as a 2-question dense sheet")
     s_idx = np.fromiter(map(students.__getitem__, sids), np.intp, len(sids))
     q_idx = np.fromiter(map(questions.__getitem__, qids), np.intp, len(qids))
     codes = s_idx * len(questions) + q_idx
@@ -308,7 +311,8 @@ def _csv_fields(ids) -> list[str]:
 def _write_matrix(path, roster: Roster, matrix: np.ndarray, cell) -> None:
     """A header row of question ids, then each student's id and `cell` of each entry in its row."""
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(_csv_fields(["student", *roster.questions])) + "\n")
+        corner = "" if list(roster.questions) == _EDGE_HEADER[1:] else "student"  # no edge-list header
+        fh.write(",".join(_csv_fields([corner, *roster.questions])) + "\n")
         # row by row: a whole-matrix .tolist() raises peak memory
         fh.writelines(f"{sid},{','.join(map(cell, row.tolist()))}\n"
                       for sid, row in zip(_csv_fields(roster.students), matrix))

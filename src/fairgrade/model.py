@@ -15,8 +15,9 @@ keeps the smallest step. Each line-search trial takes one exp per edge, for
 the objective and for the upset chances that the accepted trial hands to
 the next gradient and Hessian. Each Newton step eliminates one side of the
 bipartite Hessian (its student and question blocks are both diagonal) and
-solves the other side's Schur complement, in a side layout and dense work
-arrays that each fit sets up once.
+solves the other side's Schur complement: one gemm or, on a sparse fit, one
+`bincount` over the pairs of edges at each eliminated vertex, as the graph
+alone decides. Each fit sets up its side layout and work arrays once.
 """
 
 from __future__ import annotations
@@ -179,16 +180,30 @@ def mm_step(gamma: np.ndarray, winner: np.ndarray, loser: np.ndarray) -> np.ndar
 
 # Backtracking halves the step down to this length (the 28th trial).
 _MIN_STEP = 2.0**-27
+# The pair build's least gain in multiply-adds (it broke even at about 180-400).
+_PAIR_GAIN = 256
 
 
-def _schur_layout(winner, loser, n_first, k):
-    """`_newton_step`'s per-fit part: the sides e and r (slices), each edge's end
-    in either side, and the e x r workspace F (zero off the edges) and F D_e^-1."""
+def _schur_layout(winner, loser, n_first, k, pairs=None):
+    """`_newton_step`'s per-fit part: the sides e and r (slices), each edge's end in
+    either side, and one Schur build's work: the pair build when e r^2 > `_PAIR_GAIN` P
+    for the P = sum(deg_e^2) edge pairs at an eliminated vertex and 3 P <= 2 e r (its
+    memory fits in the gemm build's F and F D_e^-1), else the gemm build; `pairs` forces one."""
     sides = [(slice(0, n_first), np.minimum(winner, loser)),
              (slice(n_first, k), np.maximum(winner, loser) - n_first)]
     (elim, e_end), (kept, r_end) = sides if n_first >= k - n_first else sides[::-1]
-    shape = sorted((n_first, k - n_first), reverse=True)
-    return elim, e_end, kept, r_end, np.zeros(shape), np.empty(shape)
+    e, r = sorted((n_first, k - n_first), reverse=True)
+    deg = np.bincount(e_end, minlength=e)
+    n_pairs = int(deg @ deg)
+    if pairs is None:
+        pairs = e * r * r > _PAIR_GAIN * n_pairs and 3 * n_pairs <= 2 * e * r
+    if not pairs:
+        return elim, e_end, kept, r_end, (np.zeros((e, r)), np.empty((e, r)))
+    order = np.argsort(e_end, kind="stable")  # a pairs with each b at its vertex
+    reps = deg[e_end[order]]
+    shift = (np.cumsum(deg) - deg)[e_end[order]] - (np.cumsum(reps) - reps)
+    a, b = np.repeat(order, reps), order[np.repeat(shift, reps) + np.arange(n_pairs)]
+    return elim, e_end, kept, r_end, (a, b, r_end[a] * r + r_end[b])
 
 
 def _newton_step(winner, loser, weight, precision, grad, layout):
@@ -196,25 +211,36 @@ def _newton_step(winner, loser, weight, precision, grad, layout):
 
     Eliminates the larger side e (Wright & Panchapakesan 1969): solves the
     smaller side r's Schur complement S = D_r - F' D_e^-1 F, then x_e =
-    D_e^-1 (g_e + F x_r). The diagonal `precision` adds to D_e and D_r. Each
-    step overwrites the layout's workspace.
-    """
+    D_e^-1 (g_e + F x_r). The diagonal `precision` adds to D_e and D_r. The
+    gemm build takes F' D_e^-1 F from the layout's e x r arrays; the pair
+    build adds w_a (w_b / d_i) to S[r_a, r_b] for each pair of edges a, b at an
+    eliminated vertex i by one `bincount`, and F's products are `bincount`s too."""
     k = len(grad)
-    elim, e_end, kept, r_end, f, scaled = layout
+    elim, e_end, kept, r_end, work = layout
     diag = np.bincount(winner, weight, k) + np.bincount(loser, weight, k)
     diag += precision
     d_e, d_r = diag[elim], diag[kept]
     if not (d_e > 0).all():
         raise np.linalg.LinAlgError("zero or NaN pivot")
-    f[e_end, r_end] = weight  # the same cells every step: a vertex pair shares <= 1 edge
-    np.divide(f, d_e[:, None], out=scaled)
-    schur = f.T @ scaled
+    r = len(d_r)
+    if len(work) == 2:  # the gemm build
+        f, scaled = work
+        f[e_end, r_end] = weight  # the same cells every step: a vertex pair shares <= 1 edge
+        np.divide(f, d_e[:, None], out=scaled)
+        schur = f.T @ scaled
+        rhs = scaled.T @ grad[elim]
+    else:
+        a, b, cell = work
+        scaled = weight / d_e[e_end]
+        schur = np.bincount(cell, weight[a] * scaled[b], r * r).reshape(r, r)
+        rhs = np.bincount(r_end, scaled * grad[elim][e_end], r)
     np.negative(schur, out=schur)
-    schur.ravel()[::len(d_r) + 1] += d_r
-    x_r = np.linalg.solve(schur, grad[kept] + scaled.T @ grad[elim])
+    schur.ravel()[::r + 1] += d_r
+    x_r = np.linalg.solve(schur, grad[kept] + rhs)
     step = np.empty(k)
     step[kept] = x_r
-    step[elim] = (grad[elim] + f @ x_r) / d_e
+    back = f @ x_r if len(work) == 2 else np.bincount(e_end, weight * x_r[r_end], len(d_e))
+    step[elim] = (grad[elim] + back) / d_e
     return step
 
 

@@ -272,6 +272,36 @@ def test_wider_header_that_starts_like_an_edge_list_is_dense(tmp_path):
     assert g.w.tolist() == [1, 0]
 
 
+@pytest.mark.parametrize("body", ["s0,1,0\ns1,0,1\n", "student, NA ,1\n"],
+                         ids=["bits", "na-and-student"])
+def test_file_that_reads_as_both_layouts_is_a_data_error(tmp_path, capsys, body):
+    # a faultless edge list that is also the dense sheet of questions `question`, `correct`
+    p = write(tmp_path / "exam.csv", "student,question,correct\n" + body)
+    assert fio.read_dense_matrix(p).roster.questions == ("question", "correct")
+    assert run_cli("grade", "--input", p, "--outdir", str(tmp_path / "out")) == 3
+    assert ("line 1: reads both as an edge list and as a 2-question dense sheet"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("body", ["s0,1,0\ns0,0,1\n", "s0,q1,0\ns1,0,1\n", "question,1,0\n"],
+                         ids=["student-repeats", "question-no-cell", "student-named-question"])
+def test_edge_list_the_dense_reader_rejects_is_read(tmp_path, body):
+    p = write(tmp_path / "exam.csv", "student,question,correct\n" + body)
+    with pytest.raises(fio.MalformedRowError):
+        fio.read_dense_matrix(p)
+    assert fio.ingest(p).roster.questions != ("question", "correct")
+
+
+def test_dense_sheet_of_questions_question_and_correct_round_trips(tmp_path):
+    roster = Roster(("s0", "s1"), ("question", "correct"))
+    g = ExamResultGraph(TaskAssignmentGraph(roster, ((0, 1), (1, 0), (1, 1))),
+                        np.array([0, 1, 1]))
+    path = tmp_path / "exam.csv"
+    fio.write_dense_matrix(g, path)
+    assert path.read_text() == ",question,correct\ns0,NA,0\ns1,1,1\n"
+    assert fio.ingest(path) == g
+
+
 class TestMeritsAndGrades:
     def test_merit_round_trip(self, tmp_path):
         r = Roster.index_based(2, 2)

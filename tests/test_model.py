@@ -561,6 +561,56 @@ def _split_evaluations(events, start):
     return at_iterate, trials, fallbacks
 
 
+def published_exam(n, q, d, key):
+    """An exam drawn as the benchmark draws its inputs: uniform merits in the
+    published ranges, then the assignment, then the outcomes."""
+    roster = Roster.index_based(n, q)
+    rng = substream(11, key)
+    u = MeritVector.for_roster(roster, rng.uniform(-1.486, 1.149, n),
+                               rng.uniform(-3.090, 2.099, q))
+    return sample_exam_result(generate_assignment(roster, q, d, rng), u, rng)
+
+
+class TestSchurBuild:
+    """Which build of the Schur complement a fit takes, and that the pair build
+    gives the gemm build's fit. The gemm rounds by the BLAS thread count, so CI
+    also runs these on one thread."""
+
+    @staticmethod
+    def fits(monkeypatch, g, pairs=None):
+        """map_fit and the largest SCC's mle_fit, each with the builds it took."""
+        taken, layout = [], model._schur_layout
+
+        def recorded(*args):
+            out = layout(*args, pairs=pairs)
+            taken.append("pairs" if len(out[-1]) == 3 else "gemm")
+            return out
+
+        monkeypatch.setattr(model, "_schur_layout", recorded)
+        map_report = map_fit(g, PriorSpec())
+        largest = sorted(max(strongly_connected_components(g).components, key=len))
+        mle_report = mle_fit(g, largest)
+        monkeypatch.undo()
+        return (map_report, mle_report), taken
+
+    def test_sparse_fits_take_the_pair_build(self, monkeypatch):
+        g = published_exam(1000, 200, 3, 0)
+        reports, taken = self.fits(monkeypatch, g)
+        assert taken == ["pairs", "pairs"]
+        gemm, taken = self.fits(monkeypatch, g, pairs=False)
+        assert taken == ["gemm", "gemm"]
+        for report, reference in zip(reports, gemm):
+            assert report.iterations == reference.iterations
+            assert np.abs(report.merits.values - reference.merits.values).max() <= 1e-12
+
+    # the MAP fits' gemm work is 44, 4.8, 225 and 278 times their pair counts; at
+    # 1000x200 with d = 12 the pair arrays would outgrow the gemm build's two arrays
+    @pytest.mark.parametrize("n, q, d", [(1000, 200, 30), (35, 22, 10), (60, 30, 2),
+                                         (1000, 200, 12)])
+    def test_dense_fits_take_the_gemm_build(self, monkeypatch, n, q, d):
+        assert self.fits(monkeypatch, published_exam(n, q, d, 1))[1] == ["gemm", "gemm"]
+
+
 class TestObjectiveEvaluations:
     """A fit evaluates its objective once per line-search trial, plus once at
     the start and once after each fallback."""
@@ -776,42 +826,48 @@ def _relative_gap(step, reference):
 
 
 class TestNewtonStep:
-    """The Schur-complement step equals a dense solve of the full Hessian."""
+    """The Schur-complement step equals a dense solve of the full Hessian, by
+    either build of the complement, with either side eliminated."""
 
     @settings(max_examples=150, deadline=None)
     @given(result_graphs())
     def test_map_prior_step(self, drawn):
         g, rng = drawn
-        n, k = g.roster.n_students, g.roster.n_vertices  # 1x1 gives 2 vertices
-        winner, loser = g.directed_edges
-        u = rng.normal(0, 1.5, k)
-        upset = logistic(u[loser] - u[winner])
-        weight = upset * (1 - upset)
-        precision = np.repeat(rng.uniform(0.1, 4.0, 2), [n, k - n])
-        grad = rng.normal(0, 1, k)
-        layout = _schur_layout(winner, loser, n, k)
-        step = _newton_step(winner, loser, weight, precision, grad, layout)
-        reference = np.linalg.solve(
-            dense_hessian(k, winner, loser, weight, precision, False), grad)
-        assert _relative_gap(step, reference) <= 1e-12
+        for exam in (g, transposed(g)):
+            n, k = exam.roster.n_students, exam.roster.n_vertices  # 1x1 gives 2 vertices
+            winner, loser = exam.directed_edges
+            u = rng.normal(0, 1.5, k)
+            upset = logistic(u[loser] - u[winner])
+            weight = upset * (1 - upset)
+            precision = np.repeat(rng.uniform(0.1, 4.0, 2), [n, k - n])
+            grad = rng.normal(0, 1, k)
+            reference = np.linalg.solve(
+                dense_hessian(k, winner, loser, weight, precision, False), grad)
+            for pairs in (False, True):
+                layout = _schur_layout(winner, loser, n, k, pairs=pairs)
+                step = _newton_step(winner, loser, weight, precision, grad, layout)
+                assert _relative_gap(step, reference) <= 1e-12
 
     @settings(max_examples=150, deadline=None)
     @given(result_graphs())
     def test_mle_gauge_step(self, drawn):
         # mle_fit fixes the gauge by pinning its first vertex: precision e_0
         g, rng = drawn
-        vertices, n_first, winner, loser = _largest_scc_edges(g)
-        k = len(vertices)
-        u = rng.normal(0, 1.5, k)
-        u -= u[0]
-        upset = logistic(u[loser] - u[winner])
-        weight = upset * (1 - upset)
-        grad = np.bincount(winner, upset, k) - np.bincount(loser, upset, k)
-        pin = np.eye(1, k)[0]
-        layout = _schur_layout(winner, loser, n_first, k)
-        step = _newton_step(winner, loser, weight, pin, grad, layout)
-        reference = np.linalg.solve(dense_hessian(k, winner, loser, weight, pin, False), grad)
-        assert _relative_gap(step, reference) <= 1e-12
+        for exam in (g, transposed(g)):
+            vertices, n_first, winner, loser = _largest_scc_edges(exam)
+            k = len(vertices)
+            u = rng.normal(0, 1.5, k)
+            u -= u[0]
+            upset = logistic(u[loser] - u[winner])
+            weight = upset * (1 - upset)
+            grad = np.bincount(winner, upset, k) - np.bincount(loser, upset, k)
+            pin = np.eye(1, k)[0]
+            reference = np.linalg.solve(
+                dense_hessian(k, winner, loser, weight, pin, False), grad)
+            for pairs in (False, True):
+                layout = _schur_layout(winner, loser, n_first, k, pairs=pairs)
+                step = _newton_step(winner, loser, weight, pin, grad, layout)
+                assert _relative_gap(step, reference) <= 1e-12
 
     @settings(max_examples=150, deadline=None)
     @given(result_graphs())
