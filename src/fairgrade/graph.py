@@ -92,11 +92,13 @@ class TaskAssignmentGraph:
 
     def __post_init__(self):
         s_idx, q_idx = _as_indices(self.edges).reshape(len(self.edges), 2).T
-        # np.take keeps the (2, E) result C-ordered, so each of `edge_arrays` is contiguous
-        columns = np.take(np.stack((s_idx, q_idx)), np.lexsort((q_idx, s_idx)), axis=1)
-        s_idx, q_idx = columns
-        if ((np.diff(s_idx) == 0) & (np.diff(q_idx) == 0)).any():
-            raise ValueError("duplicate assignment edges")
+        # a (2, E) array is C-ordered, so each of `edge_arrays` is contiguous
+        columns = np.stack((s_idx, q_idx))
+        ahead, tied = s_idx[1:] > s_idx[:-1], s_idx[1:] == s_idx[:-1]
+        if not (ahead | tied & (q_idx[1:] > q_idx[:-1])).all():  # not sorted, or a repeat
+            s_idx, q_idx = columns = columns.take(np.lexsort((q_idx, s_idx)), axis=1)
+            if ((np.diff(s_idx) == 0) & (np.diff(q_idx) == 0)).any():
+                raise ValueError("duplicate assignment edges")
         outside = (s_idx < 0) | (s_idx >= self.roster.n_students)
         outside |= (q_idx < 0) | (q_idx >= self.roster.n_questions)
         if outside.any():

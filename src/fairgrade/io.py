@@ -3,17 +3,19 @@
 Two exam formats are supported, and `ingest` picks the reader from line 1.
 The edge list is one row per assigned pair (`student,question,correct`). The
 dense matrix has one row per student, one column per question, and cells in
-{0, 1, NA} where NA means the pair was never assigned. A sheet in
-`write_dense_matrix`'s form (no quote or NUL in an id, no padded cell, `\n`
-after every line) is read without csv; at its first other row it is read again
-as `csv.reader` yields rows, like any file, to the same result. A fault names
-the line its row ends on; a csv fault or a non-UTF-8 byte anywhere wins.
+{0, 1, NA} where NA means the pair was never assigned. A file in its writer's
+form is read without csv, to csv's result: a sheet with no quote or NUL in an
+id, no padded cell and `\n` after every line, else read again from its first
+other row as `csv.reader` yields rows; an edge list in ASCII with no quote, CR,
+NUL, blank line or padded field and `\n` after every line, else, or at a fault,
+read by csv. A fault names the line its row ends on; a csv fault or a
+non-UTF-8 byte anywhere wins.
 A merit file is the header `vertex,kind,merit`, then one row per vertex: its
 id, `student` or `question`, and merit; the reader needs every roster vertex.
 
 Output contract of the writers: floats are written as their shortest
-round-trip `repr`, ids are quoted as `csv.writer` quotes them (only when they
-hold a comma, a quote or a line break), and every line ends with `\n`.
+round-trip `repr`, ids are quoted as `csv.writer` quotes them, only when they
+hold a comma, a quote or a line break (CR too), and every line ends with `\n`.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ import csv
 import json
 from collections import deque
 from contextlib import contextmanager
-from itertools import compress, islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import attrgetter
 from types import SimpleNamespace
-from typing import Iterable, NoReturn
+from typing import Iterable, Iterator, NoReturn
 
 import numpy as np
 
@@ -109,6 +111,24 @@ def detect_format(path) -> str:
 
 
 def read_edge_list(path) -> ExamResultGraph:
+    return _read_canonical_edges(path) or _read_edge_csv(path)
+
+
+def _read_canonical_edges(path) -> ExamResultGraph | None:
+    """A canonical edge list's graph, else None; it raises only what the csv reader would."""
+    text = read_text(path)  # raises the csv reader's error at a byte that is not UTF-8
+    if not text.isascii() or not text.endswith("\n") or any(c in text for c in '"\r\0'):
+        return None
+    lines, fields = text.count("\n"), text.replace("\n", ",\n,").split(",")  # 4 a line
+    if (fields[:3] != _EDGE_HEADER or len(fields) != 4 * lines + 1
+            or fields[3::4].count("\n") != lines):  # a line of other than 3 fields
+        return None
+    sids, qids, toks = fields[4:-1:4], fields[5::4], fields[6::4]
+    del text, fields  # before the index arrays, where memory peaks
+    return _edge_graph(sids, qids, toks, lambda: None)
+
+
+def _read_edge_csv(path) -> ExamResultGraph:
     with _reader(path) as rows:
         if [c.strip() for c in next(rows, ())] != _EDGE_HEADER:
             _edge_list_fault(path)
@@ -118,11 +138,20 @@ def read_edge_list(path) -> ExamResultGraph:
                 _edge_list_fault(path)
             fields.extend(row)
     sids, qids, toks = ([*map(str.strip, fields[k::3])] for k in range(3))
+    return _edge_graph(sids, qids, toks, lambda: _edge_list_fault(path))
+
+
+def _edge_graph(sids, qids, toks, fault) -> ExamResultGraph | None:
+    """The graph of edge rows given as ids and tokens, or `fault()` at a fault; an id that
+    `str.strip` changes or a field over csv's limit is one too, which no row csv read has."""
     # dicts keep first-seen order, so ids are indexed in file order
     students, questions = (dict(zip(dict.fromkeys(ids), range(len(ids))))
                            for ids in (sids, qids))
-    if not fields or not set(toks) <= {"0", "1"} or not students.keys().isdisjoint(questions):
-        _edge_list_fault(path)
+    ids = [*students, *questions]
+    if (not sids or not set(toks) <= {"0", "1"} or not students.keys().isdisjoint(questions)
+            or ids != [*map(str.strip, ids)]
+            or max(map(len, _EDGE_HEADER + ids)) > csv.field_size_limit()):
+        return fault()
     if (questions.keys() <= _CELL_CODES.keys() and len(students) == len(sids)
             and students.keys().isdisjoint(_EDGE_HEADER[1:])):  # the dense reader accepts it too
         raise MalformedRowError(1, "reads both as an edge list and as a 2-question dense sheet")
@@ -131,8 +160,8 @@ def read_edge_list(path) -> ExamResultGraph:
     codes = s_idx * len(questions) + q_idx
     order = np.argsort(codes, kind="stable")
     if not np.diff(codes[order]).all():  # a duplicate pair sorts next to its twin
-        _edge_list_fault(path)
-    bits = np.fromiter(map("1".__eq__, toks), np.uint8, len(toks))
+        return fault()
+    bits = np.frombuffer("".join(toks).encode(), np.uint8) - ord("0")
     return _result_graph(students, questions, s_idx[order], q_idx[order], bits[order])
 
 
@@ -233,19 +262,26 @@ def _read_dense_csv(path) -> ExamResultGraph:
     return _result_graph(students, questions, s_idx, q_idx, codes[s_idx, q_idx])
 
 
+def _csv_lines(rows: Iterable) -> Iterator[str]:
+    """Each row as `csv.writer` writes it, ending in "\n", with a field quoted where it holds
+    a comma, a quote or a line break (with "\n" as its terminator, csv leaves a CR bare)."""
+    out = csv.writer(SimpleNamespace(write=str), lineterminator="\r\n")  # writerow returns the line
+    return (out.writerow(row)[:-2] + "\n" for row in rows)
+
+
 def _write_csv(path, header, rows: Iterable) -> None:
-    """A header row, then `rows`, through one `csv.writer`."""
+    """A header row, then `rows`, as `_csv_lines`."""
     with open(path, "w", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(header)
-        out.writerows(rows)
+        fh.writelines(_csv_lines(chain([header], rows)))
 
 
 def write_edge_list(g: ExamResultGraph, path) -> None:
     roster, (s_idx, q_idx) = g.roster, g.assignment.edge_arrays
-    _write_csv(path, _EDGE_HEADER, zip(map(roster.students.__getitem__, s_idx.tolist()),
-                                       map(roster.questions.__getitem__, q_idx.tolist()),
-                                       g.w.tolist()))
+    sids, qids = _csv_fields(roster.students), _csv_fields(roster.questions)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(_EDGE_HEADER) + "\n")
+        fh.writelines(f"{sids[i]},{qids[j]},{w}\n"
+                      for i, j, w in zip(s_idx.tolist(), q_idx.tolist(), g.w.tolist()))
 
 
 def write_dense_matrix(g: ExamResultGraph, path) -> None:
@@ -302,10 +338,8 @@ def write_grades(grades: GradeVector, path) -> None:
 
 def _csv_fields(ids) -> list[str]:
     """Each id as `csv.writer` writes it within a row: quoted only where it must be."""
-    lines: list[str] = []
-    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n").writerows(
-        (field, "") for field in ids)  # not alone: a lone empty field is written as ""
-    return [line[:-2] for line in lines]
+    # not alone: a lone empty field is written as ""
+    return [line[:-2] for line in _csv_lines((field, "") for field in ids)]
 
 
 def _write_matrix(path, roster: Roster, matrix: np.ndarray, cell) -> None:

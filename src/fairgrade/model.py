@@ -15,9 +15,9 @@ keeps the smallest step. Each line-search trial takes one exp per edge, for
 the objective and for the upset chances that the accepted trial hands to
 the next gradient and Hessian. Each Newton step eliminates one side of the
 bipartite Hessian (its student and question blocks are both diagonal) and
-solves the other side's Schur complement: one gemm or, on a sparse fit, one
-`bincount` over the pairs of edges at each eliminated vertex, as the graph
-alone decides. Each fit sets up its side layout and work arrays once.
+solves the other side's Schur complement: one syrk (the gemm build) or, on a
+sparse fit, one `bincount` over the pairs of edges at each eliminated vertex,
+as the graph alone decides. Each fit sets up its side layout and work arrays once.
 """
 
 from __future__ import annotations
@@ -180,15 +180,17 @@ def mm_step(gamma: np.ndarray, winner: np.ndarray, loser: np.ndarray) -> np.ndar
 
 # Backtracking halves the step down to this length (the 28th trial).
 _MIN_STEP = 2.0**-27
-# The pair build's least gain in multiply-adds (it broke even at about 180-400).
+# The pair build's least gain in multiply-adds (it broke even near 200 against the syrk).
 _PAIR_GAIN = 256
 
 
 def _schur_layout(winner, loser, n_first, k, pairs=None):
     """`_newton_step`'s per-fit part: the sides e and r (slices), each edge's end in
     either side, and one Schur build's work: the pair build when e r^2 > `_PAIR_GAIN` P
-    for the P = sum(deg_e^2) edge pairs at an eliminated vertex and 3 P <= 2 e r (its
-    memory fits in the gemm build's F and F D_e^-1), else the gemm build; `pairs` forces one."""
+    for the P = sum(deg_e^2) edge pairs at an eliminated vertex and 3 P <= 2 e r (the pair
+    arrays are at most twice the gemm build's e x r array; at 1000x200 this binds, at the
+    crossover: on one thread `map_fit` took 10.4 ms by pairs at d = 11 and 11.0 ms by the
+    syrk at d = 12, each the faster build), else the gemm build; `pairs` forces one."""
     sides = [(slice(0, n_first), np.minimum(winner, loser)),
              (slice(n_first, k), np.maximum(winner, loser) - n_first)]
     (elim, e_end), (kept, r_end) = sides if n_first >= k - n_first else sides[::-1]
@@ -198,7 +200,7 @@ def _schur_layout(winner, loser, n_first, k, pairs=None):
     if pairs is None:
         pairs = e * r * r > _PAIR_GAIN * n_pairs and 3 * n_pairs <= 2 * e * r
     if not pairs:
-        return elim, e_end, kept, r_end, (np.zeros((e, r)), np.empty((e, r)))
+        return elim, e_end, kept, r_end, (np.zeros((e, r)),)
     order = np.argsort(e_end, kind="stable")  # a pairs with each b at its vertex
     reps = deg[e_end[order]]
     shift = (np.cumsum(deg) - deg)[e_end[order]] - (np.cumsum(reps) - reps)
@@ -211,10 +213,11 @@ def _newton_step(winner, loser, weight, precision, grad, layout):
 
     Eliminates the larger side e (Wright & Panchapakesan 1969): solves the
     smaller side r's Schur complement S = D_r - F' D_e^-1 F, then x_e =
-    D_e^-1 (g_e + F x_r). The diagonal `precision` adds to D_e and D_r. The
-    gemm build takes F' D_e^-1 F from the layout's e x r arrays; the pair
-    build adds w_a (w_b / d_i) to S[r_a, r_b] for each pair of edges a, b at an
-    eliminated vertex i by one `bincount`, and F's products are `bincount`s too."""
+    D_e^-1 (g_e + F x_r). The diagonal `precision` adds to D_e and D_r. The gemm build
+    keeps G = D_e^-1/2 F in the layout's e x r array, so F' D_e^-1 F = G' G is one syrk
+    (`G.T @ G`, 0.95 ms against a gemm's 1.76 ms at 1000x200 on one thread); the pair build
+    adds w_a (w_b / d_i) to S[r_a, r_b] for each pair of edges a, b at an eliminated vertex i
+    by one `bincount`, and F's products are `bincount`s too."""
     k = len(grad)
     elim, e_end, kept, r_end, work = layout
     diag = np.bincount(winner, weight, k) + np.bincount(loser, weight, k)
@@ -223,12 +226,10 @@ def _newton_step(winner, loser, weight, precision, grad, layout):
     if not (d_e > 0).all():
         raise np.linalg.LinAlgError("zero or NaN pivot")
     r = len(d_r)
-    if len(work) == 2:  # the gemm build
-        f, scaled = work
-        f[e_end, r_end] = weight  # the same cells every step: a vertex pair shares <= 1 edge
-        np.divide(f, d_e[:, None], out=scaled)
-        schur = f.T @ scaled
-        rhs = scaled.T @ grad[elim]
+    if len(work) == 1:  # the gemm build, by one syrk
+        (g,), root = work, np.sqrt(d_e)
+        g[e_end, r_end] = weight / root[e_end]  # same cells each step: one edge per vertex pair
+        schur, rhs = g.T @ g, g.T @ (t := grad[elim] / root)
     else:
         a, b, cell = work
         scaled = weight / d_e[e_end]
@@ -239,8 +240,10 @@ def _newton_step(winner, loser, weight, precision, grad, layout):
     x_r = np.linalg.solve(schur, grad[kept] + rhs)
     step = np.empty(k)
     step[kept] = x_r
-    back = f @ x_r if len(work) == 2 else np.bincount(e_end, weight * x_r[r_end], len(d_e))
-    step[elim] = (grad[elim] + back) / d_e
+    if len(work) == 1:  # x_e = (D_e^-1/2 g_e + G x_r) / D_e^1/2
+        step[elim] = (t + g @ x_r) / root
+    else:
+        step[elim] = (grad[elim] + np.bincount(e_end, weight * x_r[r_end], len(d_e))) / d_e
     return step
 
 

@@ -141,6 +141,10 @@ class TestTaskAssignmentGraph:
         assert g == TaskAssignmentGraph(r, ((1, 1), (0, 0), (0, 1)))
         assert g.edges.dtype == np.intp and g.edges.shape == (3, 2)
         assert [a.tolist() for a in g.edge_arrays] == [[0, 0, 1], [0, 1, 1]]
+        edges = np.array([[0, 0], [0, 1], [1, 1]])  # sorted already: kept as a copy
+        g = TaskAssignmentGraph(r, edges)
+        edges[0] = 1
+        assert g.edges.tolist() == [[0, 0], [0, 1], [1, 1]]
         for bad in ([[0, 0], [0, 0]], [[0, 2]], [[-1, 0]], [[0, 0, 1]]):
             with pytest.raises(ValueError):
                 TaskAssignmentGraph(r, np.array(bad))

@@ -1,6 +1,7 @@
-"""The dense reader's two paths: a canonical sheet, as `write_dense_matrix`
-writes it, is read without csv; every other sheet goes to `_read_dense_csv`,
-and both paths give the same graph, or the same error at the same line."""
+"""Each exam reader's two paths: a canonical file, as `write_dense_matrix` or
+`write_edge_list` writes it, is read without csv; every other file goes to
+`_read_dense_csv` or `_read_edge_csv`, and both paths give the same graph, or
+the same error at the same line."""
 
 import csv
 
@@ -162,3 +163,123 @@ def test_first_row_in_another_form_ends_the_fast_read(tmp_path, row):
     assert fio._read_canonical(path) is None
     with pytest.raises(fio.MalformedRowError, match="^line 20002: byte 0xff is not UTF-8"):
         fio.read_dense_matrix(path)
+
+
+# ids that csv need not quote, in ASCII, with inner spaces
+EDGE_ID_TEXT = st.text(alphabet="ab 1", max_size=3).map(str.strip)
+
+
+@st.composite
+def canonical_edge_lists(draw):
+    """An exam with at least one edge, whose edge list `write_edge_list` writes canonical."""
+    students, questions = ([prefix + s for s in draw(st.lists(EDGE_ID_TEXT, min_size=1,
+                                                              max_size=5, unique=True))]
+                           for prefix in "sq")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((len(students), len(questions))) >= draw(st.floats(0, 1))
+    mask[0, 0] = True
+    s_idx, q_idx = np.nonzero(mask)
+    g = TaskAssignmentGraph(Roster(tuple(students), tuple(questions)),
+                            tuple(zip(s_idx.tolist(), q_idx.tolist())))
+    return ExamResultGraph(g, rng.integers(0, 2, len(s_idx)).astype(np.uint8))
+
+
+def replace_field(k, tokens):
+    """Replace field `k` of the row, `c`, with one of `tokens`, each a format string of `c`."""
+    def edit(lines, row, data):
+        fields = lines[row].split(",")
+        fields[k] = data.draw(st.sampled_from(tokens)).format(c=fields[k])
+        lines[row] = ",".join(fields)
+    return edit
+
+
+def repeat_pair(lines, row, data):
+    """Write the row's pair again elsewhere, with either bit."""
+    pair = lines[row].rpartition(",")[0]
+    lines.insert(data.draw(st.integers(1, len(lines))), pair + data.draw(st.sampled_from(",0,1")))
+
+
+def share_id(lines, row, data):
+    """Give the row a student id as its question, or a question id as its student."""
+    sid, qid, bit = lines[row].split(",")
+    other = data.draw(st.sampled_from(lines[1:])).split(",")
+    lines[row] = ",".join(data.draw(st.sampled_from([(sid, other[0], bit), (other[1], qid, bit)])))
+
+
+def cell_questions(lines, row, data):
+    """Keep each student's first row and name the questions by cell tokens: the file
+    then reads as the dense sheet of the questions `question` and `correct` too."""
+    rows = {line.partition(",")[0]: line.split(",") for line in reversed(lines[1:])}
+    names = dict(zip(dict.fromkeys(qid for _, qid, _ in rows.values()),
+                     ["0", "1", "NA", "", "NaN", "nan"]))
+    lines[1:] = [f"{sid},{names[qid]},{bit}" for sid, qid, bit in rows.values()]
+
+
+EDGE_EDITS = {
+    "none": lambda lines, row, data: None,
+    "quote": insert('"'),
+    "cr": insert("\r"),
+    "crlf": replace_field(2, ["{c}\r"]),
+    "nul": insert("\0"),
+    "non-ascii": insert("é"),
+    "not-utf-8": insert("\udcff"),  # written as the byte 0xff
+    # a pad that str.strip removes: space, tab, \x1c or \x0b
+    "padded-field": replace_field(0, [" {c}", "{c} ", "\t{c}", "\x1c{c}", "{c}\x0b"]),
+    "padded-token": replace_field(2, [" {c}", "{c} "]),
+    "other-token": replace_field(2, ["2", "", "x", "01", "NA"]),
+    "ragged": replace_field(2, ["{c},{c}", "{c},"]),
+    "cell-moved": move_cell,
+    "id-alone": drop_cells,
+    "blank-line": lambda lines, row, data: lines.insert(row, ""),
+    "repeated-pair": repeat_pair,
+    "repeated-id": replace_id(lambda lines: [" " + line.partition(",")[0] for line in lines[1:]]),
+    "shared-id": share_id,
+    "cell-questions": cell_questions,
+    "oversized-id": replace_id(lambda lines: [LONG_ID]),
+    "header": lambda lines, row, data: lines.__setitem__(0, data.draw(st.sampled_from([
+        " student,question,correct", '"student",question,correct', "student,question",
+        "student,question,correct,", "student,question,correct\r"]))),
+}
+
+
+@pytest.mark.parametrize("edit", EDGE_EDITS)
+@settings(max_examples=60, deadline=None)
+@given(g=canonical_edge_lists(), bom=st.booleans(), end=st.sampled_from(["\n", ""]),
+       data=st.data())
+def test_both_edge_list_paths_read_alike(tmp_path_factory, edit, g, bom, end, data):
+    path = tmp_path_factory.mktemp("edges") / "exam.csv"
+    fio.write_edge_list(g, path)
+    lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    EDGE_EDITS[edit](lines, data.draw(st.integers(1, len(lines) - 1)), data)
+    path.write_bytes(("\ufeff" if bom else "").encode()
+                     + ("\n".join(lines) + end).encode(errors="surrogateescape"))
+    limit = len(LONG_ID) - data.draw(st.integers(0, 1)) if edit == "oversized-id" else None
+    saved = csv.field_size_limit(limit) if limit else None
+    try:
+        fast, slow = outcome(fio.read_edge_list, path), outcome(fio._read_edge_csv, path)
+    finally:
+        if saved:
+            csv.field_size_limit(saved)
+    event(f"{edit}: {'read' if isinstance(slow, ExamResultGraph) else slow[0].__name__}")
+    assert fast == slow
+    if edit == "none" and end:
+        assert fio._read_canonical_edges(path) is not None
+
+
+def test_written_edge_list_never_reaches_csv(tmp_path, monkeypatch):
+    roster = Roster.index_based(1000, 200)
+    u = MeritVector.for_roster(roster, [0.0] * 1000, [0.0] * 200)
+    g = model.sample_exam_result(graph.generate_assignment(roster, 200, 30, 0), u, 1)
+    path, padded = tmp_path / "exam.csv", tmp_path / "padded.csv"
+    fio.write_edge_list(g, path)
+    padded.write_text(path.read_text().replace(",1\n", ", 1\n", 1))
+    expected = fio._read_edge_csv(path)
+
+    def refuse(path):
+        raise AssertionError(f"{path.name} was read through csv")
+
+    monkeypatch.setattr(fio, "_read_edge_csv", refuse)
+    assert fio.read_edge_list(path) == expected
+    assert fio.ingest(path) == expected
+    with pytest.raises(AssertionError, match="padded.csv was read through csv"):
+        fio.read_edge_list(padded)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from fairgrade import ExamResultGraph, PairCase, PredictionMatrix, Roster, TaskAssignmentGraph
+from fairgrade import (ExamResultGraph, MeritVector, PairCase, PredictionMatrix, Roster,
+                       TaskAssignmentGraph)
 from fairgrade import io as fio
 
 NA = ("NA", "", "NaN", "nan")
@@ -22,8 +23,8 @@ def unique_ids(prefix: str, min_size: int):
 
 
 @st.composite
-def exams(draw):
-    students, questions = draw(unique_ids("s", 1)), draw(unique_ids("q", 1))
+def exams(draw, students=unique_ids("s", 1), questions=unique_ids("q", 1)):
+    students, questions = draw(students), draw(questions)
     mask = np.array(draw(st.lists(st.booleans(), min_size=len(students) * len(questions),
                                   max_size=len(students) * len(questions))), dtype=bool)
     s_idx, q_idx = np.nonzero(mask.reshape(len(students), len(questions)))
@@ -38,23 +39,60 @@ def labelled(g: ExamResultGraph) -> dict[tuple[str, str], int]:
     return {(r.students[i], r.questions[j]): b for (i, j), b in g.outcomes.items()}
 
 
+# ids with no prefix, built from the headers' words, cell tokens, csv's special
+# characters, a space and a letter past ASCII
+BARE_ID = st.lists(st.sampled_from(["student", "question", "correct", "0", "1", "NA", ",", '"',
+                                    "\n", "\r", " ", "é", "a"]), max_size=3).map("".join)
+BARE_IDS = st.lists(BARE_ID.filter(lambda s: s == s.strip()), min_size=1, max_size=4,
+                    unique=True)
+
+
+@st.composite
+def bare_exams(draw):
+    """An exam whose student and question ids are drawn from BARE_IDS, disjoint."""
+    students = draw(BARE_IDS)
+    questions = draw(BARE_IDS.map(lambda ids: [q for q in ids if q not in students])
+                     .filter(bool))
+    return draw(exams(st.just(students), st.just(questions)))
+
+
 class TestRoundTrip:
-    @settings(max_examples=150, deadline=None)
-    @given(exams())
+    """Each writer's file reads back as what it wrote, whatever the ids."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(bare_exams())
     def test_edge_list(self, tmp_path_factory, g):
         if g.assignment.n_edges == 0:
             return  # an edge list without rows is rejected, see the fuzz tests
         path = tmp_path_factory.mktemp("rt") / "exam.csv"
         fio.write_edge_list(g, path)
-        back = fio.ingest(path)
-        assert labelled(back) == labelled(g)
+        roster, (s_idx, q_idx) = g.roster, g.assignment.edge_arrays
+        students, questions = ([ids[i] for i in dict.fromkeys(idx.tolist())]
+                               for ids, idx in ((roster.students, s_idx),
+                                                (roster.questions, q_idx)))
+        if reads_as_dense(students, questions, g.assignment.n_edges):
+            event("reads as both layouts")
+            with pytest.raises(fio.MalformedRowError, match="^line 1: reads both as an edge"):
+                fio.ingest(path)
+        else:
+            assert labelled(fio.ingest(path)) == labelled(g)
 
-    @settings(max_examples=150, deadline=None)
-    @given(exams())
+    @settings(max_examples=200, deadline=None)
+    @given(bare_exams())
     def test_dense_matrix(self, tmp_path_factory, g):
         path = tmp_path_factory.mktemp("rt") / "exam.csv"
         fio.write_dense_matrix(g, path)
-        assert fio.read_dense_matrix(path) == g
+        assert fio.ingest(path) == g
+
+    @settings(max_examples=200, deadline=None)
+    @given(bare_exams(), st.data())
+    def test_merits(self, tmp_path_factory, g, data):
+        roster = g.roster
+        values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                    min_size=roster.n_vertices, max_size=roster.n_vertices))
+        path = tmp_path_factory.mktemp("rt") / "merits.csv"
+        fio.write_merits(MeritVector(values), roster, path)
+        assert fio.read_merits(path, roster).values.tolist() == values
 
 
 def cells(line: str) -> list[str]:
@@ -85,7 +123,17 @@ def edge_list_oracle(lines: list[str]):
             return fio.MalformedRowError, line
     if not outcomes:
         return fio.MalformedRowError, len(lines) + 1
+    if reads_as_dense(students, questions, len(outcomes)):
+        return fio.MalformedRowError, 1
     return "ok", students, questions, outcomes
+
+
+def reads_as_dense(students, questions, rows: int) -> bool:
+    """Whether an edge list of these stripped ids also reads as the dense sheet of the
+    questions `question` and `correct`: each question id is a cell token, no student
+    repeats, and no student is `question` or `correct`."""
+    return (set(questions) <= {"0", "1", *NA} and len(students) == rows
+            and not {"question", "correct"} & set(students))
 
 
 def dense_oracle(lines: list[str]):

@@ -604,7 +604,7 @@ class TestSchurBuild:
             assert np.abs(report.merits.values - reference.merits.values).max() <= 1e-12
 
     # the MAP fits' gemm work is 44, 4.8, 225 and 278 times their pair counts; at
-    # 1000x200 with d = 12 the pair arrays would outgrow the gemm build's two arrays
+    # 1000x200 with d = 12 the pair arrays would outgrow twice the gemm build's array
     @pytest.mark.parametrize("n, q, d", [(1000, 200, 30), (35, 22, 10), (60, 30, 2),
                                          (1000, 200, 12)])
     def test_dense_fits_take_the_gemm_build(self, monkeypatch, n, q, d):
