@@ -106,14 +106,11 @@ def predict_matrix(
     _require_positive_degrees(roster, g.assignment.student_degrees)
     components = strongly_connected_components(g)
     n = roster.n_students
-    s_idx, q_idx = g.assignment.edge_arrays
-    edge = np.zeros((n, roster.n_questions), dtype=bool)
-    edge[s_idx, q_idx] = True
     comp = components.component_of
-    codes = _pair_cases(components, edge)
+    codes = _pair_cases(components, g.assignment.edge_arrays)
 
-    h = np.zeros(edge.shape)
-    h[s_idx, q_idx] = g.w
+    h = np.zeros(codes.shape)
+    h[g.assignment.edge_arrays] = g.w
     h[codes == PairCase.STUDENT_ABOVE.value] = 1.0
     same = codes == PairCase.SAME_COMPONENT.value
     # the SCCs to fit are those whose students have SAME_COMPONENT cells

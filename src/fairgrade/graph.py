@@ -307,9 +307,11 @@ _REACH_CASES = np.array([PairCase.INCOMPARABLE.value, PairCase.QUESTION_ABOVE.va
                         dtype=np.int8)
 
 
-def _pair_cases(c: ComponentStructure, edge: np.ndarray) -> np.ndarray:
+def _pair_cases(c: ComponentStructure, edges: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """`PairCase` values (int8) of every student against every bank question,
-    where `edge` marks the assigned pairs."""
+    where `edges` are the assigned pairs' (student, question) index arrays."""
     reach = np.left_shift(c.forward, 1, dtype=np.int8)
     reach |= c.backward
-    return np.where(edge, np.int8(PairCase.EXISTING_EDGE.value), _REACH_CASES[reach])
+    codes = _REACH_CASES[reach]
+    codes[edges] = PairCase.EXISTING_EDGE.value
+    return codes

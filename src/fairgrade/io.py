@@ -8,10 +8,11 @@ form is read without csv, to csv's result: a sheet with no quote or NUL in an
 id, no padded cell and `\n` after every line, else read again from its first
 other row as `csv.reader` yields rows; an edge list in ASCII with no quote, CR,
 NUL, blank line or padded field and `\n` after every line, else, or at a fault,
-read by csv. A fault names the line its row ends on; a csv fault or a
-non-UTF-8 byte anywhere wins.
+read by csv. Each csv reader names a fault in the one pass that reads the
+rows, at the line its row ends on; a csv fault or a non-UTF-8 byte anywhere wins.
 A merit file is the header `vertex,kind,merit`, then one row per vertex: its
-id, `student` or `question`, and merit; the reader needs every roster vertex.
+id, `student` or `question`, and merit as a finite ASCII decimal number; the
+reader needs every roster vertex.
 
 Output contract of the writers: floats are written as their shortest
 round-trip `repr`, ids are quoted as `csv.writer` quotes them, only when they
@@ -125,24 +126,41 @@ def _read_canonical_edges(path) -> ExamResultGraph | None:
         return None
     sids, qids, toks = fields[4:-1:4], fields[5::4], fields[6::4]
     del text, fields  # before the index arrays, where memory peaks
-    return _edge_graph(sids, qids, toks, lambda: None)
+    return _edge_graph(sids, qids, toks)
 
 
 def _read_edge_csv(path) -> ExamResultGraph:
     with _reader(path) as rows:
         if [c.strip() for c in next(rows, ())] != _EDGE_HEADER:
-            _edge_list_fault(path)
-        fields = []
+            _fail(rows, MalformedRowError(1, "expected header 'student,question,correct'"))
+        fields, lines, fault = [], [], None
         for row in filter(None, rows):  # blank rows are skipped
             if len(row) != 3:
-                _edge_list_fault(path)
+                fault = MalformedRowError(rows.line_num, f"expected 3 fields, got {len(row)}")
+                deque(rows, maxlen=0)  # a later csv or byte fault wins
+                break
             fields.extend(row)
+            lines.append(rows.line_num)
     sids, qids, toks = ([*map(str.strip, fields[k::3])] for k in range(3))
-    return _edge_graph(sids, qids, toks, lambda: _edge_list_fault(path))
+    if not fault and (g := _edge_graph(sids, qids, toks)):
+        return g
+    students, questions, seen = set(), set(), set()  # the first faulty row's error
+    for line, sid, qid, tok in zip(lines, sids, qids, toks):
+        if tok not in ("0", "1"):
+            raise MalformedRowError(line, f"correctness must be 0 or 1, got {tok!r}")
+        if (sid, qid) in seen:
+            raise DuplicateEdgeError(line, (sid, qid))
+        seen.add((sid, qid))
+        students.add(sid)
+        questions.add(qid)
+        if sid in questions or qid in students:
+            shared = sid if sid in questions else qid
+            raise MalformedRowError(line, f"id {shared!r} is both a student and a question")
+    raise fault or MalformedRowError(rows.line_num + 1, "no data rows")
 
 
-def _edge_graph(sids, qids, toks, fault) -> ExamResultGraph | None:
-    """The graph of edge rows given as ids and tokens, or `fault()` at a fault; an id that
+def _edge_graph(sids, qids, toks) -> ExamResultGraph | None:
+    """The graph of edge rows given as ids and tokens, or None at a fault; an id that
     `str.strip` changes or a field over csv's limit is one too, which no row csv read has."""
     # dicts keep first-seen order, so ids are indexed in file order
     students, questions = (dict(zip(dict.fromkeys(ids), range(len(ids))))
@@ -151,7 +169,7 @@ def _edge_graph(sids, qids, toks, fault) -> ExamResultGraph | None:
     if (not sids or not set(toks) <= {"0", "1"} or not students.keys().isdisjoint(questions)
             or ids != [*map(str.strip, ids)]
             or max(map(len, _EDGE_HEADER + ids)) > csv.field_size_limit()):
-        return fault()
+        return None
     if (questions.keys() <= _CELL_CODES.keys() and len(students) == len(sids)
             and students.keys().isdisjoint(_EDGE_HEADER[1:])):  # the dense reader accepts it too
         raise MalformedRowError(1, "reads both as an edge list and as a 2-question dense sheet")
@@ -160,36 +178,9 @@ def _edge_graph(sids, qids, toks, fault) -> ExamResultGraph | None:
     codes = s_idx * len(questions) + q_idx
     order = np.argsort(codes, kind="stable")
     if not np.diff(codes[order]).all():  # a duplicate pair sorts next to its twin
-        return fault()
+        return None
     bits = np.frombuffer("".join(toks).encode(), np.uint8) - ord("0")
     return _result_graph(students, questions, s_idx[order], q_idx[order], bits[order])
-
-
-def _edge_list_fault(path) -> NoReturn:
-    """Raise the data error of an edge list's header, else of its first faulty row."""
-    with _reader(path) as rows:
-        if [c.strip() for c in next(rows, ())] != _EDGE_HEADER:
-            _fail(rows, MalformedRowError(1, "expected header 'student,question,correct'"))
-        students, questions, seen = set(), set(), set()
-        for row in filter(None, rows):
-            if len(row) != 3:
-                _fail(rows, MalformedRowError(rows.line_num, f"expected 3 fields, got {len(row)}"))
-            sid, qid, tok = (c.strip() for c in row)
-            if tok not in ("0", "1"):
-                _fail(rows, MalformedRowError(
-                    rows.line_num, f"correctness must be 0 or 1, got {tok!r}"))
-            if (sid, qid) in seen:
-                _fail(rows, DuplicateEdgeError(rows.line_num, (sid, qid)))
-            seen.add((sid, qid))
-            students.add(sid)
-            questions.add(qid)
-            if sid in questions or qid in students:
-                shared = sid if sid in questions else qid
-                _fail(rows, MalformedRowError(
-                    rows.line_num, f"id {shared!r} is both a student and a question"))
-    if seen:
-        raise AssertionError("the edge list failed a check but no row is faulty")
-    raise MalformedRowError(rows.line_num + 1, "no data rows")
 
 
 def _result_graph(students, questions, s_idx: np.ndarray, q_idx: np.ndarray, bits: np.ndarray):
@@ -325,6 +316,8 @@ def read_merits(path, roster: Roster) -> MeritVector:
                 _fail(rows, MalformedRowError(line, f"bad merit value {tok!r}"))
             if not np.isfinite(merits[label]):
                 _fail(rows, MalformedRowError(line, f"merit must be finite, got {tok!r}"))
+            if "_" in tok or not tok.isascii():  # float() reads "1_0" and "١٢" too
+                _fail(rows, MalformedRowError(line, f"bad merit value {tok!r}"))
     if missing := [label for label in kinds if label not in merits]:
         raise DimensionMismatchError(f"{path}: no merit for vertex {missing[0]!r}")
     return MeritVector([merits[label] for label in kinds])

@@ -355,17 +355,15 @@ def cross_validate(
     d1: int,
     d2: int,
     repetitions: int,
-    rules: Mapping[str, GradingRule] | None = None,
     *,
     seed: int,
 ) -> CvResult:
     """Hold-out evaluation on a complete answer matrix.
 
     Each repetition samples d1 students and gives each of them d2 of the
-    full bank's questions as training data; rules are scored against each
-    sampled student's full-row accuracy.
+    full bank's questions as training data; the `RULES` are scored against
+    each sampled student's full-row accuracy.
     """
-    rules = dict(RULES) if rules is None else dict(rules)
     answers = np.asarray(answers)
     if answers.ndim != 2:
         raise ValueError("answers must be a 2-D matrix")
@@ -378,34 +376,32 @@ def cross_validate(
 
     def trial(rng: np.random.Generator):
         students = np.sort(rng.permutation(n)[:d1])
-        return np.array([_hold_out(answers[students], d2, rng, rules)])
+        return np.array([_hold_out(answers[students], d2, rng)])
 
-    return _cv_results(d1, [d2], rules, trial, repetitions, seed)[0]
+    return _cv_results(d1, [d2], trial, repetitions, seed)[0]
 
 
-def _hold_out(
-    full: np.ndarray, d2: int, rng: np.random.Generator, rules: Mapping[str, GradingRule]
-) -> list[float]:
+def _hold_out(full: np.ndarray, d2: int, rng: np.random.Generator) -> list[float]:
     """Keep d2 random cells of each row of the complete 0/1 matrix `full`
-    and score each rule's grades on that exam by their mean squared error
-    against the full-row accuracy, in the order of `rules`."""
+    and score each of the `RULES`' grades on that exam by their mean squared
+    error against the full-row accuracy, in their order."""
     n, q = full.shape
     cols = np.concatenate([np.sort(rng.permutation(q)[:d2]) for _ in range(n)])
     rows = np.repeat(np.arange(n), d2)
     g = TaskAssignmentGraph(Roster.index_based(n, q), np.column_stack((rows, cols)))
     result = ExamResultGraph(g, full[rows, cols])
     target = full.mean(axis=1)
-    return [((rule(result).values - target) ** 2).mean() for rule in rules.values()]
+    return [((rule(result).values - target) ** 2).mean() for rule in RULES.values()]
 
 
-def _cv_results(d1, d2_values, rules, trial: Trial, repetitions, seed) -> list[CvResult]:
+def _cv_results(d1, d2_values, trial: Trial, repetitions, seed) -> list[CvResult]:
     """One CvResult per d2 over the repetitions of `trial` that succeeded;
-    each returns its (len(d2_values), len(rules)) block of MSEs."""
+    each returns its (len(d2_values), len(RULES)) block of MSEs."""
     mse, failed = _replicate(trial, repetitions, seed)
     # a 1-D mean per contiguous column sums in the same order as a mean of a list
     columns = np.ascontiguousarray(mse.transpose(1, 2, 0))
     return [
-        CvResult(d1, int(d2), {name: float(np.mean(col)) for name, col in zip(rules, cols)},
+        CvResult(d1, int(d2), {name: float(np.mean(col)) for name, col in zip(RULES, cols)},
                  len(mse), failed)
         for d2, cols in zip(d2_values, columns)
     ]
@@ -446,6 +442,6 @@ def simulated_cross_validate(
             raise ParameterOutOfRangeError(f"{prior} draws merits too large for a float")
         u = MeritVector.for_roster(roster, abilities, difficulties)
         full = sample_exam_result(complete, u, rng).w.reshape(n, n_questions)  # row-major edges
-        return np.array([_hold_out(full, d2, rng, RULES) for d2 in d2_values])
+        return np.array([_hold_out(full, d2, rng) for d2 in d2_values])
 
-    return _cv_results(n, d2_values, RULES, trial, repetitions, seed)
+    return _cv_results(n, d2_values, trial, repetitions, seed)

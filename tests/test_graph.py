@@ -64,7 +64,7 @@ class TestPairCasesKernel:
     @given(reach_matrices())
     def test_matches_the_select_reference(self, drawn):
         c, edge = drawn
-        codes = _pair_cases(c, edge)
+        codes = _pair_cases(c, np.nonzero(edge))
         assert codes.dtype == np.int8 and codes.shape == edge.shape
         assert codes.tobytes() == reference_pair_cases(c.forward, c.backward, edge).tobytes()
 
@@ -107,7 +107,7 @@ def check_structure(g):
     edge = np.zeros((n, g.roster.n_questions), dtype=bool)
     edge[s_idx, q_idx] = True
     expected = reference_pair_cases(reach[:n, n:], reach[n:, :n].T, edge)
-    assert _pair_cases(c, edge).tobytes() == expected.tobytes()
+    assert _pair_cases(c, (s_idx, q_idx)).tobytes() == expected.tobytes()
     assert is_strongly_connected(g) == reach.all()
 
 
@@ -381,6 +381,6 @@ class TestClassifyPair:
         s_idx, q_idx = g.assignment.edge_arrays
         edge = np.zeros((g.roster.n_students, g.roster.n_questions), dtype=bool)
         edge[s_idx, q_idx] = True
-        codes = _pair_cases(strongly_connected_components(g), edge)
+        codes = _pair_cases(strongly_connected_components(g), (s_idx, q_idx))
         assert set(codes.ravel().tolist()) <= {case.value for case in PairCase}
         assert np.array_equal(codes == PairCase.EXISTING_EDGE.value, edge)

@@ -79,6 +79,16 @@ class TestEdgeList:
             fio.read_edge_list(p)
         assert exc.value.line == 3 and "'b'" in str(exc.value)
 
+    def test_faulty_csv_edge_list_is_read_once(self, tmp_path, monkeypatch):
+        # CRLF line ends send the file to csv, which names its fault in the pass that reads it
+        entered, reader = [], fio._reader
+        monkeypatch.setattr(fio, "_reader", lambda path: entered.append(path) or reader(path))
+        p = tmp_path / "exam.csv"
+        p.write_bytes(b"student,question,correct\r\ns1,q1,1\r\ns2,q1,0\r\ns1,q1,1\r\n")
+        with pytest.raises(fio.DuplicateEdgeError) as exc:
+            fio.read_edge_list(p)
+        assert exc.value.line == 4 and len(entered) == 1
+
     def test_single_row(self, tmp_path):
         p = write(tmp_path / "d.csv", "student,question,correct\nA,B,1\n")
         g = fio.read_edge_list(p)
@@ -334,6 +344,8 @@ class TestMeritsAndGrades:
         ("q0,question,0.0\ns0,question,0.1\n", 3),  # a student given as a question
         ("s0,student,nan\n", 2),
         ("q0,question,-inf\n", 2),
+        ("s0,student,1_0\n", 2),  # float() reads it as 10.0
+        ("s0,student,\u0661\u0662\n", 2),  # Arabic-Indic digits, which float() reads as 12.0
     ])
     def test_merit_row_faults(self, tmp_path, body, line):
         r = Roster.index_based(1, 1)

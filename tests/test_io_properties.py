@@ -2,6 +2,9 @@
 oracle, and the matrix writers' bytes against `csv.writer` oracles."""
 
 import csv
+import math
+import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -174,20 +177,34 @@ def fuzzed_file(header, row):
                      st.booleans())
 
 
-def check_against_oracle(tmp_path_factory, reader, oracle, parts, sniff=False):
+def write_fuzzed(tmp_path_factory, parts):
+    """The fuzzed file's path and its lines."""
     bom, header, rows, final_newline = parts
     lines = [header, *rows]
     text = "\n".join(lines) + ("\n" if final_newline else "")
     path = tmp_path_factory.mktemp("fuzz") / "exam.csv"
     path.write_bytes(("\ufeff" if bom else "").encode() + text.encode())
-    expected = oracle(text.splitlines())
+    return path, text.splitlines()
+
+
+def raises_expected(reader, path, expected) -> bool:
+    """Whether the oracle's `expected` is a fault, checked as `reader` raises it: its
+    class at its line, or, with no line, a fault of the whole file named by its path."""
     event("read" if expected[0] == "ok" else expected[0].__name__)
-    if expected[0] != "ok":
-        error, line = expected
-        with pytest.raises(error) as exc:
-            reader(path)
-        assert type(exc.value) is error
-        assert str(exc.value).startswith(f"line {line}:")
+    if expected[0] == "ok":
+        return False
+    error, line = expected
+    with pytest.raises(error) as exc:
+        reader(path)
+    assert type(exc.value) is error
+    assert str(exc.value).startswith(f"line {line}:" if line else f"{path}:")
+    return True
+
+
+def check_against_oracle(tmp_path_factory, reader, oracle, parts, sniff=False):
+    path, lines = write_fuzzed(tmp_path_factory, parts)
+    expected = oracle(lines)
+    if raises_expected(reader, path, expected):
         return
     _, students, questions, outcomes = expected
     g = reader(path)
@@ -217,6 +234,62 @@ DENSE_HEADER = mostly(st.sampled_from(["student,x,y", ",x,y", " student , x ,y"]
                       st.sampled_from(["student,x,x", "student,x", "student", "id,x,y"]))
 
 
+MERIT_ROSTER = Roster(("a", "b"), ("x",))
+# a plain decimal as `repr` writes it or as a person might; then tokens float() reads
+# but that are no finite plain decimal, and tokens it does not read
+MERIT_TOKENS = mostly(st.sampled_from(["0.5", "-1", " 2.5e-3 ", ".5", "7.", "+3E2", "0"]),
+                      st.sampled_from(["1_0", "\u0661\u0662", "inf", "nan", "1e999", "x", "",
+                                       "0x1", "1e"]))
+# each roster vertex's first two fields, padded or not; then rows that name an unknown
+# vertex, the wrong kind, or have one field too few or too many
+MERIT_VERTICES = ["a,student", " b , student", "x,question "]
+MERIT_FAULTS = st.sampled_from(["y,student", "x,student", "a,vertex", "b", "a,student,0"])
+
+
+@st.composite
+def merit_rows(draw):
+    """Each roster vertex's row in a drawn order, one time in four with some left out;
+    then one time in four a blank, repeated or faulty row put in; each with a drawn merit."""
+    vertices = draw(st.permutations(MERIT_VERTICES))
+    vertices = vertices[:draw(mostly(st.just(len(vertices)), st.integers(0, len(vertices))))]
+    rows = [f"{vertex},{draw(MERIT_TOKENS)}" for vertex in vertices]
+    extra = draw(mostly(st.none(), st.one_of(
+        st.sampled_from(["", "  "]),
+        st.tuples(st.one_of(st.sampled_from(MERIT_VERTICES), MERIT_FAULTS), MERIT_TOKENS)
+        .map(",".join))))
+    if extra is not None:
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    return rows
+
+
+MERIT_HEADER = mostly(st.sampled_from(["vertex,kind,merit", " vertex , kind,merit "]),
+                      st.sampled_from(["vertex,kind", "vertex,kind,merit,x", "",
+                                       "student,question,correct"]))
+PLAIN_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
+def merit_oracle(lines: list[str]):
+    """("ok", merits in roster order) or (error class, faulty line, or None when a
+    roster vertex has no row)."""
+    if not lines or [c.strip() for c in cells(lines[0])] != ["vertex", "kind", "merit"]:
+        return fio.MalformedRowError, 1
+    kinds, merits = {"a": "student", "b": "student", "x": "question"}, {}
+    for line, text in enumerate(lines[1:], start=2):
+        row = [c.strip() for c in cells(text)]
+        if not row:
+            continue
+        if len(row) != 3:
+            return fio.MalformedRowError, line
+        label, kind, tok = row
+        if (kinds.get(label) != kind or label in merits or not PLAIN_DECIMAL.fullmatch(tok)
+                or not math.isfinite(float(tok))):
+            return fio.MalformedRowError, line
+        merits[label] = float(tok)
+    if merits.keys() != kinds.keys():
+        return fio.DimensionMismatchError, None
+    return "ok", [merits[label] for label in kinds]
+
+
 class TestFuzzedRows:
     @settings(max_examples=400, deadline=None)
     @given(fuzzed_file(EDGE_HEADER, EDGE_ROW))
@@ -228,6 +301,15 @@ class TestFuzzedRows:
     @given(fuzzed_file(DENSE_HEADER, DENSE_ROW))
     def test_dense_matrix(self, tmp_path_factory, parts):
         check_against_oracle(tmp_path_factory, fio.read_dense_matrix, dense_oracle, parts)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.tuples(st.booleans(), MERIT_HEADER, merit_rows(), st.booleans()))
+    def test_merits(self, tmp_path_factory, parts):
+        path, lines = write_fuzzed(tmp_path_factory, parts)
+        expected = merit_oracle(lines)
+        read = partial(fio.read_merits, roster=MERIT_ROSTER)
+        if not raises_expected(read, path, expected):
+            assert read(path).values.tolist() == expected[1]
 
 
 def csv_writer_dense_matrix(g: ExamResultGraph, path) -> None:

@@ -394,15 +394,15 @@ class TestCrossValidation:
 
         return flaky
 
-    def test_failed_hold_out_is_counted(self):
+    def test_failed_hold_out_is_counted(self, monkeypatch):
         answers = np.random.default_rng(3).integers(0, 2, (8, 6))
-        rules = {"avg": simple_average, "flaky": self.fails_on_call(3)}
-        res = cross_validate(answers, 5, 3, 6, rules, seed=1)
+        all_six = cross_validate(answers, 5, 3, 6, seed=1).mse_per_rule["avg"]
+        monkeypatch.setattr(sim, "RULES", {"avg": simple_average, "flaky": self.fails_on_call(3)})
+        res = cross_validate(answers, 5, 3, 6, seed=1)
         assert (res.repetitions, res.failed_repetitions) == (5, 1)
         # avg's hold-out succeeded in the failed repetition, but is left out
         # with it: every rule's MSE is over the same five repetitions
         assert res.mse_per_rule["avg"] == res.mse_per_rule["flaky"]
-        all_six = cross_validate(answers, 5, 3, 6, seed=1).mse_per_rule["avg"]
         assert res.mse_per_rule["avg"] != all_six
 
     def test_failed_simulated_hold_out_is_counted(self, monkeypatch):
