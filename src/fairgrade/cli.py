@@ -12,15 +12,15 @@ thread count; across thread counts, cases.csv is byte-identical and grades,
 predictions and merits agree to 1e-12. Every experiment that compares rules
 scores both `simulation.RULES`, ours then avg.
 
-A --config file holds the same options as `key=value` lines, keyed by flag
-name without the dashes; a switch is a bare key. Its lines are parsed as
-flags placed ahead of the command line, by the same parser, so they are
-checked exactly like flags and explicit flags win. The parser checks each
-flag value; the library raises ParameterOutOfRangeError for values that do
-not fit together. Exit codes: 2 configuration error, 3 data-format error, 4
-numeric failure, including an experiment whose every draw or repetition
-failed; `run` catches only those named faults and OSError (exit 3), so any
-other exception is a bug and propagates with its traceback.
+A --config file holds the same options as `key=value` lines, each key a
+flag name as written, without the dashes, and given once. Its lines are
+parsed as flags placed ahead of the command line, by the same parser, so
+they are checked exactly like flags and explicit flags win. The parser
+checks each flag value; the library raises ParameterOutOfRangeError for
+values that do not fit together. Exit codes: 2 configuration error, 3
+data-format error, 4 numeric failure, including an experiment whose every
+draw or repetition failed; `run` catches only those named faults and OSError
+(exit 3), so any other exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -68,23 +68,24 @@ def parse_int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",")]
 
 
-def load_config_file(path: str) -> dict[str, str | None]:
-    """key=value lines, or a bare key for a switch (value None); '#' starts
-    a comment. Keys are flag names, returned with '-' as '_'."""
+def load_config_file(path: str) -> dict[str, str]:
+    """key=value lines, each key once; '#' starts a comment. Keys are flag
+    names without the dashes, returned as written."""
     try:
         text = fio.read_text(path)
     except (OSError, fio.MalformedRowError) as exc:
         raise ConfigError(f"config file {path!r}: {exc}") from None
-    values: dict[str, str | None] = {}
+    values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        key, eq, value = line.partition("=")
-        key = key.strip()
-        if not key:
-            raise ConfigError(f"{path}:{lineno}: missing key in {line!r}")
-        values[key.replace("-", "_")] = value.strip() if eq else None
+        key, eq, value = map(str.strip, line.partition("="))
+        if not key or not eq:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: repeated key {key!r}")
+        values[key] = value
     return values
 
 
@@ -186,8 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d2", dest="d2_values", type=COUNTS, required=True,
                    help="degree constraint(s), e.g. 2..22")
     p.add_argument("--reps", type=COUNT, default=200)
-    p.add_argument("--threshold-table", action="store_true",
-                   help="also report the smallest winning d2 per d1")
 
     p = add("cv-sim", "the cv protocol on synthetic prior-drawn exams", cmd_cv_sim)
     p.add_argument("--students", type=COUNT, required=True)
@@ -372,12 +371,10 @@ def cmd_cv(args, outdir: Path) -> tuple[list | None, dict]:
             for name, mse in sorted(res.mse_per_rule.items()):
                 rows.append(_row(f"d1={d1}:d2", d2, name, "mse", mse))
             results.append(res)
-    out = {"points": [{"d1": r.d1, "d2": r.d2, "mse": r.mse_per_rule,
-                       "failed_repetitions": r.failed_repetitions} for r in results]}
-    if args.threshold_table:
-        table = sim.cv_threshold_table(results)
-        out["threshold_table"] = {str(k): v for k, v in table.items()}
-    return rows, out
+    table = sim.cv_threshold_table(results)
+    return rows, {"points": [{"d1": r.d1, "d2": r.d2, "mse": r.mse_per_rule,
+                              "failed_repetitions": r.failed_repetitions} for r in results],
+                  "threshold_table": {str(k): v for k, v in table.items()}}
 
 
 def cmd_cv_sim(args, outdir: Path) -> tuple[list | None, dict]:
@@ -416,9 +413,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     pre.add_argument("--config")
     config = pre.parse_known_args(argv[1:])[0].config
     if config:
-        flags = [f"--{key.replace('_', '-')}" + ("" if value is None else f"={value}")
-                 for key, value in load_config_file(config).items()]
-        argv = argv[:1] + flags + argv[1:]
+        argv = argv[:1] + [f"--{k}={v}" for k, v in load_config_file(config).items()] + argv[1:]
     return build_parser().parse_args(argv)
 
 

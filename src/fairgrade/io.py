@@ -5,11 +5,11 @@ The edge list is one row per assigned pair (`student,question,correct`). The
 dense matrix has one row per student, one column per question, and cells in
 {0, 1, NA} where NA means the pair was never assigned. A file in its writer's
 form is read without csv, to csv's result: a sheet with no quote or NUL in an
-id, no padded cell and `\n` after every line, else read again from its first
-other row as `csv.reader` yields rows; an edge list in ASCII with no quote, CR,
-NUL, blank line or padded field and `\n` after every line, else, or at a fault,
-read by csv. Each csv reader names a fault in the one pass that reads the
-rows, at the line its row ends on; a csv fault or a non-UTF-8 byte anywhere wins.
+id, no padded cell and `\n` after every line, else read again through csv from
+line 1; an edge list in ASCII with no quote, CR, NUL, blank line or padded
+field and `\n` after every line, else, or at a fault, read by csv. Each csv
+reader names a fault in the one pass that reads the rows, at the line its row
+ends on; a csv fault or a non-UTF-8 byte anywhere wins.
 A merit file is the header `vertex,kind,merit`, then one row per vertex: its
 id, `student` or `question`, and merit as a finite ASCII decimal number; the
 reader needs every roster vertex.

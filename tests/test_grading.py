@@ -9,6 +9,7 @@ from fairgrade import (
     MeritVector,
     NonConvergenceError,
     PairCase,
+    PredictionMatrix,
     PriorSpec,
     Roster,
     TaskAssignmentGraph,
@@ -49,8 +50,10 @@ class TestSimpleAverage:
 class TestGradeVector:
     def test_rejects_out_of_range_and_nan(self):
         r = Roster.index_based(2, 1)
-        for values in ([1.5, 0.5], [np.nan, 0.5]):
-            with pytest.raises(ValueError):
+        for values, message in [([1.5, 0.5], "lie in"), ([np.nan, 0.5], "lie in"),
+                                ([0.5], "one grade per student"),
+                                ([[0.5, 0.5]], "one grade per student")]:
+            with pytest.raises(ValueError, match=message):
                 GradeVector(r, values, "avg")
 
     def test_keeps_a_private_copy(self):
@@ -63,6 +66,13 @@ class TestGradeVector:
 
 
 class TestPredictMatrix:
+    def test_prediction_matrix_rejects_misshapen_arrays(self, running_example):
+        pm = predict_matrix(running_example)
+        with pytest.raises(ValueError, match="^entries must be students x questions$"):
+            PredictionMatrix(pm.roster, pm.entries.T, pm.case_tags.T)
+        with pytest.raises(ValueError, match="^case tags must parallel the entries$"):
+            PredictionMatrix(pm.roster, pm.entries, pm.case_tags[:, :-1])
+
     def test_running_example_full_matrix(self, running_example):
         pm = predict_matrix(running_example)
         h, tags = pm.entries, pm.case_tags

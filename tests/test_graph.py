@@ -113,12 +113,14 @@ def check_structure(g):
 
 class TestRoster:
     def test_rejects_duplicates_and_overlap(self):
-        with pytest.raises(ValueError):
-            Roster(("a", "a"), ("q",))
-        with pytest.raises(ValueError):
-            Roster(("a",), ("a",))
-        with pytest.raises(ValueError):
-            Roster((), ("q",))
+        for students, questions, message in [
+            (("a", "a"), ("q",), "^duplicate student identifiers$"),
+            (("a",), ("q", "q"), "^duplicate question identifiers$"),
+            (("a",), ("a",), "^student and question identifiers must be disjoint$"),
+            ((), ("q",), "^roster needs at least one student and one question$"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                Roster(students, questions)
 
     def test_vertex_numbering_round_trips(self):
         r = Roster.index_based(3, 4)
@@ -259,10 +261,10 @@ class TestExamResultGraph:
         for outcomes in ({(0, 1): 1}, {(0.5, 0): 1}, {(0, 0): 1, (0, 1): 1}):
             with pytest.raises(ValueError):
                 ExamResultGraph.from_outcomes(g, outcomes)
-        with pytest.raises(ValueError):
-            ExamResultGraph(g, np.array([2]))
-        with pytest.raises(ValueError):
-            ExamResultGraph(g, [0.7])
+        for w, message in [([2], "0 or 1"), ([0.7], "0 or 1"), ([1, 0], "one outcome bit"),
+                           ([], "one outcome bit"), ([[1]], "one outcome bit")]:
+            with pytest.raises(ValueError, match=message):
+                ExamResultGraph(g, np.array(w))
 
     def test_caller_array_stays_writable(self):
         g = TaskAssignmentGraph(Roster.index_based(1, 1), ((0, 0),))

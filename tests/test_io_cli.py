@@ -402,7 +402,7 @@ class TestCliHelpers:
     def test_config_file(self, tmp_path):
         p = write(tmp_path / "run.cfg", "seed = 7\n# comment\nreps=10\nd-values=1..3\n")
         cfg = load_config_file(p)
-        assert cfg == {"seed": "7", "reps": "10", "d_values": "1..3"}
+        assert cfg == {"seed": "7", "reps": "10", "d-values": "1..3"}
 
 
 @pytest.fixture
@@ -433,7 +433,8 @@ class TestConfigFile:
         ("grade", "max-iter=0"),
         ("simulate-bias", "reps=0"),
         ("sweep-degree", "d_values=1..3"),  # keys are flag names, not dests
-        ("cv", "threshold_table=yes"),  # a switch is a bare key
+        ("grade", "max_iter=50"),  # keys are read as written
+        ("cv", "threshold_table=yes"),  # cv has no such flag
         ("grade", "no-such-flag=1"),
         ("sweep-degree", "d=3..2"),  # an empty list
         ("grade", "tol=inf"),
@@ -454,12 +455,15 @@ class TestConfigFile:
             "sweep-bank": "students=3\nm=2..3\nd=2\nseed=1\n",
             "cv": f"input={exam_file}\nd1=2\nd2=2\nseed=1\n",
         }[command]
-        cfg = write(tmp_path / "run.cfg", base + line + "\n")
+        key = line.partition("=")[0]
+        # the faulty line replaces the base's line of its key: a key may not repeat
+        kept = [good for good in base.splitlines() if good.partition("=")[0] != key]
+        cfg = write(tmp_path / "run.cfg", "\n".join([*kept, line, ""]))
         out = tmp_path / "out"
         assert run_cli(command, "--config", cfg, "--outdir", str(out)) == 2
         assert not (out / "manifest.json").exists()
-        # the parser names the faulty flag
-        assert f"--{line.partition('=')[0].replace('_', '-')}" in capsys.readouterr().err
+        # the parser names the faulty flag as written
+        assert f"--{key}" in capsys.readouterr().err
 
     def test_config_flag_without_value_exits_2(self):
         assert run_cli("grade", "--config") == 2
@@ -493,16 +497,18 @@ class TestConfigFile:
             assert ((tmp_path / "flags" / name).read_bytes()
                     == (tmp_path / "file" / name).read_bytes())
 
-    def test_bare_key_is_a_switch(self, tmp_path, complete_file):
-        cfg = write(tmp_path / "run.cfg", "d1=4\nd2=3,5\nreps=4\nseed=3\nthreshold-table\n")
+    @pytest.mark.parametrize("line, fault", [
+        ("threshold-table", "expected key=value, got 'threshold-table'"),  # a bare key
+        ("=4", "expected key=value, got '=4'"),  # no key
+        ("seed=4", "repeated key 'seed'"),
+    ], ids=["bare-key", "no-key", "repeated-key"])
+    def test_malformed_line_exits_2(self, tmp_path, complete_file, capsys, line, fault):
+        cfg = write(tmp_path / "run.cfg", f"d1=4\nd2=3,5\n# comment\nseed=3\n{line}\n")
         out = tmp_path / "out"
         assert run_cli("cv", "--config", cfg, "--input", complete_file,
-                       "--outdir", str(out)) == 0
-        summary = json.loads((out / "summary.json").read_text())
-        assert set(summary["threshold_table"]) == {"4"}
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["threshold_table"] is True
-        assert manifest["config"]["config"] == cfg
+                       "--outdir", str(out)) == 2
+        assert not out.exists()
+        assert f"{cfg}:5: {fault}" in capsys.readouterr().err
 
 
 class TestCli:
@@ -823,8 +829,10 @@ class TestCli:
 
         monkeypatch.setattr(sim, "cross_validate", counted)
         out = tmp_path / "out"
-        assert run_cli("cv", "--input", path, "--d1", "4..8", "--d2", "2..6", "--reps", "4",
-                       "--seed", "3", "--threshold-table", "--outdir", str(out)) == 0
+        argv = ("cv", "--input", path, "--d1", "4..8", "--d2", "2..6", "--reps", "4",
+                "--seed", "3", "--outdir", str(out))
+        assert run_cli(*argv, "--threshold-table") == 2  # the table needs no switch
+        assert run_cli(*argv) == 0
         assert len(calls) == 25
         summary = json.loads((out / "summary.json").read_text())
         for d1 in range(4, 9):

@@ -218,6 +218,10 @@ class TestMeritVector:
         u = MeritVector.for_roster(r, [1.0, 2.0], [3.0, 4.0])
         assert u.array_for(r).tolist() == [1.0, 2.0, 3.0, 4.0]
         assert answer_probability(u, r, 1, 0) == pytest.approx(logistic(-1.0))
+        with pytest.raises(ValueError, match="^one ability per student required$"):
+            MeritVector.for_roster(r, [1.0], [3.0, 4.0])
+        with pytest.raises(ValueError, match="^one difficulty per question required$"):
+            MeritVector.for_roster(r, [1.0, 2.0], [3.0, 4.0, 5.0])
 
 
 class TestSamplingAndBenchmark:
@@ -868,6 +872,19 @@ class TestNewtonStep:
                 layout = _schur_layout(winner, loser, n_first, k, pairs=pairs)
                 step = _newton_step(winner, loser, weight, pin, grad, layout)
                 assert _relative_gap(step, reference) <= 1e-12
+
+    def test_zero_or_nan_pivot_raises(self, running_example):
+        winner, loser = running_example.directed_edges
+        n, k = running_example.roster.n_students, running_example.roster.n_vertices
+        grad = np.ones(k)
+        nan_weight = np.ones(len(winner))
+        nan_weight[0] = np.nan
+        for weight, precision in [(np.zeros(len(winner)), np.zeros(k)),
+                                  (nan_weight, np.ones(k))]:
+            for pairs in (False, True):
+                layout = _schur_layout(winner, loser, n, k, pairs=pairs)
+                with pytest.raises(np.linalg.LinAlgError, match="^zero or NaN pivot$"):
+                    _newton_step(winner, loser, weight, precision, grad, layout)
 
     @settings(max_examples=150, deadline=None)
     @given(result_graphs())

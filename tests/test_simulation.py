@@ -238,6 +238,8 @@ class TestDecomposeError:
         g, u = tiny_instance
         with pytest.raises(ParameterOutOfRangeError):
             decompose_error(simple_average, [g], u, 1, 9)
+        with pytest.raises(ValueError, match="^unknown estimator 'exact'$"):
+            decompose_error(simple_average, [g], u, 5, 9, estimator="exact")
 
     def test_monte_carlo_identity_is_algebraic(self, tiny_instance):
         g, u = tiny_instance
