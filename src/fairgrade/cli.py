@@ -13,7 +13,8 @@ predictions and merits agree to 1e-12. Every experiment that compares rules
 scores both `simulation.RULES`, ours then avg.
 
 A --config file holds the same options as `key=value` lines, each key a
-flag name as written, without the dashes, and given once. Its lines are
+flag name as written, without the dashes, and given once. A flag or key
+must be written in full: argparse's prefix matching is off. Its lines are
 parsed as flags placed ahead of the command line, by the same parser, so
 they are checked exactly like flags and explicit flags win. The parser
 checks each flag value; the library raises ParameterOutOfRangeError for
@@ -126,13 +127,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fairgrade",
         description="Grading and experiments for randomized exams under a "
-        "pairwise-comparison answer model.",
+        "pairwise-comparison answer model.", allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, summary, handler, seeded=True):
-        p = sub.add_parser(name, help=summary)
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.set_defaults(handler=handler)
         p.add_argument("--config", help="key=value config file; flags override it")
         p.add_argument("--outdir", help="output directory (default $FAIRGRADE_OUTDIR or .)")
@@ -409,7 +410,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     # the full parser cannot find --config first: required flags that only
     # the file supplies would fail the parse before the file is read
-    pre = argparse.ArgumentParser(prog="fairgrade", add_help=False)
+    pre = argparse.ArgumentParser(prog="fairgrade", add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
     config = pre.parse_known_args(argv[1:])[0].config
     if config:

@@ -10,8 +10,8 @@ penalized fit that needs no connectivity at all. Both fits run one damped
 Newton solver over the edge arrays with one diagonal quadratic penalty: the
 maximum likelihood fit pins its first vertex at 0, as only merit differences
 matter, and the prior pulls every merit toward its mean. When backtracking
-fails, the pinned fit takes a minorization-maximization update and the prior
-keeps the smallest step. Each line-search trial takes one exp per edge, for
+fails, both keep the smallest step, and a singular Hessian raises
+LinAlgError. Each line-search trial takes one exp per edge, for
 the objective and for the upset chances that the accepted trial hands to
 the next gradient and Hessian. Each Newton step eliminates one side of the
 bipartite Hessian (its student and question blocks are both diagonal) and
@@ -170,15 +170,7 @@ class PriorSpec:
                 f"{name} must be {limits}, got a value of type {type(value).__name__}")
 
 
-def mm_step(gamma: np.ndarray, winner: np.ndarray, loser: np.ndarray) -> np.ndarray:
-    """One minorization-maximization update in the exp-merit parameterization."""
-    k = len(gamma)
-    inv = 1.0 / (gamma[winner] + gamma[loser])
-    denom = np.bincount(winner, inv, k) + np.bincount(loser, inv, k)
-    return np.bincount(winner, minlength=k) / denom
-
-
-# Backtracking halves the step down to this length (the 28th trial).
+# Backtracking halves the step down to this length (the 28th trial), kept if it fails too.
 _MIN_STEP = 2.0**-27
 # The pair build's least gain in multiply-adds (it broke even near 200 against the syrk).
 _PAIR_GAIN = 256
@@ -262,16 +254,15 @@ def check_fit_limits(tol, max_iter) -> None:
         raise ParameterOutOfRangeError(f"tol={tol} must be > 0 and max_iter={max_iter} >= 0")
 
 
-def _newton(winner, loser, n_first, precision, center, tol, max_iter, fallback=None):
+def _newton(winner, loser, n_first, precision, center, tol, max_iter):
     """Damped Newton ascent on sum(log f(u[winner] - u[loser])) minus the
     penalty sum(precision * (u - c)^2)/2.
 
     Starts from u = c. Each `_newton_step` is taken under a backtracking line
-    search. When no trial length passes, or the Hessian is singular, the loop
-    moves to `fallback(u)` if one is given; without one it keeps the smallest
-    trial, or raises LinAlgError when there is no step to shorten.
-    The objective is evaluated, by one `_log_likelihood` call, once per trial,
-    at the start and after a fallback; that is the loop's one exp per edge.
+    search, which keeps its smallest trial when no trial length passes. A
+    singular Hessian raises LinAlgError, from the step's pivot check or solve.
+    The objective is evaluated, by one `_log_likelihood` call, once at the
+    start and once per trial; that is the loop's one exp per edge.
     The accepted trial's upset chances carry over to the next gradient and
     Hessian. As IEEE subtraction is antisymmetric, they are `logistic(u[loser]
     - u[winner])` bit for bit, so the steps and iterates are those of a loop
@@ -287,30 +278,23 @@ def _newton(winner, loser, n_first, precision, center, tol, max_iter, fallback=N
         f, upset = _log_likelihood(u, winner, loser)
         return float(f - 0.5 * (precision * (u - center) ** 2).sum()), upset
 
-    u, at_u = center.copy(), None
+    u = center.copy()
+    f0, upset = evaluate(u)  # upset: the chance the loser would have won
     for it in range(max_iter + 1):
-        f0, upset = at_u or evaluate(u)  # upset: the chance the loser would have won
         grad = np.bincount(winner, upset, k) - np.bincount(loser, upset, k)
         grad -= precision * (u - center)
         residual = float(np.abs(grad).max())
         if residual <= tol or it == max_iter:
             return u, it, residual, residual <= tol
-        try:
-            step = _newton_step(winner, loser, upset * (1.0 - upset), precision, grad, layout)
-        except np.linalg.LinAlgError:
-            if fallback is None:
-                raise np.linalg.LinAlgError("singular Hessian")
-            u, at_u = fallback(u), None
-            continue
+        step = _newton_step(winner, loser, upset * (1.0 - upset), precision, grad, layout)
         slope, t = float(grad @ step), 1.0
         # near the optimum a full step changes the objective by less than its
         # rounding error; such a change must not refuse the step
         slack = 1e-12 * abs(f0)
-        while (at_t := evaluate(trial := u + t * step))[0] < f0 + 0.25 * t * slope - slack:
+        while ((at_t := evaluate(trial := u + t * step))[0] < f0 + 0.25 * t * slope - slack
+               and t > _MIN_STEP):
             t *= 0.5
-            if t < _MIN_STEP:
-                break
-        u, at_u = (trial, at_t) if t >= _MIN_STEP or fallback is None else (fallback(u), None)
+        u, (f0, upset) = trial, at_t
 
 
 def _report(merits: MeritVector, iterations, residual, converged, tol) -> FitReport:
@@ -339,9 +323,9 @@ def mle_fit(
     equal expected win counts, to within `tol` in the sup norm. The
     likelihood cannot see a shift of all merits, so the penalty u[0]^2/2 pins
     the set's first vertex at 0; a shifted maximizer is still a maximizer, so
-    the pin moves no difference. Any step the line search rejects falls back
-    to one globally convergent MM update (Hunter 2004), shifted back to
-    u[0] = 0. The result is reported mean-zero over the component.
+    the pin moves no difference. The pinned objective is strictly concave on
+    such a set, so damped Newton converges from u = 0 (Boyd & Vandenberghe
+    2004, 9.5). The result is reported mean-zero over the component.
 
     A vertex that repeats, lies outside the roster or is not an integer raises
     ParameterOutOfRangeError. `_scc=True` is for `predict_matrix` alone: it
@@ -370,13 +354,9 @@ def mle_fit(
         raise NotStronglyConnectedError(
             f"vertex set {vertices} is not strongly connected in the result graph")
 
-    def fallback(u):
-        u = np.log(mm_step(np.exp(u), winner, loser))
-        return u - u[0]
-
     pin = np.eye(1, k)[0]  # precision 1 at the first vertex, 0 elsewhere
     u, iterations, residual, converged = _newton(
-        winner, loser, n_first, pin, np.zeros(k), tol, max_iter, fallback)
+        winner, loser, n_first, pin, np.zeros(k), tol, max_iter)
     merits = np.zeros(g.roster.n_vertices)
     merits[vertices] = u - u.mean()
     return _report(MeritVector(merits, pos >= 0), iterations, residual, converged, tol)

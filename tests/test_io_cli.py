@@ -643,6 +643,44 @@ class TestCli:
                        "--outdir", str(tmp_path)) == 4
         assert "numeric failure: merit fit for component" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [("grade", "--rule", "ours"), ("fit", "--method", "mle")],
+                             ids=["grade-ours", "fit-mle"])
+    def test_singular_component_fit_exits_4(self, tmp_path, capsys, monkeypatch, argv):
+        # a strongly connected block, so the one fit is of a component
+        block = write(tmp_path / "block.csv", "student,q0,q1,q2\ns0,1,0,NA\ns1,0,1,0\n"
+                      "s2,NA,0,1\n")
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(model, "_newton_step", singular)
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--input", block, "--outdir", str(out)) == 4
+        assert "numeric failure: Singular matrix" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("flags, named", [
+        (("--inp", "EXAM"), "--inp"),
+        (("--rul", "avg"), "--rul"),
+        (("--outd", "OUT"), "--outd"),
+        (("--conf", "CFG"), "--conf"),
+        (("--config", "PREFIX_CFG"), "--max=50"),  # a config key is a flag name too
+    ], ids=["inp", "rul", "outd", "conf", "config-max"])
+    def test_prefix_of_a_flag_exits_2(self, tmp_path, exam_file, capsys, flags, named):
+        files = {"EXAM": exam_file, "OUT": str(tmp_path / "other"),
+                 "CFG": write(tmp_path / "run.cfg", "rule=avg\n"),
+                 "PREFIX_CFG": write(tmp_path / "prefix.cfg", "max=50\n")}
+        out = tmp_path / "out"
+        assert run_cli("grade", "--input", exam_file, *(files.get(f, f) for f in flags),
+                       "--outdir", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments:" in err and named in err.split()
+        assert not out.exists() and not (tmp_path / "other").exists()
+        # written in full, as --flag value or --flag=value, each flag passes
+        assert run_cli("grade", f"--input={exam_file}", "--rule", "avg", "--max-iter=50",
+                       "--outdir", str(out)) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["max_iter"] == 50
+
     def test_seed_required(self, tmp_path):
         assert run_cli("simulate-bias", "--students", "3", "--questions", "4",
                        "--m", "4", "--d", "2", "--outdir", str(tmp_path)) == 2

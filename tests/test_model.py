@@ -31,7 +31,7 @@ from fairgrade import (
     strongly_connected_components,
 )
 from fairgrade import model
-from fairgrade.model import _log_likelihood, _newton_step, _schur_layout, mm_step
+from fairgrade.model import _log_likelihood, _newton_step, _schur_layout
 from fairgrade.rng import substream
 
 from conftest import answer_probability, random_result_graph
@@ -408,25 +408,6 @@ class TestMleFit:
         assert exc.value.report.converged is False
         assert exc.value.report.iterations == 2
 
-    def test_mm_step_increases_likelihood(self):
-        rng = np.random.default_rng(11)
-        for seed in range(10):
-            res, _ = connected_instance(seed)
-            vertices = sorted(range(res.roster.n_vertices))
-            n = res.roster.n_students
-            ends = [(i, j + n) if bit else (j + n, i)
-                    for (i, j), bit in zip(res.assignment.edges, res.w)]
-            winner, loser = (np.array(side, dtype=np.intp) for side in zip(*ends))
-            gamma = np.exp(rng.normal(0, 1, len(vertices)))
-            before = _ll_from_gamma(res, gamma)
-            after = _ll_from_gamma(res, mm_step(gamma, winner, loser))
-            assert after >= before - 1e-12
-
-
-def _ll_from_gamma(res, gamma):
-    u = MeritVector(np.log(gamma))
-    return log_likelihood(u, res)
-
 
 class TestMapFit:
     def test_single_pair_matches_grid_oracle(self):
@@ -524,45 +505,25 @@ class TestMapFit:
 
 def _objective_evaluations(monkeypatch):
     """Log, in order, the point of every objective evaluation of the Newton
-    loop (one `_log_likelihood` call each) and the merits each MM fallback
-    moves to, as `mle_fit`'s fallback computes them from `mm_step`."""
-    events = []
-    likelihood, mm = model._log_likelihood, model.mm_step
+    loop (one `_log_likelihood` call each)."""
+    points = []
+    likelihood = model._log_likelihood
 
     def evaluation(u, *args):
-        events.append(("objective", u.copy()))
+        points.append(u.copy())
         return likelihood(u, *args)
 
-    def fallback(gamma, *args):
-        gamma = mm(gamma, *args)
-        u = np.log(gamma)
-        events.append(("fallback", u - u[0]))
-        return gamma
-
     monkeypatch.setattr(model, "_log_likelihood", evaluation)
-    monkeypatch.setattr(model, "mm_step", fallback)
-    return events
+    return points
 
 
-def _split_evaluations(events, start):
-    """(evaluations at an iterate no trial reached, line-search trials, fallbacks).
-
-    The former are the evaluation at `start` and the one at the merits each
-    fallback moved to, which must come next; every other evaluation is a trial.
-    """
-    points = [u for name, u in events if name == "objective"]
+def _split_evaluations(points, start):
+    """The number of line-search trials among `points`, which must evaluate
+    `start` first and no point twice: every later evaluation is a trial."""
     for a, b in itertools.combinations(points, 2):
         assert not np.array_equal(a, b), "point evaluated twice"
-    at_iterate, trials, fallbacks, iterate = 0, 0, 0, start
-    for name, u in events:
-        if name == "fallback":
-            fallbacks, iterate = fallbacks + 1, u
-        elif iterate is not None:
-            assert np.array_equal(u, iterate), "start or fallback merits not evaluated next"
-            at_iterate, iterate = at_iterate + 1, None
-        else:
-            trials += 1
-    return at_iterate, trials, fallbacks
+    assert np.array_equal(points[0], start), "start not evaluated first"
+    return len(points) - 1
 
 
 def published_exam(n, q, d, key):
@@ -616,71 +577,54 @@ class TestSchurBuild:
 
 
 class TestObjectiveEvaluations:
-    """A fit evaluates its objective once per line-search trial, plus once at
-    the start and once after each fallback."""
+    """A fit evaluates its objective once at the start and once per
+    line-search trial."""
 
     def test_mle_and_map_fits_evaluate_the_start_once(self, monkeypatch):
-        events = _objective_evaluations(monkeypatch)
+        points = _objective_evaluations(monkeypatch)
         res, _ = connected_instance(6, n=4, q=5)
         fit = mle_fit(res, range(res.roster.n_vertices), tol=1e-12)
-        at_iterate, trials, fallbacks = _split_evaluations(events, np.zeros(9))
-        assert fit.iterations >= 3 and fallbacks == 0
-        assert at_iterate == 1 and trials >= fit.iterations
-        events.clear()
+        assert fit.iterations >= 3
+        assert _split_evaluations(points, np.zeros(9)) >= fit.iterations
+        points.clear()
         prior = PriorSpec(0.3, 1.0, -0.2, 1.0)
         fit = map_fit(random_result_graph(np.random.default_rng(3), 6, 5), prior, tol=1e-12)
-        at_iterate, trials, _ = _split_evaluations(events, np.repeat([0.3, -0.2], [6, 5]))
         assert fit.iterations >= 3
-        assert at_iterate == 1 and trials >= fit.iterations
-
-    def test_each_fallback_adds_one_evaluation(self, monkeypatch):
-        events = _objective_evaluations(monkeypatch)
-        steps = []
-
-        def newton_step(*args):
-            steps.append(None)
-            if len(steps) == 1:  # a singular Hessian
-                raise np.linalg.LinAlgError("forced")
-            step = _newton_step(*args)
-            return -step if len(steps) == 2 else step  # downhill: every trial fails
-
-        monkeypatch.setattr(model, "_newton_step", newton_step)
-        res, _ = connected_instance(6, n=4, q=5)
-        fit = mle_fit(res, range(res.roster.n_vertices), tol=1e-12)
-        at_iterate, trials, fallbacks = _split_evaluations(events, np.zeros(9))
-        assert fit.converged and fallbacks == 2
-        assert at_iterate == 1 + fallbacks
-        assert trials >= 28 + fit.iterations - 2  # the downhill step tried every length
+        assert _split_evaluations(points, np.repeat([0.3, -0.2], [6, 5])) >= fit.iterations
 
     def test_map_fallbacks_raise_or_take_the_smallest_step(self, monkeypatch):
-        events = _objective_evaluations(monkeypatch)
-        res = random_result_graph(np.random.default_rng(3), 6, 5)
+        # both fits: a singular Hessian raises, and a step that no trial length
+        # passes is taken at its smallest length, 2**-27
+        points = _objective_evaluations(monkeypatch)
+        exam = random_result_graph(np.random.default_rng(3), 6, 5)
         prior = PriorSpec(0.3, 1.0, -0.2, 1.0)
-        start = np.repeat([0.3, -0.2], [6, 5])
+        connected, _ = connected_instance(6, n=4, q=5)
+        fits = [(lambda: map_fit(exam, prior, tol=1e-12), np.repeat([0.3, -0.2], [6, 5])),
+                (lambda: mle_fit(connected, range(9), tol=1e-12), np.zeros(9))]
 
         def singular(*args):
             raise np.linalg.LinAlgError("forced")
 
-        monkeypatch.setattr(model, "_newton_step", singular)
-        with pytest.raises(np.linalg.LinAlgError):
-            map_fit(res, prior, tol=1e-12)
-        events.clear()
-        steps = []
+        for fit, start in fits:
+            monkeypatch.setattr(model, "_newton_step", singular)
+            with pytest.raises(np.linalg.LinAlgError, match="^forced$"):
+                fit()
+            points.clear()
+            steps = []
 
-        def newton_step(*args):
-            steps.append(_newton_step(*args))
-            if len(steps) == 1:  # downhill: every trial fails
-                steps[0] = -steps[0]
-            return steps[-1]
+            def newton_step(*args):
+                steps.append(_newton_step(*args))
+                if len(steps) == 1:  # downhill: every trial fails
+                    steps[0] = -steps[0]
+                return steps[-1]
 
-        monkeypatch.setattr(model, "_newton_step", newton_step)
-        fit = map_fit(res, prior, tol=1e-12)
-        points = [u for name, u in events if name == "objective"]
-        for i in range(28):  # after the start, one trial per length down to 2**-27
-            assert np.array_equal(points[1 + i], start + 2.0**-i * steps[0])
-        # the smallest trial is kept with its objective: the next point is a new trial
-        assert np.array_equal(points[29], start + 2**-27 * steps[0] + steps[1])
-        assert fit.converged and len(steps) >= 2
+            monkeypatch.setattr(model, "_newton_step", newton_step)
+            report = fit()
+            for i in range(28):  # after the start, one trial per length down to 2**-27
+                assert np.array_equal(points[1 + i], start + 2.0**-i * steps[0])
+            # the smallest trial is kept with its objective: the next point is a new trial
+            assert np.array_equal(points[29], start + 2**-27 * steps[0] + steps[1])
+            assert report.converged and len(steps) >= 2
 
 
 EDGE_MARGINS = st.one_of(st.floats(-800, 800),
