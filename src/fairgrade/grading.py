@@ -117,13 +117,13 @@ def predict_matrix(
     fitted = np.flatnonzero(np.bincount(comp[:n], same.any(axis=1), components.n_components))
     u = np.zeros(roster.n_vertices)
     for cid in fitted:
-        vertices = np.flatnonzero(comp == cid)
+        vertices, failed = np.flatnonzero(comp == cid), f"merit fit for component {cid} failed"
         try:
             fit = mle_fit(g, vertices, tol=tol, max_iter=max_iter, _scc=True)
         except NonConvergenceError as exc:
-            raise NonConvergenceError(
-                f"merit fit for component {cid} failed: {exc}", exc.report
-            ) from exc
+            raise NonConvergenceError(f"{failed}: {exc}", exc.report) from exc
+        except np.linalg.LinAlgError as exc:  # a singular Hessian
+            raise np.linalg.LinAlgError(f"{failed}: {exc}") from exc
         u[vertices] = fit.merits.values[vertices]
     i, j = np.nonzero(same)
     h[i, j] = logistic(u[i] - u[n + j])

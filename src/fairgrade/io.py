@@ -14,9 +14,10 @@ A merit file is the header `vertex,kind,merit`, then one row per vertex: its
 id, `student` or `question`, and merit as a finite ASCII decimal number; the
 reader needs every roster vertex.
 
-Output contract of the writers: floats are written as their shortest
-round-trip `repr`, ids are quoted as `csv.writer` quotes them, only when they
-hold a comma, a quote or a line break (CR too), and every line ends with `\n`.
+Output contract of the writers: every file is UTF-8 in any locale, floats are
+their shortest round-trip `repr`, ids are quoted as `csv.writer` quotes them,
+only when they hold a comma, a quote or a line break (CR too), every line ends
+with `\n`, and the exam writers write blocks of rows gathered from byte tables.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ _CELL_CODES = {"0": 0, "1": 1, **dict.fromkeys(NA_TOKENS, 2)}  # 2: never assign
 _NA_TO_2 = bytes.maketrans(b"N2", b"2x")  # with A deleted: NA -> 2, and a 2 is no cell
 _EDGE_HEADER = ["student", "question", "correct"]
 _MERIT_HEADER = ["vertex", "kind", "merit"]
+_PAD = b"\xff"  # pads the rows of a writer's byte table: UTF-8 never holds it
 
 
 def read_text(path) -> str:
@@ -262,23 +264,48 @@ def _csv_lines(rows: Iterable) -> Iterator[str]:
 
 def _write_csv(path, header, rows: Iterable) -> None:
     """A header row, then `rows`, as `_csv_lines`."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.writelines(_csv_lines(chain([header], rows)))
 
 
 def write_edge_list(g: ExamResultGraph, path) -> None:
-    roster, (s_idx, q_idx) = g.roster, g.assignment.edge_arrays
-    sids, qids = _csv_fields(roster.students), _csv_fields(roster.questions)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(_EDGE_HEADER) + "\n")
-        fh.writelines(f"{sids[i]},{qids[j]},{w}\n"
-                      for i, j, w in zip(s_idx.tolist(), q_idx.tolist(), g.w.tolist()))
+    roster, columns = g.roster, (*g.assignment.edge_arrays, g.w)
+    tables = (_byte_table(_csv_fields(roster.students), ","),
+              _byte_table(_csv_fields(roster.questions), ","), _byte_table(("0", "1"), "\n"))
+    _write_rows(path, ",".join(_EDGE_HEADER) + "\n", len(g.w), sum(t.shape[1] for t in tables),
+                lambda a, b: [t.take(idx[a:b], axis=0) for t, idx in zip(tables, columns)])
 
 
 def write_dense_matrix(g: ExamResultGraph, path) -> None:
-    codes = np.full((g.roster.n_students, g.roster.n_questions), 2, np.uint8)
-    codes[g.assignment.edge_arrays] = g.w
-    _write_matrix(path, g.roster, codes, ("0", "1", "NA").__getitem__)
+    roster, (s_idx, q_idx), q = g.roster, g.assignment.edge_arrays, g.roster.n_questions
+    sids = _byte_table(_csv_fields(roster.students), ",")
+    cells, last = (_byte_table(("0", "1", "NA"), sep) for sep in (",", "\n"))
+
+    def rows(a, b):  # from the block's slice of the edges: no n x |Q| array
+        lo, hi = np.searchsorted(s_idx, (a, b))
+        codes = np.full((b - a, q), 2, np.uint8)  # 2: never assigned
+        codes[s_idx[lo:hi] - a, q_idx[lo:hi]] = g.w[lo:hi]
+        return [sids[a:b], cells.take(codes[:, :-1], axis=0).reshape(b - a, -1),
+                last.take(codes[:, -1], axis=0)]
+
+    _write_rows(path, _matrix_header(roster), roster.n_students, sids.shape[1] + 3 * q, rows)
+
+
+def _byte_table(fields: Iterable[str], sep: str) -> np.ndarray:
+    """One uint8 row per field: its UTF-8 bytes, then `sep`, padded with _PAD."""
+    rows = [(field + sep).encode() for field in fields]
+    width = max(map(len, rows))
+    return np.frombuffer(b"".join(r.ljust(width, _PAD) for r in rows), np.uint8).reshape(-1, width)
+
+
+def _write_rows(path, header: str, n_rows: int, width: int, block) -> None:
+    """`header`, then each block a:b of rows as the byte tables `block(a, b)` side by side."""
+    step = (1 << 16) // width + 1  # rows of at most `width` bytes: 64 kB blocks bound the peak
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        for a in range(0, n_rows, step):
+            table = np.concatenate(block(a, min(a + step, n_rows)), axis=1)
+            fh.write(table.tobytes().translate(None, _PAD))  # without the padding
 
 
 def _vertex_kinds(roster: Roster) -> dict[str, str]:
@@ -335,11 +362,15 @@ def _csv_fields(ids) -> list[str]:
     return [line[:-2] for line in _csv_lines((field, "") for field in ids)]
 
 
+def _matrix_header(roster: Roster) -> str:
+    corner = "" if list(roster.questions) == _EDGE_HEADER[1:] else "student"  # no edge-list header
+    return ",".join(_csv_fields([corner, *roster.questions])) + "\n"
+
+
 def _write_matrix(path, roster: Roster, matrix: np.ndarray, cell) -> None:
     """A header row of question ids, then each student's id and `cell` of each entry in its row."""
-    with open(path, "w", newline="") as fh:
-        corner = "" if list(roster.questions) == _EDGE_HEADER[1:] else "student"  # no edge-list header
-        fh.write(",".join(_csv_fields([corner, *roster.questions])) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(_matrix_header(roster))
         # row by row: a whole-matrix .tolist() raises peak memory
         fh.writelines(f"{sid},{','.join(map(cell, row.tolist()))}\n"
                       for sid, row in zip(_csv_fields(roster.students), matrix))
@@ -357,6 +388,5 @@ def write_tidy_report(rows: Iterable[tuple], path) -> None:
 
 
 def write_json_summary(summary: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")

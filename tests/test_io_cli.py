@@ -656,7 +656,9 @@ class TestCli:
         monkeypatch.setattr(model, "_newton_step", singular)
         out = tmp_path / "out"
         assert run_cli(*argv, "--input", block, "--outdir", str(out)) == 4
-        assert "numeric failure: Singular matrix" in capsys.readouterr().err
+        # grade fits each component apart and names it; fit fits the whole graph
+        named = "merit fit for component 0 failed: " if argv[0] == "grade" else ""
+        assert f"numeric failure: {named}Singular matrix" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("flags, named", [
@@ -953,7 +955,7 @@ for name, argv in [("ours", ["grade"]), ("map", ["grade", "--rule", "map"]),
 
 
 def _csv_cells(path):
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         return list(csv.reader(fh))
 
 
@@ -992,3 +994,38 @@ def test_reproducibility_contract_across_blas_threads(tmp_path):
             assert [len(row) for row in one] == [len(row) for row in two], name
             for a, b in zip(itertools.chain(*one), itertools.chain(*two)):
                 assert a == b or abs(float(a) - float(b)) <= 1e-12, (name, a, b)
+
+
+# The exam writers and the CLI under the C locale, with Python's UTF-8 mode off
+_EXAM_WRITERS_CHILD = """
+import sys
+from fairgrade import io as fio
+g = fio.ingest(sys.argv[1])
+fio.write_dense_matrix(g, sys.argv[2])
+fio.write_edge_list(g, sys.argv[3])
+"""
+
+
+def test_writers_write_utf8_in_the_c_locale(tmp_path):
+    exam = tmp_path / "exam.csv"
+    exam.write_text("student,question,correct\nélève,q0,1\nélève,q1,0\ns1,q0,0\ns1,q1,1\n"
+                    "s1,q2,0\ns2,q1,0\ns2,q2,1\n", encoding="utf-8")
+    package_root = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+           "PYTHONPATH": os.pathsep.join(filter(None, [package_root,
+                                                       os.environ.get("PYTHONPATH")]))}
+    python = [sys.executable, "-X", "utf8=0"]
+    for argv in (["grade", "--rule", "ours"], ["fit", "--method", "mle"]):
+        proc = subprocess.run([*python, "-m", "fairgrade.cli", *argv, "--input", str(exam),
+                               "--outdir", str(tmp_path / argv[0])],
+                              env=env, capture_output=True, text=True, encoding="utf-8")
+        assert proc.returncode == 0, proc.stderr
+    subprocess.run([*python, "-c", _EXAM_WRITERS_CHILD, str(exam), str(tmp_path / "dense.csv"),
+                    str(tmp_path / "edges.csv")], env=env, check=True)
+    g = fio.ingest(exam)
+    assert fio.ingest(tmp_path / "dense.csv") == g and fio.ingest(tmp_path / "edges.csv") == g
+    fio.read_merits(tmp_path / "fit" / "merits.csv", g.roster)
+    out = tmp_path / "grade"
+    for name in ("grades.csv", "predictions.csv", "cases.csv"):
+        assert _csv_cells(out / name)[1][0] == "élève", name
+    assert "élève" in json.loads((out / "summary.json").read_text(encoding="utf-8"))["grades"]

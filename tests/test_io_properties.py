@@ -2,8 +2,10 @@
 oracle, and the matrix writers' bytes against `csv.writer` oracles."""
 
 import csv
+import io
 import math
 import re
+import sys
 from functools import partial
 
 import numpy as np
@@ -20,8 +22,14 @@ NA = ("NA", "", "NaN", "nan")
 ID_TEXT = st.text(alphabet='ab,"\n x', max_size=4).filter(lambda s: s == s.strip())
 
 
-def unique_ids(prefix: str, min_size: int):
-    return st.lists(ID_TEXT.map(lambda s: prefix + s), min_size=min_size, max_size=5,
+# ids for the writers' byte oracles: ID_TEXT's characters, a CR, a 2-byte and a 4-byte
+# character; and a NUL where csv.writer writes one, from Python 3.11
+WRITER_TEXT = st.text(alphabet='ab,"\n x\ré𝄞' + "\0" * (sys.version_info >= (3, 11)),
+                      max_size=4)
+
+
+def unique_ids(prefix: str, min_size: int, text=ID_TEXT):
+    return st.lists(text.map(lambda s: prefix + s), min_size=min_size, max_size=5,
                     unique=True)
 
 
@@ -312,24 +320,53 @@ class TestFuzzedRows:
             assert read(path).values.tolist() == expected[1]
 
 
+def write_csv_rows(path, rows) -> None:
+    """Each row as `csv.writer` writes it with the terminator "\r\n", which has a field
+    holding a CR quoted, then ended in "\n" instead: the exam writers' contract."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for row in rows:
+            line = io.StringIO()
+            csv.writer(line, lineterminator="\r\n").writerow(row)
+            fh.write(line.getvalue()[:-2] + "\n")
+
+
 def csv_writer_dense_matrix(g: ExamResultGraph, path) -> None:
     """The dense matrix writer as it was when every row went through `csv.writer`."""
     roster = g.roster
     cells = np.full((roster.n_students, roster.n_questions), "NA", dtype=object)
     cells[g.assignment.edge_arrays] = np.array(["0", "1"], dtype=object)[g.w]
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(["student", *roster.questions])
-        for i, sid in enumerate(roster.students):
-            out.writerow([sid, *cells[i]])
+    write_csv_rows(path, [["student", *roster.questions],
+                          *([sid, *row] for sid, row in zip(roster.students, cells))])
+
+
+def csv_writer_edge_list(g: ExamResultGraph, path) -> None:
+    """The edge list writer as it was when every row went through `csv.writer`."""
+    roster, (s_idx, q_idx) = g.roster, g.assignment.edge_arrays
+    write_csv_rows(path, [["student", "question", "correct"],
+                          *([roster.students[i], roster.questions[j], str(w)]
+                            for i, j, w in zip(s_idx.tolist(), q_idx.tolist(), g.w.tolist()))])
+
+
+# students drawn with no prefix may be empty; a question id starts with q, which no
+# student does, so the two stay disjoint
+WRITER_EXAMS = exams(unique_ids("", 1, WRITER_TEXT), unique_ids("q", 1, WRITER_TEXT))
 
 
 @settings(max_examples=150, deadline=None)
-@given(exams())
+@given(WRITER_EXAMS)
 def test_dense_matrix_bytes_match_csv_writer(tmp_path_factory, g):
     d = tmp_path_factory.mktemp("dense")
     fio.write_dense_matrix(g, d / "exam.csv")
     csv_writer_dense_matrix(g, d / "exam_ref.csv")
+    assert (d / "exam.csv").read_bytes() == (d / "exam_ref.csv").read_bytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(WRITER_EXAMS)
+def test_edge_list_bytes_match_csv_writer(tmp_path_factory, g):
+    d = tmp_path_factory.mktemp("edges")
+    fio.write_edge_list(g, d / "exam.csv")
+    csv_writer_edge_list(g, d / "exam_ref.csv")
     assert (d / "exam.csv").read_bytes() == (d / "exam_ref.csv").read_bytes()
 
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import minimize
@@ -737,14 +737,22 @@ def dense_newton(winner, loser, precision, center, gauge):
 
 
 @st.composite
-def result_graphs(draw):
-    """Random exams of 1-6 students and 1-9 questions (often more questions)."""
-    n, q = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+def result_graphs(draw, scc=False):
+    """Random exams of 1-6 students and 1-9 questions (often more questions). With `scc`,
+    of at least 2 of each, with a 4-cycle s -> a -> t -> b -> s of two random students
+    and two random questions built in, so the largest SCC has at least 4 vertices."""
+    n, q = draw(st.integers(1 + scc, 6)), draw(st.integers(1 + scc, 9))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     edges = [(i, int(j)) for i in range(n)
              for j in rng.permutation(q)[:rng.integers(1, q + 1)]]
     g = TaskAssignmentGraph(Roster.index_based(n, q), tuple(edges))
-    return ExamResultGraph(g, rng.integers(0, 2, g.n_edges)), rng
+    exam = ExamResultGraph(g, rng.integers(0, 2, g.n_edges))
+    if scc:  # s answers a right and b wrong, t answers b right and a wrong
+        (s, t), (a, b) = (rng.choice(size, 2, replace=False).tolist() for size in (n, q))
+        outcomes = exam.outcomes | {(s, a): 1, (t, a): 0, (t, b): 1, (s, b): 0}
+        exam = ExamResultGraph.from_outcomes(TaskAssignmentGraph(g.roster, tuple(outcomes)),
+                                             outcomes)
+    return exam, rng
 
 
 def transposed(g):
@@ -758,10 +766,10 @@ def transposed(g):
 
 def _largest_scc_edges(g):
     """The largest SCC's sorted vertices, its student count and its edges as
-    (winner, loser) positions in that order, as `mle_fit` builds them. A draw
-    whose largest SCC is a single vertex is rejected."""
+    (winner, loser) positions in that order, as `mle_fit` builds them; the exam
+    is drawn with an SCC built in."""
     vertices = sorted(max(strongly_connected_components(g).components, key=len))
-    assume(len(vertices) >= 4)  # the smallest strongly connected piece is a 4-cycle
+    assert len(vertices) >= 4  # the smallest strongly connected piece is a 4-cycle
     pos = {v: k for k, v in enumerate(vertices)}
     winner, loser = (np.array(side, dtype=np.intp) for side in zip(*(
         (pos[a], pos[b]) for a, b in zip(*map(np.ndarray.tolist, g.directed_edges))
@@ -797,7 +805,7 @@ class TestNewtonStep:
                 assert _relative_gap(step, reference) <= 1e-12
 
     @settings(max_examples=150, deadline=None)
-    @given(result_graphs())
+    @given(result_graphs(scc=True))
     def test_mle_gauge_step(self, drawn):
         # mle_fit fixes the gauge by pinning its first vertex: precision e_0
         g, rng = drawn
@@ -831,7 +839,7 @@ class TestNewtonStep:
                     _newton_step(winner, loser, weight, precision, grad, layout)
 
     @settings(max_examples=150, deadline=None)
-    @given(result_graphs())
+    @given(result_graphs(scc=True))
     def test_pinned_mle_fit_is_the_mean_zero_maximizer(self, drawn):
         # the pinned fit, reported mean-zero, is the fit under the J/k gauge; the exam
         # and its transpose eliminate opposite sides unless the SCC's two are equal
